@@ -19,11 +19,20 @@ Two model builders sit on top of the core system:
     with the connecting ranks as variables.
 
 All coefficients stay in {-1, 0, 1}; arithmetic is exact.
+
+Propagation is linear per sweep: each inequality f >= 0 with m terms is
+walked twice, once to sum its upper bound over the boxes and once to tighten
+each variable v from "f without v's term", which is that sum less v's own
+term.  This is exact, not a relaxation: a step for c*v with c > 0 only raises
+v's lower end, while v's term in the sum reads only its upper end (mirrored
+for c < 0), so no step within the walk changes a term already summed.  The
+box updates, their order and any inconsistency found are those of
+re-summing the other m - 1 terms for every v, at O(m) instead of O(m^2).
 """
 
 from __future__ import annotations
 
-from .errors import AmbiguityError
+from .errors import AmbiguityError, InconsistentDataError
 
 
 class Form:
@@ -110,7 +119,9 @@ class LinearSystem:
         f = self.reduce(form)
         if f.is_const():
             if f.const != 0:
-                raise ArithmeticError(f"inconsistent chase: {f.const} == 0")
+                raise InconsistentDataError(
+                    "chase", f"inconsistent chase: {f.const} == 0"
+                )
             return
         pivot = None
         for v, c in f.coeffs.items():
@@ -119,7 +130,7 @@ class LinearSystem:
                 break
         if pivot is None:
             # all coefficients are +-1 in this application
-            raise ArithmeticError(f"no unit pivot in {f}")
+            raise InconsistentDataError("chase", f"no unit pivot in {f}")
         v, c = pivot
         rest = Form({u: k for u, k in f.coeffs.items() if u != v}, f.const)
         # c*v + rest == 0  =>  v == -rest/c
@@ -160,17 +171,31 @@ class LinearSystem:
         reduced = [f for f in reduced if f.coeffs or f.const < 0]
         for f in reduced:
             if f.is_const() and f.const < 0:
-                raise ArithmeticError(f"inconsistent chase: {f.const} >= 0")
+                raise InconsistentDataError(
+                    "chase", f"inconsistent chase: {f.const} >= 0"
+                )
+        boxes = self.boxes
         for _ in range(max_sweeps):
             changed = False
             for f in reduced:
+                # upper bound of f over the boxes, skipping unbounded terms
+                hi = f.const
+                n_open = 0
                 for v, c in f.coeffs.items():
-                    other = Form({u: k for u, k in f.coeffs.items() if u != v}, f.const)
-                    _, ohi = self._form_bounds(other)
-                    if ohi is None:
-                        continue
+                    end = boxes[v][1 if c > 0 else 0]
+                    if end is None:
+                        n_open += 1
+                        open_term = (v, c)
+                    else:
+                        hi += c * end
+                if n_open > 1:
+                    continue
+                for v, c in (open_term,) if n_open else f.coeffs.items():
+                    box = boxes[v]
+                    # upper bound of f - c*v: hi less v's own term, or hi
+                    # itself when v's term is the one left out of it
+                    ohi = hi if n_open else hi - c * box[1 if c > 0 else 0]
                     # c*v >= -other_true >= -ohi
-                    box = self.boxes[v]
                     if c > 0:
                         new_lo = -(ohi // c)  # ceil(-ohi / c)
                         if box[0] is None or new_lo > box[0]:
@@ -182,12 +207,12 @@ class LinearSystem:
                             box[1] = new_hi
                             changed = True
                     if box[0] is not None and box[1] is not None and box[0] > box[1]:
-                        raise ArithmeticError(
-                            f"inconsistent chase: empty box for v{v}"
+                        raise InconsistentDataError(
+                            "chase", f"inconsistent chase: empty box for v{v}"
                         )
             if not changed:
                 return
-        raise ArithmeticError("chase propagation did not converge")
+        raise InconsistentDataError("chase", "chase propagation did not converge")
 
     def bounds(self, form: Form) -> tuple[int, int]:
         lo, hi = self._form_bounds(self.reduce(form))

@@ -3,8 +3,9 @@
 Subcommands mirror the library surface: `bott`, `hodge`, `pair`, `roofs`,
 `windows`, `lr`, `verify`.  Output is deterministic UTF-8 JSON (sorted keys,
 big integers as decimal strings) unless a text mode is chosen; `--out FILE`
-writes the same bytes to a file.  Exit codes: 0 success, 2 parse error,
-3 precondition violation, 4 ambiguity, 5 verification mismatch.
+writes the same bytes to a file.  Exit codes: 0 success, 2 parse error or
+unknown suite or unwritable output file, 3 precondition violation or
+inconsistent chase data, 4 ambiguity, 5 verification mismatch.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     AmbiguityError,
     DominanceError,
     ExcludedCaseError,
+    InconsistentDataError,
     InjectivityViolationError,
     MalformedContractionError,
     MismatchError,
@@ -28,6 +30,7 @@ from .errors import (
     PlethysmRequiredError,
     RankError,
     RoofcalcError,
+    UsageError,
 )
 from .hodge import (
     ZeroLocusSpec,
@@ -83,14 +86,19 @@ def _report(command: str, inputs: dict, outputs: dict, t0: float) -> dict:
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
-        "timing": {"seconds": round(time.time() - t0, 3)},
+        "timing": {"seconds": round(time.perf_counter() - t0, 3)},
     }
 
 
 def _emit(text: str, out_file: str | None) -> None:
     if out_file:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_file, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write --out {out_file}: {exc.strerror or exc}"
+            ) from None
     print(text)
 
 
@@ -99,7 +107,7 @@ def _emit_json(payload: dict, out_file: str | None) -> None:
 
 
 def _cmd_bott(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     w = _parse_double_weight(args.weight)
     if w.ambient != (args.k, args.n):
         raise RankError(f"weight {w} lives on G{w.ambient}, flags say G({args.k},{args.n})")
@@ -121,7 +129,7 @@ def _cmd_bott(args) -> int:
 
 
 def _cmd_lr(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     a = _parse_weight(args.a)
     b = _parse_weight(args.b)
     total = lr_product(a, b, args.rank)
@@ -136,7 +144,7 @@ def _cmd_lr(args) -> int:
 
 
 def _cmd_hodge(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     expr = parse_bundle(args.bundle, args.k, args.n)
     spec = ZeroLocusSpec(args.k, args.n, expr)
     diamond = hodge_numbers(spec)
@@ -156,7 +164,7 @@ def _cmd_hodge(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     k, n = args.k, args.n
     inv = pair_invariants(k, n)
     report = check_pair_theorem(k, n)
@@ -192,7 +200,7 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_roofs(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     records = classify(args.max_rank)
     outputs = {
         "records": [
@@ -217,7 +225,7 @@ def _cmd_roofs(args) -> int:
 
 
 def _cmd_windows(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sides = ["minus", "plus"] if args.side == "both" else [args.side]
     reports = []
     for side in sides:
@@ -247,7 +255,7 @@ def _cmd_windows(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = run_suite(args.suite)
     lines = []
     for r in results:
@@ -345,8 +353,18 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except _PRECONDITION_ERRORS as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except InconsistentDataError as exc:
+        print(
+            f"precondition violated in the {exc.stage}: {exc}; the zero locus "
+            "may be empty or the section not general",
+            file=sys.stderr,
+        )
         return EXIT_PRECONDITION
     except AmbiguityError as exc:
         print(f"ambiguous result: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code classes used by the CLI:
-  parse errors -> 2, precondition violations -> 3, ambiguity -> 4,
-  verification mismatches -> 5.
+  parse and usage errors -> 2, precondition violations and inconsistent
+  data -> 3, ambiguity -> 4, verification mismatches -> 5.
 """
 
 
@@ -16,6 +16,10 @@ class ParseError(RoofcalcError, ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+class UsageError(RoofcalcError, ValueError):
+    """A command-line value names no suite or file the tool can use."""
 
 
 class RankError(RoofcalcError, ValueError):
@@ -52,6 +56,20 @@ class ExcludedCaseError(RoofcalcError, ValueError):
 
 class MalformedContractionError(RoofcalcError, ValueError):
     """Kept nodes of a diagram contraction do not sit in a single component."""
+
+
+class InconsistentDataError(RoofcalcError, ArithmeticError):
+    """Dimension data that admit no solution at one stage of a computation.
+
+    The chase and the Hodge fixpoint apply theorems about a nonempty smooth
+    zero locus of a general section; an empty zero locus or a special
+    section can contradict them.  `stage` names where the contradiction
+    showed.
+    """
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(message)
+        self.stage = stage
 
 
 class MismatchError(RoofcalcError):

@@ -36,6 +36,7 @@ from .bwb import bott, euler_characteristic
 from .chase import Form, LinearSystem, les_chain, spectral_flow
 from .errors import (
     AmbiguityError,
+    InconsistentDataError,
     InjectivityViolationError,
     RankError,
 )
@@ -278,7 +279,9 @@ class _Pipeline:
 def _intersect(a: tuple[int, int], b: tuple[int, int], where: str) -> tuple[int, int]:
     lo, hi = max(a[0], b[0]), min(a[1], b[1])
     if lo > hi:
-        raise ArithmeticError(f"inconsistent Hodge data at {where}: {a} vs {b}")
+        raise InconsistentDataError(
+            "Hodge symmetry fixpoint", f"inconsistent Hodge data at {where}: {a} vs {b}"
+        )
     return lo, hi
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ExcludedCaseError
+from .errors import ExcludedCaseError, UsageError
 from .hodge import (
     HodgeDiamond,
     check_pair_theorem,
@@ -338,7 +338,9 @@ SUITES: dict[str, list[Callable[[], list[CheckResult]]]] = {
 
 def run_suite(name: str) -> list[CheckResult]:
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+        raise UsageError(
+            f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
+        )
     results: list[CheckResult] = []
     for check in SUITES[name]:
         results.extend(check())

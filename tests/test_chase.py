@@ -1,8 +1,11 @@
 """Unit tests of the linear chase engine on hand-checkable systems."""
 
+import random
+
 import pytest
 
 from roofcalc.chase import Form, LinearSystem, les_chain, spectral_flow
+from roofcalc.errors import InconsistentDataError
 
 
 def bounds_of(system, forms):
@@ -167,3 +170,97 @@ class TestSoundnessAgainstRandomTruth:
             for m, h in out.items():
                 lo, hi = s.bounds(h)
                 assert lo <= truth.get(m, 0) <= hi, (totals, truth, m)
+
+
+def reference_propagate(system, max_sweeps=2000):
+    """The quadratic sweep: re-sum "f without v" for every (f, v) pair."""
+    reduced = [system.reduce(f) for f in system.ineqs]
+    reduced = [f for f in reduced if f.coeffs or f.const < 0]
+    for f in reduced:
+        if f.is_const() and f.const < 0:
+            raise ArithmeticError(f"inconsistent chase: {f.const} >= 0")
+    for _ in range(max_sweeps):
+        changed = False
+        for f in reduced:
+            for v, c in f.coeffs.items():
+                other = Form({u: k for u, k in f.coeffs.items() if u != v}, f.const)
+                _, ohi = system._form_bounds(other)
+                if ohi is None:
+                    continue
+                box = system.boxes[v]
+                if c > 0:
+                    new_lo = -(ohi // c)
+                    if box[0] is None or new_lo > box[0]:
+                        box[0] = new_lo
+                        changed = True
+                else:
+                    new_hi = ohi // (-c)
+                    if box[1] is None or new_hi < box[1]:
+                        box[1] = new_hi
+                        changed = True
+                if box[0] is not None and box[1] is not None and box[0] > box[1]:
+                    raise ArithmeticError(f"inconsistent chase: empty box for v{v}")
+        if not changed:
+            return
+    raise ArithmeticError("chase propagation did not converge")
+
+
+def random_system(seed):
+    """Boxes with open ends, +-1 forms, some equalities; often infeasible."""
+    rng = random.Random(seed)
+    s = LinearSystem()
+    nvars = rng.randint(1, 7)
+    for _ in range(nvars):
+        lo = rng.choice([None, 0, 0, rng.randint(-3, 5)])
+        hi = rng.choice([None, None, rng.randint(0, 9)])
+        if lo is not None and hi is not None:
+            hi = max(lo, hi)
+        s.new_var(lo, hi)
+
+    def random_form():
+        vs = rng.sample(range(nvars), rng.randint(1, nvars))
+        return Form({v: rng.choice([1, -1]) for v in vs}, rng.randint(-6, 12))
+
+    for _ in range(rng.randint(1, 8)):
+        s.add_ge0(random_form())
+    for _ in range(rng.randint(0, 2)):
+        s.add_eq(random_form())
+    return s
+
+
+def outcome(system, propagate):
+    try:
+        propagate(system)
+    except ArithmeticError as exc:
+        return ("raised", str(exc))
+    return ("boxes", [list(box) for box in system.boxes])
+
+
+def test_propagate_matches_quadratic_reference():
+    kinds = {"raised": 0, "boxes": 0}
+    tightened = 0
+    for seed in range(600):
+        try:
+            fast, ref = random_system(seed), random_system(seed)
+        except ArithmeticError:
+            continue  # an equality reduced to a false constant
+        before = [list(box) for box in ref.boxes]
+        expected = outcome(ref, reference_propagate)
+        assert outcome(fast, LinearSystem.propagate) == expected, seed
+        kinds[expected[0]] += 1
+        tightened += expected[0] == "boxes" and expected[1] != before
+    # the sample exercises both infeasible and tightened feasible systems
+    assert kinds["raised"] >= 50 and kinds["boxes"] >= 50 and tightened >= 50, (
+        kinds,
+        tightened,
+    )
+
+
+def test_chase_inconsistency_names_its_stage():
+    s = LinearSystem()
+    x = Form.var(s.new_var(0, 3))
+    s.add_ge0(x - 5)
+    with pytest.raises(InconsistentDataError) as err:
+        s.propagate()
+    assert err.value.stage == "chase"
+    assert str(err.value) == "inconsistent chase: empty box for v0"

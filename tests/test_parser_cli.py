@@ -73,6 +73,16 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def run_cli_error(capsys, *argv):
+    """Exit code and the single stderr line of a failing command."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err, captured.err
+    return code, lines[0]
+
+
 class TestCli:
     def test_bott_trivial(self, capsys):
         code, out = run_cli(capsys, "bott", "--k", "1", "--n", "5", "--weight", "1|0,0,0,0")
@@ -130,6 +140,26 @@ class TestCli:
     def test_plethysm_exit_code(self, capsys):
         code = main(["hodge", "--k", "2", "--n", "6", "--bundle", "Sym^2(S[2,1]QD)"])
         assert code == 3
+
+    def test_empty_zero_locus_exits_precondition(self, capsys):
+        # a general section of O(0) vanishes nowhere, so h^{0,0} >= 1 fails
+        code, err = run_cli_error(capsys, "hodge", "--k", "2", "--n", "4", "--bundle", "O(0)")
+        assert code == 3
+        assert "Hodge symmetry fixpoint" in err and "may be empty" in err
+
+    def test_unknown_suite_exits_usage(self, capsys):
+        code, err = run_cli_error(capsys, "verify", "--suite", "nope")
+        assert code == 2
+        assert err.endswith("available: paper")
+
+    def test_unwritable_out_exits_usage(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, err = run_cli_error(
+            capsys, "bott", "--k", "2", "--n", "4", "--weight", "1,0|0,0",
+            "--out", str(target),
+        )
+        assert code == 2
+        assert str(target) in err
 
     def test_roofs_rank_two(self, capsys):
         code, out = run_cli(capsys, "roofs", "--max-rank", "2")
