@@ -14,6 +14,8 @@ PlethysmRequiredError rather than silently computing a wrong plethysm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+
 from .bwb import gl_dimension
 from .errors import (
     AmbientMismatchError,
@@ -174,9 +176,6 @@ def dual(a: BundleExpr) -> BundleExpr:
 
 # -- atoms and their Sym/wedge powers ---------------------------------------
 
-_ATOM_RANKS = {"U": "k", "UD": "k", "Q": "q", "QD": "q", "O": "1"}
-
-
 def _atom_of(w: DoubleWeight) -> tuple[str, int] | None:
     """Recognise a canonical-form term as a twisted atom: (kind, twist).
 
@@ -275,25 +274,30 @@ def _graded_power(a: BundleExpr, m: int, per_atom) -> BundleExpr:
     if not atoms:
         return zero(k, n)
 
+    @cache
     def factor(atom: tuple[str, int], j: int) -> BundleExpr:
         w = per_atom(atom[0], atom[1], j, k, n)
         return zero(k, n) if w is None else _expr(k, n, {w: 1})
 
-    def rec(i: int, budget: int) -> BundleExpr:
-        if i == len(atoms) - 1:
-            return factor(atoms[i], budget)
-        out = zero(k, n)
-        for j in range(budget + 1):
-            head = factor(atoms[i], j)
-            if head.is_zero():
-                continue
-            tail = rec(i + 1, budget - j)
-            if tail.is_zero():
-                continue
-            out = direct_sum(out, tensor(head, tail))
-        return out
-
-    return rec(0, m)
+    if len(atoms) == 1:
+        return factor(atoms[0], m)
+    # powers[b]: the degree-b power of the atoms folded in so far, b <= m
+    powers = [factor(atoms[0], b) for b in range(m + 1)]
+    for atom in atoms[1:]:
+        heads = [factor(atom, j) for j in range(m + 1)]
+        # the degree-0 power of an atom is O, so j = 0 contributes powers[b]
+        powers = [
+            direct_sum(
+                powers[b],
+                *(
+                    tensor(heads[j], powers[b - j])
+                    for j in range(1, b + 1)
+                    if not (heads[j].is_zero() or powers[b - j].is_zero())
+                ),
+            )
+            for b in range(m + 1)
+        ]
+    return powers[m]
 
 
 def sym_power(a: BundleExpr, m: int) -> BundleExpr:

@@ -38,7 +38,6 @@ from .hodge import (
     hodge_numbers,
     pair_invariants,
     pair_specs,
-    point_count,
 )
 from .lr import lr_product
 from .motive import verify_lemma_leq
@@ -153,7 +152,7 @@ def _cmd_hodge(args) -> int:
         return 0
     outputs = {"diamond": diamond.to_json_dict(), "dim": diamond.dim}
     if spec.dim == 0:
-        outputs["points"] = str(point_count(spec))
+        outputs["points"] = str(diamond.h(0, 0))
     _emit_json(
         _report(
             "hodge", {"k": args.k, "n": args.n, "bundle": args.bundle}, outputs, t0
@@ -181,8 +180,8 @@ def _cmd_pair(args) -> int:
             "calabiYau": inv.cy,
         },
         "points": {
-            "y1": str(point_count(spec1)) if inv.d1 == 0 else None,
-            "y2": str(point_count(spec2)) if inv.d2 == 0 else None,
+            "y1": str(report.diamond1.h(0, 0)) if inv.d1 == 0 else None,
+            "y2": str(report.diamond2.h(0, 0)) if inv.d2 == 0 else None,
         },
         "bundles": {"y1": str(spec1.bundle), "y2": str(spec2.bundle)},
         "diamond1": report.diamond1.to_json_dict(),
@@ -312,9 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bundle", required=True, help='e.g. "QD*O(2)" or "O(1)+O(2)"')
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", default=True)
-    mode.add_argument("--diamond", action="store_true", help="render as a triangle")
+    p.add_argument("--diamond", action="store_true", help="render as a triangle")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hodge)
 

@@ -26,12 +26,10 @@ verified.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import bundles
-from .bundles import BundleExpr
+from .bundles import BundleExpr, _box_partitions
 from .bwb import bott, euler_characteristic
 from .chase import Form, LinearSystem, les_chain, spectral_flow
 from .errors import (
@@ -40,22 +38,6 @@ from .errors import (
     InjectivityViolationError,
     RankError,
 )
-
-
-def worker_count() -> int:
-    env = os.environ.get("ROOFCALC_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def parallel_map(fn, items: list) -> list:
-    """Order-preserving map over a thread pool; falls back to serial."""
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class HodgeDiamond:
@@ -207,12 +189,6 @@ class ZeroLocusSpec:
         return self.ambient_dim - bundles.rank(self.bundle)
 
 
-def _count_box_partitions(p: int, rows: int, cap: int) -> int:
-    from .bundles import _box_partitions
-
-    return sum(1 for _ in _box_partitions(p, rows, cap))
-
-
 def ambient_diamond(k: int, n: int) -> HodgeDiamond:
     """Diamond of G(k,n): h^{p,p} counts partitions of p in the k x (n-k) box."""
     if not (1 <= k < n):
@@ -220,7 +196,7 @@ def ambient_diamond(k: int, n: int) -> HodgeDiamond:
     d = k * (n - k)
     out = HodgeDiamond(d, meta={"variety": f"G({k},{n})"})
     for p in range(d + 1):
-        c = _count_box_partitions(p, k, n - k)
+        c = sum(1 for _ in _box_partitions(p, k, n - k))
         out.set_entry(p, p, c)
         out.euler_columns[p] = (-1) ** p * c
     return out
@@ -345,23 +321,16 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
         return out
 
     pipeline = _Pipeline(spec)
-    jt = [(j, t) for j in range(d + 1) for t in range(j + 1)]
-    data = dict(zip(jt, parallel_map(lambda a: pipeline.koszul_data(*a), jt)))
-
-    def solve_column(j: int) -> tuple[list[tuple[int, int]], int]:
+    grid: list[list[tuple[int, int]]] = []
+    chis: list[int] = []
+    for j in range(d + 1):
         # one system per column keeps its rank correlations undiluted
         system = LinearSystem()
-        forms, chi = pipeline.column_forms(system, [data[(j, t)] for t in range(j + 1)])
+        per_t = [pipeline.koszul_data(j, t) for t in range(j + 1)]
+        forms, chi = pipeline.column_forms(system, per_t)
         system.propagate()
-        row = []
-        for f in forms:
-            lo, hi = system.bounds(f)
-            row.append((max(lo, 0), hi))
-        return row, chi
-
-    solved = parallel_map(solve_column, list(range(d + 1)))
-    grid = [row for row, _ in solved]
-    chis = [chi for _, chi in solved]
+        grid.append([(max(lo, 0), hi) for lo, hi in map(system.bounds, forms)])
+        chis.append(chi)
     _symmetrise(grid, chis)
 
     out = HodgeDiamond(d, meta=meta)
@@ -470,7 +439,7 @@ def check_pair_theorem(k: int, n: int) -> PairReport:
     diagonal.  A verifier: failures are collected, not proved impossible."""
     inv = pair_invariants(k, n)
     spec1, spec2 = pair_specs(k, n)
-    d1m, d2m = parallel_map(hodge_numbers, [spec1, spec2])
+    d1m, d2m = hodge_numbers(spec1), hodge_numbers(spec2)
     report = PairReport(k=k, n=n, invariants=inv, diamond1=d1m, diamond2=d2m)
     fail = report.failures.append
 

@@ -47,6 +47,9 @@ def _canonical(terms: dict[Weight, int]) -> tuple[tuple[Weight, int], ...]:
 def _lr_partitions(inner: Weight, content: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
     """Expand s_inner * s_content for partitions, rows truncated at `rank`."""
     results: dict[Weight, int] = {}
+    # zero parts place no boxes; dropping them keeps the recursion as deep as
+    # the content's nonzero rows rather than as deep as the rank
+    content = tuple(e for e in content if e > 0)
     nrows = len(content)
 
     def place(v: int, shape: tuple[int, ...], prev: tuple[int, ...]) -> None:

@@ -8,10 +8,9 @@ numeric identities actually consume; the affine line maps to the monomial uv.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import AmbiguityError, ExcludedCaseError, RankError
-from .hodge import HodgeDiamond
+from .hodge import HodgeDiamond, ambient_diamond
 
 
 @dataclass(frozen=True)
@@ -72,38 +71,9 @@ def lefschetz_power(k: int) -> EPoly:
     return EPoly.from_dict({(k, k): 1})
 
 
-def gaussian_binomial_coeffs(n: int, k: int) -> list[int]:
-    """Coefficients of the Gaussian binomial [n choose k]_q via the
-    q-Pascal recursion; coefficient i counts partitions of i in k x (n-k)."""
-    if not 0 <= k <= n:
-        raise RankError(f"Gaussian binomial needs 0 <= k <= n, got ({n},{k})")
-    table: dict[tuple[int, int], list[int]] = {}
-
-    def gb(nn: int, kk: int) -> list[int]:
-        if kk == 0 or kk == nn:
-            return [1]
-        if (nn, kk) in table:
-            return table[(nn, kk)]
-        a = gb(nn - 1, kk - 1)
-        b = gb(nn - 1, kk)  # times q^k
-        size = kk * (nn - kk) + 1
-        out = [0] * size
-        for i, c in enumerate(a):
-            out[i] += c
-        for i, c in enumerate(b):
-            out[i + kk] += c
-        table[(nn, kk)] = out
-        return out
-
-    result = gb(n, k)
-    assert sum(result) == comb(n, k)
-    return result
-
-
 def epoly_grassmannian(k: int, n: int) -> EPoly:
     """E(G(k,n)): diagonal with Gaussian binomial coefficients."""
-    coeffs = gaussian_binomial_coeffs(n, k)
-    return EPoly.from_dict({(i, i): c for i, c in enumerate(coeffs)})
+    return epoly_of_diamond(ambient_diamond(k, n))
 
 
 def epoly_projective(m: int) -> EPoly:

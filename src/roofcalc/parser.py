@@ -18,6 +18,11 @@ from . import bundles
 from .bundles import BundleExpr
 from .errors import ParseError
 
+# Deepest nesting of '(', 'Sym^m(', 'Wedge^m(' and 'Dual(' accepted; each
+# level costs three Python frames, so the cap keeps well inside the
+# interpreter's recursion limit.
+MAX_DEPTH = 200
+
 
 class _Scanner:
     def __init__(self, text: str):
@@ -27,10 +32,6 @@ class _Scanner:
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def eat(self, literal: str) -> bool:
         self.skip_ws()
@@ -60,6 +61,7 @@ class _Parser:
         self.s = _Scanner(text)
         self.k = k
         self.n = n
+        self.depth = 0
 
     def parse(self) -> BundleExpr:
         e = self.expr()
@@ -80,28 +82,30 @@ class _Parser:
             out = bundles.tensor(out, self.factor())
         return out
 
+    def nested(self) -> BundleExpr:
+        """The expression after an opening parenthesis, up to its ')'."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.s.pos)
+        self.depth += 1
+        e = self.expr()
+        self.s.expect(")")
+        self.depth -= 1
+        return e
+
     def factor(self) -> BundleExpr:
         s = self.s
         if s.eat("("):
-            e = self.expr()
-            s.expect(")")
-            return e
+            return self.nested()
         if s.eat("Sym^"):
             m = s.integer()
             s.expect("(")
-            e = self.expr()
-            s.expect(")")
-            return bundles.sym_power(e, m)
+            return bundles.sym_power(self.nested(), m)
         if s.eat("Wedge^"):
             m = s.integer()
             s.expect("(")
-            e = self.expr()
-            s.expect(")")
-            return bundles.wedge_power(e, m)
+            return bundles.wedge_power(self.nested(), m)
         if s.eat("Dual("):
-            e = self.expr()
-            s.expect(")")
-            return bundles.dual(e)
+            return bundles.dual(self.nested())
         if s.eat("S["):
             lam = [s.integer()]
             while s.eat(","):

@@ -12,16 +12,11 @@ and exit nonzero on any failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .errors import ExcludedCaseError, UsageError
-from .hodge import (
-    HodgeDiamond,
-    check_pair_theorem,
-    hodge_numbers,
-    pair_specs,
-    point_count,
-)
+from .hodge import HodgeDiamond, PairReport, check_pair_theorem
 from .motive import derive_b2, verify_lemma_leq
 from .roofs import RoofRecord, classify
 from .weights import DoubleWeight
@@ -64,6 +59,13 @@ def _diagonal_only(d: HodgeDiamond, diagonal: list[int], middle: list[int]) -> s
 
 # -- the three worked pairs --------------------------------------------------
 
+
+@cache
+def _pair(k: int, n: int) -> PairReport:
+    """Both diamonds of a pair, computed once per `run_suite` call."""
+    return check_pair_theorem(k, n)
+
+
 Y2_DIAG_126 = [1, 1, 2, 22, 2, 1, 1]
 Y1_MIDDLE_236 = [15, 672, 2271, 672, 15]
 Y1_DIAG_236 = [1, 1, 2271, 1, 1]
@@ -74,9 +76,9 @@ CY_DIAG_347 = [1, 1, 2, 3, 825751, 3, 2, 1, 1]
 
 
 def check_pair_126() -> list[CheckResult]:
-    spec1, spec2 = pair_specs(1, 6)
-    out = [_expect("F(1,2,6): Y1 is 21 points", point_count(spec1), 21)]
-    d2 = hodge_numbers(spec2)
+    rep = _pair(1, 6)
+    out = [_expect("F(1,2,6): Y1 is 21 points", rep.diamond1.h(0, 0), 21)]
+    d2 = rep.diamond2
     bad = _diagonal_only(d2, Y2_DIAG_126, [0, 0, 0, 22, 0, 0, 0])
     out.append(
         CheckResult(
@@ -89,9 +91,8 @@ def check_pair_126() -> list[CheckResult]:
 
 
 def check_pair_236() -> list[CheckResult]:
-    spec1, spec2 = pair_specs(2, 6)
-    d1 = hodge_numbers(spec1)
-    d2 = hodge_numbers(spec2)
+    rep = _pair(2, 6)
+    d1, d2 = rep.diamond1, rep.diamond2
     bad1 = _diagonal_only(d1, Y1_DIAG_236, Y1_MIDDLE_236)
     bad2 = _diagonal_only(d2, Y2_DIAG_236, Y2_MIDDLE_236)
     return [
@@ -109,10 +110,9 @@ def check_pair_236() -> list[CheckResult]:
 
 
 def check_pair_347() -> list[CheckResult]:
-    spec1, spec2 = pair_specs(3, 7)
+    rep = _pair(3, 7)
     out = []
-    for name, spec in (("Y1", spec1), ("Y2", spec2)):
-        d = hodge_numbers(spec)
+    for name, d in (("Y1", rep.diamond1), ("Y2", rep.diamond2)):
         bad = _diagonal_only(d, CY_DIAG_347, CY_MIDDLE_347)
         out.append(
             CheckResult(
@@ -128,7 +128,7 @@ def check_pair_347() -> list[CheckResult]:
 def check_hodge_theorem() -> list[CheckResult]:
     out = []
     for k, n in [(1, 5), (1, 6), (2, 5), (2, 6), (3, 7)]:
-        rep = check_pair_theorem(k, n)
+        rep = _pair(k, n)
         detail = f"v1={rep.v1}, v2={rep.v2}, shift={rep.shift}"
         if not rep.passed:
             detail = "; ".join(rep.failures[:3])
@@ -147,8 +147,8 @@ def check_hodge_theorem() -> list[CheckResult]:
 def check_grothendieck_identity() -> list[CheckResult]:
     out = []
     for k, n in [(1, 6), (2, 6), (2, 5), (3, 7)]:
-        s1, s2 = pair_specs(k, n)
-        ok, residual = verify_lemma_leq(k, n, hodge_numbers(s1), hodge_numbers(s2))
+        rep = _pair(k, n)
+        ok, residual = verify_lemma_leq(k, n, rep.diamond1, rep.diamond2)
         out.append(
             CheckResult(
                 f"Grothendieck-ring residual vanishes for ({k},{n})",
@@ -342,6 +342,9 @@ def run_suite(name: str) -> list[CheckResult]:
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
     results: list[CheckResult] = []
-    for check in SUITES[name]:
-        results.extend(check())
+    try:
+        for check in SUITES[name]:
+            results.extend(check())
+    finally:
+        _pair.cache_clear()
     return results

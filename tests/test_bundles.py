@@ -10,6 +10,31 @@ from roofcalc.weights import DoubleWeight
 from oracles import projective_space_omega_cohomology
 
 
+def recursive_power(a, m, per_atom):
+    """The binomial expansion as a recursion over the atoms: the reference
+    for `bundles._graded_power`, which folds over them instead."""
+    k, n = a.ambient
+    if m == 0:
+        return bundles.line(k, n, 0)
+    atoms = bundles._atom_list(a)
+
+    def factor(atom, j):
+        w = per_atom(atom[0], atom[1], j, k, n)
+        return bundles.zero(k, n) if w is None else bundles.irreducible(k, n, w.upper, w.lower)
+
+    def rec(i, budget):
+        if i == len(atoms) - 1:
+            return factor(atoms[i], budget)
+        out = bundles.zero(k, n)
+        for j in range(budget + 1):
+            head, tail = factor(atoms[i], j), rec(i + 1, budget - j)
+            if not (head.is_zero() or tail.is_zero()):
+                out = bundles.direct_sum(out, bundles.tensor(head, tail))
+        return out
+
+    return rec(0, m)
+
+
 class TestTensor:
     def test_line_bundles(self):
         o1 = bundles.line(2, 5, 1)
@@ -102,6 +127,27 @@ class TestSymWedge:
             assert bundles.rank(bundles.wedge_power(e, min(m, r))) == comb(
                 r, min(m, r)
             )
+
+    def test_graded_power_matches_recursive_expansion(self):
+        for k, n, parts in [
+            (1, 3, [bundles.line(1, 3, 1), bundles.line(1, 3, 2)]),
+            (2, 5, [bundles.line(2, 5, 2), bundles.quotient(2, 5)]),
+            (2, 6, [bundles.line(2, 6, 1)] * 2 + [bundles.line(2, 6, 2)]),
+            (2, 5, [bundles.tautological_dual(2, 5), bundles.quotient_dual(2, 5),
+                    bundles.twist(bundles.tautological(2, 5), 1)]),
+        ]:
+            e = bundles.direct_sum(*parts)
+            for m in range(5):
+                assert bundles.sym_power(e, m) == recursive_power(e, m, bundles._atom_sym)
+                assert bundles.wedge_power(e, m) == recursive_power(
+                    e, m, bundles._atom_wedge
+                )
+
+    def test_many_summands_do_not_recurse(self):
+        # more atoms than the interpreter's default recursion limit
+        o1 = bundles.line(1, 1201, 1)
+        got = bundles.wedge_power(bundles.direct_sum(*[o1] * 1200), 1)
+        assert got.terms == ((o1.terms[0][0], 1200),)
 
     def test_plethysm_required(self):
         with pytest.raises(PlethysmRequiredError):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from roofcalc import bundles
@@ -13,6 +15,8 @@ from roofcalc.hodge import (
     point_count,
     v_cohomology,
 )
+
+from oracles import brute_force_box
 
 
 def hyperplane(n):
@@ -37,6 +41,13 @@ class TestAmbientDiamond:
     def test_off_diagonal_zero(self):
         d = ambient_diamond(2, 5)
         assert all(p == q for (p, q) in d.entries)
+
+    def test_diagonal_counts_box_partitions(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                sizes = Counter(sum(w) for w in brute_force_box(k, n - k))
+                want = [sizes[p] for p in range(k * (n - k) + 1)]
+                assert ambient_diamond(k, n).diagonal() == want, (k, n)
 
 
 class TestHyperplanes:

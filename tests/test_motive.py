@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from roofcalc.errors import AmbiguityError, ExcludedCaseError, RankError
-from roofcalc.hodge import HodgeDiamond, hodge_numbers, pair_specs
+from roofcalc.hodge import HodgeDiamond, ambient_diamond, hodge_numbers, pair_specs
 from roofcalc.motive import (
     EPoly,
     derive_b2,
@@ -11,7 +11,6 @@ from roofcalc.motive import (
     epoly_grassmannian,
     epoly_of_diamond,
     epoly_projective,
-    gaussian_binomial_coeffs,
     verify_lemma_leq,
 )
 
@@ -38,10 +37,14 @@ class TestEPolynomials:
         assert epoly_projective(4).evaluate_one() == 5
 
     def test_gaussian_binomial_symmetry(self):
+        # the diagonal of G(k,n) holds the Gaussian binomial [n choose k]_q
         for n, k in [(5, 2), (6, 3), (8, 4)]:
-            coeffs = gaussian_binomial_coeffs(n, k)
+            coeffs = ambient_diamond(k, n).diagonal()
             assert coeffs == coeffs[::-1]
             assert sum(coeffs) == comb(n, k)
+            assert epoly_grassmannian(k, n).as_dict() == {
+                (i, i): c for i, c in enumerate(coeffs)
+            }
 
     def test_uv_swap_stability(self):
         p = epoly_grassmannian(2, 6) * epoly_projective(3)

@@ -5,7 +5,7 @@ import pytest
 from roofcalc import bundles
 from roofcalc.cli import main
 from roofcalc.errors import ParseError, PlethysmRequiredError
-from roofcalc.parser import parse_bundle, render_bundle
+from roofcalc.parser import MAX_DEPTH, parse_bundle, render_bundle
 
 ROUND_TRIP_CORPUS = [
     "U", "UD", "Q", "QD", "O(0)", "O(1)", "O(-3)",
@@ -65,6 +65,17 @@ class TestParser:
     def test_plethysm_required_surfaces(self):
         with pytest.raises(PlethysmRequiredError):
             parse_bundle("Sym^2(S[2,1]QD)", 2, 6)
+
+    @pytest.mark.parametrize("opener", ["(", "Sym^1(", "Wedge^1(", "Dual("])
+    def test_nesting_depth_is_capped(self, opener):
+        def nest(depth):
+            return opener * depth + "O(1)" + ")" * depth
+
+        # MAX_DEPTH is even, so the nested duals cancel as well
+        assert parse_bundle(nest(MAX_DEPTH), 1, 4) == bundles.line(1, 4, 1)
+        with pytest.raises(ParseError, match="nesting deeper than") as err:
+            parse_bundle(nest(MAX_DEPTH + 1), 1, 4)
+        assert err.value.offset == len(opener) * (MAX_DEPTH + 1)
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +142,16 @@ class TestCli:
     def test_parse_error_exit_code(self, capsys):
         code = main(["hodge", "--k", "2", "--n", "5", "--bundle", "QD*"])
         assert code == 2
+
+    @pytest.mark.parametrize("depth,code", [(50, 0), (3000, 2)])
+    def test_deep_nesting(self, capsys, depth, code):
+        text = "(" * depth + "O(1)" + ")" * depth
+        argv = ["hodge", "--k", "1", "--n", "4", "--bundle", text]
+        if code == 0:
+            assert run_cli(capsys, *argv)[0] == 0
+        else:
+            got, line = run_cli_error(capsys, *argv)
+            assert got == code and "nesting deeper than" in line
 
     def test_precondition_exit_code(self, capsys):
         # not globally generated
@@ -202,16 +223,6 @@ class TestCli:
         assert payload["diamond1"]["h"][2][2] == "2271"
         assert payload["diamond2"]["h"][3][3] == "2272"
         assert payload["grothendieckIdentityHolds"] is True
-
-    def test_worker_count_independence(self, capsys, monkeypatch):
-        outs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("ROOFCALC_THREADS", threads)
-            _, out = run_cli(capsys, "pair", "--k", "2", "--n", "5")
-            payload = json.loads(out)
-            payload.pop("timing")
-            outs.append(payload)
-        assert outs[0] == outs[1]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
