@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
+from operator import add
 
 from .bwb import gl_dimension
 from .errors import (
@@ -308,6 +310,50 @@ def sym_power(a: BundleExpr, m: int) -> BundleExpr:
 def wedge_power(a: BundleExpr, m: int) -> BundleExpr:
     """wedge^m of an atom twist or a direct sum of atom twists."""
     return _graded_power(a, m, _atom_wedge)
+
+
+def _block_orbit(block: Weight) -> list[Weight]:
+    """Rearrangements of a block with at most two distinct values."""
+    high, low = block[0], block[-1]
+    if high == low:
+        return [block]
+    r = len(block)
+    return [
+        tuple(high if i in chosen else low for i in range(r))
+        for chosen in map(set, combinations(range(r), block.count(high)))
+    ]
+
+
+def wedge_characters(a: BundleExpr) -> list[dict[Weight, int]]:
+    """Torus characters of wedge^0 a, ..., wedge^rank(a) a, for an atom twist
+    or a direct sum of atom twists.
+
+    Entry s maps each weight of wedge^s a, written as the upper block then
+    the lower block, to its multiplicity.  The weights of wedge^j of one atom
+    are the within-block rearrangements of its label, and a sum folds with
+    the binomial rule, as in `_graded_power`.
+    """
+    k, n = a.ambient
+    powers: list[dict[Weight, int]] = [{(0,) * n: 1}]
+    for kind, t in _atom_list(a):
+        heads = []
+        for j in range(_atom_rank(kind, k, n) + 1):
+            w = _atom_wedge(kind, t, j, k, n)
+            heads.append(
+                [u + v for u in _block_orbit(w.upper) for v in _block_orbit(w.lower)]
+            )
+        folded: list[dict[Weight, int]] = [
+            {} for _ in range(len(powers) + len(heads) - 1)
+        ]
+        for b, power in enumerate(powers):
+            for j, head in enumerate(heads):
+                out = folded[b + j]
+                for mu, c in power.items():
+                    for nu in head:
+                        key = tuple(map(add, mu, nu))
+                        out[key] = out.get(key, 0) + c
+        powers = folded
+    return powers
 
 
 def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:

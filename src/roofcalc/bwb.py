@@ -10,12 +10,28 @@ highest weight sort_desc(s) - rho.
 The sort here is to the strictly *decreasing* chamber: dominant total
 sequences must land in degree zero with H^0 the space of sections, which
 the trivial examples pin down.
+
+Klimyk-Bott shortcut (`tensor_cohomology`).  The cohomology of E (x) W, for
+E irreducible with label lam and W any representation of the Levi
+L = GL(k) x GL(n-k), needs no Littlewood-Richardson decomposition.  By
+Klimyk's formula (Racah-Speiser reflection), E (x) W is the signed sum over
+the weights nu of W of the L-irreducible obtained by sorting lam + nu + rho_L
+within each block, with sign (-1)^(within-block inversions), or zero if that
+has a repeat.  Since rho_G - rho_L is constant on each block, Bott's theorem
+then acts on the same sequence seq = lam + nu + rho_G, sorted within blocks.
+So each weight contributes sign * |prod_{i<j} (seq_i - seq_j)| / prod_{i<j}
+(j - i) in degree (cross-block inversions of seq), and nothing if seq has a
+repeated entry.  Two terms that cancel in Klimyk's sum are the same
+L-irreducible and so have the same degree: per-degree totals are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from itertools import combinations, product, starmap
+from math import factorial, prod
+from operator import add, lt, sub
+from typing import TYPE_CHECKING
 
 from .errors import RankError
 from .weights import DoubleWeight, Weight, check_dominant
@@ -46,35 +62,78 @@ def rho(n: int) -> Weight:
     return tuple(range(n - 1, -1, -1))
 
 
-def _inversions(s: Iterable[int]) -> int:
-    s = list(s)
-    return sum(1 for i in range(len(s)) for j in range(i + 1, len(s)) if s[i] < s[j])
+def _weyl_quotient(num: int, n: int) -> int:
+    """A Weyl numerator (or a sum of them) over prod_{i<j} (j - i), which is
+    0! 1! ... (n-1)!; exact and non-negative by the Weyl dimension formula."""
+    q, r = divmod(num, prod(map(factorial, range(n))))
+    assert r == 0 and q >= 0, (num, n)
+    return q
+
+
+def _bott_sort(seq: Weight, k: int) -> tuple[int, int] | None:
+    """Bott's sort of a rho-shifted sequence whose first k entries form the
+    upper block.
+
+    None when an entry repeats (no cohomology).  Otherwise (degree, num):
+    degree counts the cross-block inversions (i < k <= j with
+    seq_i < seq_j), and num is (-1)^(within-block inversions) times
+    prod_{i<j} |seq_i - seq_j|, the Weyl numerator of the sorted sequence.
+    """
+    if len(set(seq)) < len(seq):
+        return None
+    degree = sum(starmap(lt, product(seq[:k], seq[k:])))
+    num = prod(starmap(sub, combinations(seq, 2)))
+    # num carries (-1)^(all inversions); drop the cross-block ones
+    return degree, -num if degree & 1 else num
 
 
 def bott(w: DoubleWeight) -> BottResult:
     """All cohomology of the irreducible homogeneous bundle labelled by w."""
     n = w.n
     s = tuple(a + b for a, b in zip(w.concat(), rho(n)))
-    if len(set(s)) < n:
+    res = _bott_sort(s, w.k)
+    if res is None:
         return BottResult.acyclic_result()
-    degree = _inversions(s)
+    # both blocks are dominant, so s has no within-block inversions: num > 0
+    degree, num = res
     weight = tuple(a - b for a, b in zip(sorted(s, reverse=True), rho(n)))
-    return BottResult.cohomology(degree, weight, gl_dimension(weight))
+    return BottResult.cohomology(degree, weight, _weyl_quotient(num, n))
 
 
 def gl_dimension(mu: Weight) -> int:
     """Weyl dimension formula: prod_{i<j} (mu_i - mu_j + j - i)/(j - i), exact."""
     mu = check_dominant(mu)
     n = len(mu)
-    num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= mu[i] - mu[j] + j - i
-            den *= j - i
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    _, num = _bott_sort(tuple(a + b for a, b in zip(mu, rho(n))), n)
+    return _weyl_quotient(num, n)
+
+
+def tensor_cohomology(
+    expr: "BundleExpr", character: dict[Weight, int]
+) -> dict[int, int]:
+    """Per-degree dimensions of H^*(G(k,n), E (x) W), by Klimyk and Bott.
+
+    E is `expr`; W is a representation of GL(k) x GL(n-k) given by its
+    `character`, which maps each weight (upper block, then lower block) to
+    its multiplicity.  Degrees with zero total are left out.  See the module
+    docstring for why the signed per-degree sums are exact.
+    """
+    k, n = expr.ambient
+    r = rho(n)
+    buckets: dict[int, int] = {}
+    for w, mult in expr.terms:
+        shifted = tuple(map(add, w.concat(), r))
+        for nu, c in character.items():
+            res = _bott_sort(tuple(map(add, shifted, nu)), k)
+            if res is not None:
+                degree, num = res
+                buckets[degree] = buckets.get(degree, 0) + mult * c * num
+    out = {}
+    for degree, num in sorted(buckets.items()):
+        dim = _weyl_quotient(num, n)
+        if dim:
+            out[degree] = dim
+    return out
 
 
 class CohomologyTable:
@@ -113,16 +172,6 @@ def bundle_cohomology(expr: "BundleExpr") -> CohomologyTable:
         if not res.acyclic:
             table.add(res.degree, res.weight, mult)
     return table
-
-
-def euler_characteristic(expr: "BundleExpr") -> int:
-    """Alternating-sign sum of cohomology dimensions, always exact."""
-    chi = 0
-    for w, mult in expr.terms:
-        res = bott(w)
-        if not res.acyclic:
-            chi += mult * (-1) ** res.degree * res.dimension
-    return chi
 
 
 def serre_dual_weight(w: DoubleWeight) -> DoubleWeight:

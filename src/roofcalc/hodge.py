@@ -7,7 +7,13 @@ the two-stage chase:
   1. every term (Sym^{p-t} F* (x) Omega^t_G)|_X of the exterior power of the
      conormal sequence is resolved by the Koszul complex of wedge powers of
      F*; the hypercohomology spectral sequence is solved antidiagonal-wise
-     (differentials raise total degree by one and vanish outside [0, dim X]);
+     (differentials raise total degree by one and vanish outside [0, dim X]).
+     Only the per-degree totals of H^*(G, wedge^s F* (x) Sym^{p-t} F* (x)
+     Omega^t_G) enter, so wedge^s F* is never multiplied out: its torus
+     character goes straight into `bwb.tensor_cohomology`, which sums
+     Klimyk's signed weights through Bott's sort.  Terms of opposite sign
+     there are the same irreducible summand, in the same degree, so they
+     cancel within one total and every total stays exact;
   2. the conormal complex itself is split into short exact sequences and the
      long exact sequences are chased.
 
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 
 from . import bundles
 from .bundles import BundleExpr, _box_partitions
-from .bwb import bott, euler_characteristic
+from .bwb import tensor_cohomology
 from .chase import Form, LinearSystem, les_chain, spectral_flow
 from .errors import (
     AmbiguityError,
@@ -211,8 +217,7 @@ class _Pipeline:
         self.dim_g = spec.ambient_dim
         self.dim_x = spec.dim
         self.f_dual = bundles.dual(spec.bundle)
-        self.r = bundles.rank(spec.bundle)
-        self.wedges = [bundles.wedge_power(self.f_dual, s) for s in range(self.r + 1)]
+        self.wedge_characters = bundles.wedge_characters(self.f_dual)
 
     def conormal_term(self, j: int, t: int) -> BundleExpr:
         sym = bundles.sym_power(self.f_dual, j - t)
@@ -224,14 +229,10 @@ class _Pipeline:
         base = self.conormal_term(j, t)
         totals: dict[int, int] = {}
         chi = 0
-        for s, wedge in enumerate(self.wedges):
-            term = bundles.tensor(wedge, base)
-            for w, mult in term.terms:
-                res = bott(w)
-                if not res.acyclic:
-                    m = res.degree - s
-                    totals[m] = totals.get(m, 0) + mult * res.dimension
-                    chi += (-1) ** s * mult * (-1) ** res.degree * res.dimension
+        for s, character in enumerate(self.wedge_characters):
+            for degree, dim in tensor_cohomology(base, character).items():
+                totals[degree - s] = totals.get(degree - s, 0) + dim
+                chi += (-1) ** (s + degree) * dim
         return totals, chi
 
     def restricted_forms(
@@ -349,12 +350,7 @@ def point_count(spec: ZeroLocusSpec) -> int:
     complex of wedge powers of the dual bundle."""
     if spec.dim != 0:
         raise RankError(f"point count needs dim 0, got {spec.dim}")
-    f_dual = bundles.dual(spec.bundle)
-    r = bundles.rank(spec.bundle)
-    return sum(
-        (-1) ** s * euler_characteristic(bundles.wedge_power(f_dual, s))
-        for s in range(r + 1)
-    )
+    return _Pipeline(spec).koszul_data(0, 0)[1]
 
 
 def v_cohomology(y: HodgeDiamond, ambient: HodgeDiamond) -> list[int]:

@@ -7,7 +7,9 @@ from roofcalc.bwb import bundle_cohomology
 from roofcalc.errors import AmbientMismatchError, PlethysmRequiredError
 from roofcalc.weights import DoubleWeight
 
-from oracles import projective_space_omega_cohomology
+from roofcalc.parser import parse_bundle
+
+from oracles import projective_space_omega_cohomology, schur_polynomial
 
 
 def recursive_power(a, m, per_atom):
@@ -156,6 +158,46 @@ class TestSymWedge:
             bundles.wedge_power(bundles.cotangent_power(2, 6, 1), 2)
 
 
+class TestWedgeCharacters:
+    def test_single_atom_is_shifted_elementary_polynomial(self):
+        # wedge^s of an atom twisted by O(t): the monomials of the column
+        # Schur polynomial s_(1^s) in its block, every entry shifted by s*t
+        for k, n in [(1, 4), (2, 5), (3, 6), (3, 7)]:
+            q = n - k
+            for t in (-2, 0, 1):
+                for kind, r, sign in [("UD", k, 1), ("U", k, -1), ("QD", q, 1), ("Q", q, -1)]:
+                    atom = parse_bundle(f"{kind}*O({t})", k, n)
+                    chars = bundles.wedge_characters(atom)
+                    assert len(chars) == r + 1
+                    for s, char in enumerate(chars):
+                        col = schur_polynomial((1,) * s, r)
+                        if kind in ("UD", "U"):
+                            want = {
+                                tuple(s * t + sign * e for e in c) + (0,) * q: m
+                                for c, m in col.items()
+                            }
+                        else:
+                            want = {
+                                (s * t,) * k + tuple(sign * e for e in c): m
+                                for c, m in col.items()
+                            }
+                        assert char == want, (kind, k, n, t, s)
+                line = bundles.wedge_characters(bundles.line(k, n, t))
+                assert line == [{(0,) * n: 1}, {(t,) * k + (0,) * q: 1}]
+
+    def test_multiplicities_sum_to_binomials(self):
+        for k, n, text in [
+            (2, 5, "UD*O(1)+UD*O(1)"),
+            (3, 6, "QD*O(1)+QD*O(1)+O(2)"),
+            (3, 6, "Q*O(1)+Q*O(1)"),
+            (2, 6, "UD+QD*O(1)+U*O(2)+O(1)+O(1)"),
+        ]:
+            e = parse_bundle(text, k, n)
+            r = bundles.rank(e)
+            chars = bundles.wedge_characters(e)
+            assert [sum(c.values()) for c in chars] == [comb(r, s) for s in range(r + 1)]
+
+
 class TestCotangentPower:
     def test_zeroth_is_structure_sheaf(self):
         assert bundles.cotangent_power(2, 5, 0) == bundles.line(2, 5, 0)
@@ -180,10 +222,9 @@ class TestCotangentPower:
     @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (2, 5), (1, 6), (2, 6), (3, 6), (2, 7), (3, 7), (2, 8), (4, 8)])
     def test_euler_characteristic_of_grassmannian(self, k, n):
         # alternating sum of chi(Omega^t) is the topological Euler number
-        from roofcalc.bwb import euler_characteristic
-
         total = sum(
-            (-1) ** t * euler_characteristic(bundles.cotangent_power(k, n, t))
+            (-1) ** t
+            * bundle_cohomology(bundles.cotangent_power(k, n, t)).euler_characteristic()
             for t in range(k * (n - k) + 1)
         )
         assert total == comb(n, k)

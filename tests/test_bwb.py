@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from roofcalc import bundles
 from roofcalc.bwb import (
     bott,
@@ -8,6 +10,7 @@ from roofcalc.bwb import (
     rho,
     serre_dual_weight,
 )
+from roofcalc.errors import DominanceError
 from roofcalc.weights import DoubleWeight
 
 from oracles import count_ssyt, partitions_up_to
@@ -94,6 +97,10 @@ class TestGlDimension:
     def test_shift_invariance(self):
         assert gl_dimension((3, 2, 1)) == gl_dimension((1, 0, -1))
 
+    def test_rejects_non_dominant(self):
+        with pytest.raises(DominanceError):
+            gl_dimension((0, 1, 0))
+
 
 class TestBundleCohomology:
     def test_structure_sheaf(self):
@@ -112,7 +119,8 @@ class TestBundleCohomology:
         assert table.total_dimensions() == {1: 1}
 
     def test_euler_characteristic(self):
-        from roofcalc.bwb import euler_characteristic
+        def euler_characteristic(expr):
+            return bundle_cohomology(expr).euler_characteristic()
 
         assert euler_characteristic(bundles.line(1, 3, 2)) == 6  # h^0(O_P2(2))
         assert euler_characteristic(bundles.line(1, 3, -3)) == 1  # Serre dual

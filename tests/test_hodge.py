@@ -1,12 +1,15 @@
+import random
 from collections import Counter
 
 import pytest
 
-from roofcalc import bundles
+from roofcalc import bundles, bwb
+from roofcalc.bwb import bott
 from roofcalc.errors import AmbiguityError, InjectivityViolationError, RankError
 from roofcalc.hodge import (
     HodgeDiamond,
     ZeroLocusSpec,
+    _Pipeline,
     ambient_diamond,
     check_pair_theorem,
     hodge_numbers,
@@ -15,6 +18,7 @@ from roofcalc.hodge import (
     point_count,
     v_cohomology,
 )
+from roofcalc.parser import parse_bundle
 
 from oracles import brute_force_box
 
@@ -79,6 +83,80 @@ class TestPointCounts:
     def test_rejects_positive_dimension(self):
         with pytest.raises(RankError):
             point_count(hyperplane(3))
+
+
+def koszul_data_lr(pipeline, j, t):
+    """The Koszul totals by Littlewood-Richardson: expand each
+    wedge^s F* (x) base into irreducibles and run Bott on every one.  The
+    reference for `_Pipeline.koszul_data`, which never expands the tensor."""
+    base = pipeline.conormal_term(j, t)
+    totals = {}
+    chi = 0
+    for s in range(bundles.rank(pipeline.spec.bundle) + 1):
+        term = bundles.tensor(bundles.wedge_power(pipeline.f_dual, s), base)
+        for w, mult in term.terms:
+            res = bott(w)
+            if not res.acyclic:
+                m = res.degree - s
+                totals[m] = totals.get(m, 0) + mult * res.dimension
+                chi += (-1) ** s * mult * (-1) ** res.degree * res.dimension
+    return totals, chi
+
+
+class TestKoszulKernel:
+    # atoms in both blocks, sums with O(t), and repeated same-block atoms
+    BUNDLES = [
+        "O(2)",
+        "O(1)+O(2)",
+        "UD*O(1)",
+        "U*O(1)",
+        "QD*O(1)",
+        "Q*O(2)",
+        "UD+O(1)",
+        "QD*O(1)+O(2)",
+        "UD*O(1)+QD*O(1)",
+        "UD*O(1)+UD*O(1)",
+        "QD*O(1)+QD*O(1)",
+        "Q*O(1)+Q*O(1)",
+    ]
+
+    def test_matches_lr_reference(self, monkeypatch):
+        seen = Counter()
+        sort = bwb._bott_sort
+
+        def recording_sort(seq, k):
+            out = sort(seq, k)
+            if out is not None:
+                upper, lower = seq[:k], seq[k:]
+                if list(upper) != sorted(upper, reverse=True) or list(lower) != sorted(
+                    lower, reverse=True
+                ):
+                    seen["reordered"] += 1
+                    seen["odd"] += out[1] < 0
+            return out
+
+        monkeypatch.setattr(bwb, "_bott_sort", recording_sort)
+        rng = random.Random(20261018)
+        checked = 0
+        for text in self.BUNDLES:
+            ambients = [(k, n) for n in range(3, 7) for k in range(1, n)]
+            specs = []
+            for k, n in rng.sample(ambients, len(ambients)):
+                try:
+                    specs.append(ZeroLocusSpec(k, n, parse_bundle(text, k, n)))
+                except RankError:
+                    continue
+            for spec in specs[:2]:
+                pipeline = _Pipeline(spec)
+                for j in range(spec.dim + 1):
+                    for t in range(j + 1):
+                        assert pipeline.koszul_data(j, t) == koszul_data_lr(
+                            pipeline, j, t
+                        ), (text, spec.k, spec.n, j, t)
+                        checked += 1
+        assert checked > 100
+        # the sign path: terms whose blocks need reordering, some an odd number of times
+        assert seen["reordered"] > 0 and seen["odd"] > 0
 
 
 class TestDiamondInvariants:
