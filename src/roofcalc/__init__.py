@@ -5,7 +5,7 @@ checks."""
 
 __version__ = "0.1.0"
 
-from .bwb import BottResult, CohomologyTable, bott, bundle_cohomology, gl_dimension
+from .bwb import BottResult, bott, gl_dimension
 from .hodge import (
     HodgeDiamond,
     ZeroLocusSpec,
@@ -32,7 +32,6 @@ from .windows import (
 __all__ = [
     "BottResult",
     "BoxSet",
-    "CohomologyTable",
     "Collection",
     "DoubleWeight",
     "EPoly",
@@ -46,7 +45,6 @@ __all__ = [
     "bar_move",
     "bar_moved_collection",
     "bott",
-    "bundle_cohomology",
     "check_pair_theorem",
     "check_tilting_minus",
     "check_tilting_plus",

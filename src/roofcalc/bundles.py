@@ -162,9 +162,13 @@ def tensor(a: BundleExpr, b: BundleExpr) -> BundleExpr:
 
 
 def twist(a: BundleExpr, t: int) -> BundleExpr:
+    """a (x) O(t): O(t) is det^t of U*, so t is added to every upper block."""
     if t == 0:
         return a
-    return tensor(a, line(a.k, a.n, t))
+    out = {
+        DoubleWeight(tuple(e + t for e in w.upper), w.lower): m for w, m in a.terms
+    }
+    return _expr(a.k, a.n, out)
 
 
 def dual(a: BundleExpr) -> BundleExpr:

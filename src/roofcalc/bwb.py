@@ -28,12 +28,11 @@ L-irreducible and so have the same degree: per-degree totals are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product, starmap
+from itertools import combinations, product, repeat, starmap
 from math import factorial, prod
 from operator import add, lt, sub
 from typing import TYPE_CHECKING
 
-from .errors import RankError
 from .weights import DoubleWeight, Weight, check_dominant
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,14 +47,6 @@ class BottResult:
     degree: int | None = None
     weight: Weight | None = None
     dimension: int | None = None
-
-    @staticmethod
-    def acyclic_result() -> "BottResult":
-        return BottResult(acyclic=True)
-
-    @staticmethod
-    def cohomology(degree: int, weight: Weight, dimension: int) -> "BottResult":
-        return BottResult(False, degree, weight, dimension)
 
 
 def rho(n: int) -> Weight:
@@ -93,19 +84,31 @@ def bott(w: DoubleWeight) -> BottResult:
     s = tuple(a + b for a, b in zip(w.concat(), rho(n)))
     res = _bott_sort(s, w.k)
     if res is None:
-        return BottResult.acyclic_result()
+        return BottResult(acyclic=True)
     # both blocks are dominant, so s has no within-block inversions: num > 0
     degree, num = res
     weight = tuple(a - b for a, b in zip(sorted(s, reverse=True), rho(n)))
-    return BottResult.cohomology(degree, weight, _weyl_quotient(num, n))
+    return BottResult(False, degree, weight, _weyl_quotient(num, n))
 
 
 def gl_dimension(mu: Weight) -> int:
-    """Weyl dimension formula: prod_{i<j} (mu_i - mu_j + j - i)/(j - i), exact."""
+    """Weyl dimension formula: prod_{i<j} (mu_i - mu_j + j - i)/(j - i), exact.
+
+    A pair with mu_i = mu_j contributes 1.  Equal entries of a dominant
+    weight are contiguous, so each i is paired only with the j past its run,
+    and wide constant blocks cost linear time.
+    """
     mu = check_dominant(mu)
     n = len(mu)
-    _, num = _bott_sort(tuple(a + b for a, b in zip(mu, rho(n))), n)
-    return _weyl_quotient(num, n)
+    s = tuple(map(add, mu, rho(n)))
+    num = den = 1
+    end = 0  # first index past the run of entries equal to mu[i]
+    for i, a in enumerate(mu):
+        while end < n and mu[end] == a:
+            end += 1
+        num *= prod(map(sub, repeat(s[i], n - end), s[end:]))
+        den *= prod(range(end - i, n - i))
+    return num // den
 
 
 def tensor_cohomology(
@@ -134,53 +137,3 @@ def tensor_cohomology(
         if dim:
             out[degree] = dim
     return out
-
-
-class CohomologyTable:
-    """Per-degree multisets of GL(n) highest weights with multiplicities."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.by_degree: dict[int, dict[Weight, int]] = {}
-
-    def add(self, degree: int, weight: Weight, mult: int) -> None:
-        row = self.by_degree.setdefault(degree, {})
-        row[weight] = row.get(weight, 0) + mult
-
-    def degrees(self) -> list[int]:
-        return sorted(self.by_degree)
-
-    def dimension(self, degree: int) -> int:
-        row = self.by_degree.get(degree, {})
-        return sum(m * gl_dimension(w) for w, m in row.items())
-
-    def total_dimensions(self) -> dict[int, int]:
-        return {d: self.dimension(d) for d in self.degrees()}
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * self.dimension(d) for d in self.degrees())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CohomologyTable) and self.by_degree == other.by_degree
-
-
-def bundle_cohomology(expr: "BundleExpr") -> CohomologyTable:
-    """Evaluate every irreducible summand of a decomposed bundle expression."""
-    table = CohomologyTable(expr.n)
-    for w, mult in expr.terms:
-        res = bott(w)
-        if not res.acyclic:
-            table.add(res.degree, res.weight, mult)
-    return table
-
-
-def serre_dual_weight(w: DoubleWeight) -> DoubleWeight:
-    """Label of dual(E) (x) omega with omega = O(-n), for duality checks."""
-    from .weights import negate_reverse
-
-    k, n = w.ambient
-    up = tuple(e - n for e in negate_reverse(w.upper))
-    lo = negate_reverse(w.lower)
-    if not (all(a >= b for a, b in zip(up, up[1:])) and all(a >= b for a, b in zip(lo, lo[1:]))):
-        raise RankError("dual blocks lost dominance; invalid input")
-    return DoubleWeight(up, lo)

@@ -12,6 +12,9 @@ Bott on it, recording any positive-degree survivor.  The sum over m is
 truncated at m_max, and at the cut-off we additionally record whether every
 summand is already fully ordered, in which case larger m only multiplies in
 more fully ordered rows and the remaining tail provably stays in degree zero.
+
+One loop (`_check_pairs`) serves both sides: it takes the labelled members
+and the atom A(2), and the two public checks differ only in those inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import bundles
 from .bundles import BundleExpr
 from .bwb import bott
 from .errors import RankError
-from .weights import DoubleWeight, Weight, bar_move, dual_schur_q, enumerate_box
+from .weights import DoubleWeight, Weight, bar_move, enumerate_box
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,31 @@ def _record_positive_degrees(
             )
 
 
-def _fully_ordered(expr: BundleExpr) -> bool:
-    return all(w.is_fully_ordered() for w, _ in expr.terms)
+def _check_pairs(
+    report: VanishingReport,
+    members: list[tuple[Weight, DoubleWeight]],
+    atom: BundleExpr,
+) -> VanishingReport:
+    """Expand dual(w) (x) w' (x) Sym^m(atom) for every ordered pair of
+    labelled members and 0 <= m <= report.m_max, recording failures under
+    the labels."""
+    k, n = atom.ambient
+    syms = [bundles.sym_power(atom, m) for m in range(report.m_max + 1)]
+    exprs = [
+        (label, bundles.irreducible(k, n, w.upper, w.lower)) for label, w in members
+    ]
+    for label, e in exprs:
+        dual_expr = bundles.dual(e)
+        for label_prime, e_prime in exprs:
+            report.checked_pairs += 1
+            pair_part = bundles.tensor(dual_expr, e_prime)
+            for m, sym in enumerate(syms):
+                expr = bundles.tensor(pair_part, sym)
+                _record_positive_degrees(expr, label, label_prime, m, report.failures)
+            # expr is the m = m_max summand
+            if not bundles.is_globally_generated(expr):
+                report.tail_certified = False
+    return report
 
 
 def check_tilting_minus(n: int, m_max: int = 8, box_cap: int = 1) -> VanishingReport:
@@ -116,61 +142,36 @@ def check_tilting_minus(n: int, m_max: int = 8, box_cap: int = 1) -> VanishingRe
 
         S_{lam_bar} Q* (x) S_{lam'} Q* (x) Sym^m Q* (x) O(2m + lam_1)
 
-    and records any positive-degree cohomology.  box_cap defaults to the
-    collection's cap 1; raising it is the designed negative control.
+    (the dual of S_lam Q* is S_{lam_bar} Q* (x) O(lam_1)) and records any
+    positive-degree cohomology under the labels lam, lam'.  box_cap defaults
+    to the collection's cap 1; raising it is the designed negative control.
     """
     if n < 3:
         raise RankError(f"minus-side check needs n >= 3, got {n}")
     if m_max < 0:
         raise RankError(f"m_max must be >= 0, got {m_max}")
-    k = 1
-    box = enumerate_box(n - 1, box_cap)
-    report = VanishingReport(side="minus", n=n, m_max=m_max)
-    twisted_q = bundles.twist(bundles.quotient_dual(k, n), 2)
-    for lam in box:
-        lam_bar, top = dual_schur_q(lam)
-        dual_expr = bundles.twist(
-            bundles.irreducible(k, n, (0,), lam_bar), top
-        )
-        # cross-check the folded twist against first-principles duality
-        if dual_expr != bundles.dual(bundles.irreducible(k, n, (0,), lam)):
-            raise ArithmeticError(f"twist bookkeeping mismatch for lam={lam}")
-        for lam_prime in box:
-            report.checked_pairs += 1
-            pair_part = bundles.tensor(
-                dual_expr, bundles.irreducible(k, n, (0,), lam_prime)
-            )
-            for m in range(m_max + 1):
-                expr = bundles.tensor(pair_part, bundles.sym_power(twisted_q, m))
-                _record_positive_degrees(expr, lam, lam_prime, m, report.failures)
-                if m == m_max and not _fully_ordered(expr):
-                    report.tail_certified = False
-    return report
+    members = [(lam, DoubleWeight((0,), lam)) for lam in enumerate_box(n - 1, box_cap)]
+    return _check_pairs(
+        VanishingReport(side="minus", n=n, m_max=m_max),
+        members,
+        bundles.twist(bundles.quotient_dual(1, n), 2),
+    )
 
 
 def check_tilting_plus(n: int, m_max: int = 8) -> VanishingReport:
     """Ext vanishing for the bar-moved generators on the total space over
     G(2,n): expands dual(w) (x) w' (x) Sym^m(U(2)) for every pair of
-    bar-moved members and records positive-degree cohomology."""
+    bar-moved members and records positive-degree cohomology under their
+    total sequences."""
     if n < 4:
         raise RankError(f"plus-side check needs n >= 4, got {n}")
     if m_max < 0:
         raise RankError(f"m_max must be >= 0, got {m_max}")
-    k = 2
-    members = bar_moved_collection(kapranov_collection(1, n)).members
-    report = VanishingReport(side="plus", n=n, m_max=m_max)
-    twisted_u = bundles.twist(bundles.tautological(k, n), 2)
-    exprs = [bundles.irreducible(k, n, w.upper, w.lower) for w in members]
-    for w, e in zip(members, exprs):
-        dual_expr = bundles.dual(e)
-        for w_prime, e_prime in zip(members, exprs):
-            report.checked_pairs += 1
-            pair_part = bundles.tensor(dual_expr, e_prime)
-            for m in range(m_max + 1):
-                expr = bundles.tensor(pair_part, bundles.sym_power(twisted_u, m))
-                _record_positive_degrees(
-                    expr, w.concat(), w_prime.concat(), m, report.failures
-                )
-                if m == m_max and not _fully_ordered(expr):
-                    report.tail_certified = False
-    return report
+    members = [
+        (w.concat(), w) for w in bar_moved_collection(kapranov_collection(1, n))
+    ]
+    return _check_pairs(
+        VanishingReport(side="plus", n=n, m_max=m_max),
+        members,
+        bundles.twist(bundles.tautological(2, n), 2),
+    )

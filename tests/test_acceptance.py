@@ -9,7 +9,7 @@ import time
 from math import comb
 
 from roofcalc import bundles
-from roofcalc.bwb import bott, gl_dimension, serre_dual_weight
+from roofcalc.bwb import bott, gl_dimension
 from roofcalc.errors import ExcludedCaseError
 from roofcalc.hodge import (
     ZeroLocusSpec,
@@ -208,7 +208,10 @@ def test_criterion_9_property_suites():
             tuple(sorted((rng.randint(-6, 6) for _ in range(k)), reverse=True)),
             tuple(sorted((rng.randint(-6, 6) for _ in range(n - k)), reverse=True)),
         )
-        a, b = bott(w), bott(serre_dual_weight(w))
+        ((dual_w, _),) = bundles.twist(
+            bundles.dual(bundles.irreducible(k, n, w.upper, w.lower)), -n
+        ).terms
+        a, b = bott(w), bott(dual_w)
         if a.acyclic:
             assert b.acyclic
         else:

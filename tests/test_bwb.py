@@ -3,13 +3,7 @@ import random
 import pytest
 
 from roofcalc import bundles
-from roofcalc.bwb import (
-    bott,
-    bundle_cohomology,
-    gl_dimension,
-    rho,
-    serre_dual_weight,
-)
+from roofcalc.bwb import bott, gl_dimension, rho, tensor_cohomology
 from roofcalc.errors import DominanceError
 from roofcalc.weights import DoubleWeight
 
@@ -55,7 +49,11 @@ class TestBott:
             )
             w = DoubleWeight(upper, lower)
             res = bott(w)
-            dual = bott(serre_dual_weight(w))
+            # dual(E) (x) omega with omega = O(-n) is one irreducible term
+            ((dual_w, _),) = bundles.twist(
+                bundles.dual(bundles.irreducible(k, n, w.upper, w.lower)), -n
+            ).terms
+            dual = bott(dual_w)
             dim_g = k * (n - k)
             if res.acyclic:
                 assert dual.acyclic
@@ -97,30 +95,36 @@ class TestGlDimension:
     def test_shift_invariance(self):
         assert gl_dimension((3, 2, 1)) == gl_dimension((1, 0, -1))
 
+    def test_wide_constant_blocks(self):
+        assert gl_dimension((0,) * 1300) == 1
+        assert gl_dimension((1,) + (0,) * 1299) == 1300
+
     def test_rejects_non_dominant(self):
         with pytest.raises(DominanceError):
             gl_dimension((0, 1, 0))
 
 
 class TestBundleCohomology:
+    @staticmethod
+    def totals(expr):
+        """Per-degree dimensions of H^*(E): E (x) the trivial representation."""
+        return tensor_cohomology(expr, {(0,) * expr.n: 1})
+
     def test_structure_sheaf(self):
-        table = bundle_cohomology(bundles.line(2, 5, 0))
-        assert table.total_dimensions() == {0: 1}
+        assert self.totals(bundles.line(2, 5, 0)) == {0: 1}
 
     def test_endomorphisms_of_tautological(self):
         # U (x) U* has a one-dimensional H^0 and nothing else
         for n in (4, 5, 6):
             u = bundles.tautological(2, n)
-            table = bundle_cohomology(bundles.tensor(u, bundles.dual(u)))
-            assert table.total_dimensions() == {0: 1}
+            assert self.totals(bundles.tensor(u, bundles.dual(u))) == {0: 1}
 
     def test_cotangent_has_only_h11(self):
-        table = bundle_cohomology(bundles.cotangent_power(2, 5, 1))
-        assert table.total_dimensions() == {1: 1}
+        assert self.totals(bundles.cotangent_power(2, 5, 1)) == {1: 1}
 
     def test_euler_characteristic(self):
         def euler_characteristic(expr):
-            return bundle_cohomology(expr).euler_characteristic()
+            return sum((-1) ** d * h for d, h in self.totals(expr).items())
 
         assert euler_characteristic(bundles.line(1, 3, 2)) == 6  # h^0(O_P2(2))
         assert euler_characteristic(bundles.line(1, 3, -3)) == 1  # Serre dual

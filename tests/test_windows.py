@@ -1,14 +1,57 @@
 import pytest
 
+from roofcalc import bundles
 from roofcalc.bwb import bott
 from roofcalc.errors import RankError
-from roofcalc.weights import DoubleWeight, bar_move
+from roofcalc.weights import DoubleWeight, bar_move, dual_schur_q, enumerate_box
 from roofcalc.windows import (
     bar_moved_collection,
     check_tilting_minus,
     check_tilting_plus,
     kapranov_collection,
 )
+
+# the negative control check_tilting_minus(4, 8, box_cap=2), as
+# (lam, lam', m, degree, weight) in the order recorded
+NEGATIVE_CONTROL_FAILURES = [
+    ((2, 2, 0), (2, 2, 2), 0, 1, (0, 2, 0, 0)),
+    ((2, 2, 0), (2, 2, 1), 0, 1, (1, 3, 1, 0)),
+    ((2, 2, 0), (2, 2, 0), 0, 1, (2, 4, 2, 0)),
+    ((2, 2, 0), (2, 1, 1), 0, 1, (1, 3, 0, 0)),
+    ((2, 2, 0), (2, 1, 0), 0, 1, (2, 4, 1, 0)),
+    ((2, 2, 0), (2, 0, 0), 0, 1, (2, 4, 0, 0)),
+    ((2, 1, 0), (2, 2, 2), 0, 1, (0, 2, 1, 0)),
+    ((2, 1, 0), (2, 2, 1), 0, 1, (1, 3, 2, 0)),
+    ((2, 1, 0), (2, 2, 1), 0, 1, (0, 2, 0, 0)),
+    ((2, 1, 0), (2, 2, 0), 0, 1, (2, 4, 3, 0)),
+    ((2, 1, 0), (2, 2, 0), 0, 1, (1, 3, 1, 0)),
+    ((2, 1, 0), (2, 1, 1), 0, 1, (1, 3, 1, 0)),
+    ((2, 1, 0), (2, 1, 0), 0, 1, (2, 4, 2, 0)),
+    ((2, 1, 0), (2, 1, 0), 0, 1, (1, 3, 0, 0)),
+    ((2, 1, 0), (2, 0, 0), 0, 1, (2, 4, 1, 0)),
+    ((2, 0, 0), (2, 2, 1), 0, 1, (0, 2, 1, 0)),
+    ((2, 0, 0), (2, 2, 0), 0, 1, (1, 3, 2, 0)),
+    ((2, 0, 0), (2, 2, 0), 0, 1, (0, 2, 0, 0)),
+    ((2, 0, 0), (2, 1, 1), 0, 1, (1, 3, 2, 0)),
+    ((2, 0, 0), (2, 1, 0), 0, 1, (2, 4, 3, 0)),
+    ((2, 0, 0), (2, 1, 0), 0, 1, (1, 3, 1, 0)),
+    ((2, 0, 0), (2, 0, 0), 0, 1, (2, 4, 2, 0)),
+    ((1, 1, 0), (2, 2, 2), 0, 1, (-1, 1, 0, 0)),
+    ((1, 1, 0), (2, 2, 1), 0, 1, (0, 2, 1, 0)),
+    ((1, 1, 0), (2, 2, 0), 0, 1, (1, 3, 2, 0)),
+    ((1, 1, 0), (2, 1, 1), 0, 1, (0, 2, 0, 0)),
+    ((1, 1, 0), (2, 1, 0), 0, 1, (1, 3, 1, 0)),
+    ((1, 1, 0), (2, 0, 0), 0, 1, (1, 3, 0, 0)),
+    ((1, 0, 0), (2, 2, 1), 0, 1, (-1, 1, 0, 0)),
+    ((1, 0, 0), (2, 2, 0), 0, 1, (0, 2, 1, 0)),
+    ((1, 0, 0), (2, 1, 1), 0, 1, (0, 2, 1, 0)),
+    ((1, 0, 0), (2, 1, 0), 0, 1, (1, 3, 2, 0)),
+    ((1, 0, 0), (2, 1, 0), 0, 1, (0, 2, 0, 0)),
+    ((1, 0, 0), (2, 0, 0), 0, 1, (1, 3, 1, 0)),
+    ((0, 0, 0), (2, 1, 1), 0, 1, (-1, 1, 0, 0)),
+    ((0, 0, 0), (2, 1, 0), 0, 1, (0, 2, 1, 0)),
+    ((0, 0, 0), (2, 0, 0), 0, 1, (0, 2, 0, 0)),
+]
 
 
 class TestKapranovCollection:
@@ -101,9 +144,6 @@ class TestTiltingChecks:
         rep = check_tilting_minus(4, 8, box_cap=2)
         assert len(rep.failures) >= 1
         # every recorded failure reproduces standalone
-        from roofcalc import bundles
-        from roofcalc.weights import dual_schur_q
-
         f = rep.failures[0]
         lam_bar, top = dual_schur_q(f.lam)
         expr = bundles.tensor(
@@ -121,6 +161,31 @@ class TestTiltingChecks:
             if not res.acyclic:
                 degrees.add(res.degree)
         assert f.degree in degrees
+
+    def test_negative_control_pinned(self):
+        rep = check_tilting_minus(4, 8, box_cap=2)
+        assert rep.checked_pairs == 100
+        assert len(rep.failures) == 37
+        assert rep.tail_certified
+        assert rep.failures[0].as_dict() == {
+            "lam": [2, 2, 0], "lamPrime": [2, 2, 2], "m": 0, "degree": 1,
+            "weight": [0, 2, 0, 0],
+        }
+        got = [
+            (f.lam, f.lam_prime, f.m, f.degree, f.weight) for f in rep.failures
+        ]
+        assert got == NEGATIVE_CONTROL_FAILURES
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("box_cap", [1, 2])
+    def test_dual_schur_q_matches_dual(self, n, box_cap):
+        # the folded twist of dual_schur_q against first-principles duality,
+        # over the minus side's labels
+        for lam in enumerate_box(n - 1, box_cap):
+            lam_bar, top = dual_schur_q(lam)
+            assert bundles.twist(
+                bundles.irreducible(1, n, (0,), lam_bar), top
+            ) == bundles.dual(bundles.irreducible(1, n, (0,), lam)), lam
 
     def test_preconditions(self):
         with pytest.raises(RankError):
