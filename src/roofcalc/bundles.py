@@ -42,15 +42,6 @@ class BundleExpr:
     n: int
     terms: tuple[tuple[DoubleWeight, int], ...]  # sorted, no dupes, mults >= 1
 
-    def __post_init__(self):
-        if not (1 <= self.k < self.n):
-            raise RankError(f"need 1 <= k < n, got ({self.k},{self.n})")
-        for w, m in self.terms:
-            if w.ambient != (self.k, self.n):
-                raise AmbientMismatchError(f"term {w} not on G({self.k},{self.n})")
-            if m < 1:
-                raise ValueError(f"multiplicity {m} < 1 for {w}")
-
     @property
     def ambient(self) -> tuple[int, int]:
         return (self.k, self.n)
@@ -83,13 +74,17 @@ def _expr(k: int, n: int, terms: dict[DoubleWeight, int]) -> BundleExpr:
 
 
 def zero(k: int, n: int) -> BundleExpr:
-    return _expr(k, n, {})
+    if not (1 <= k < n):
+        raise RankError(f"need 1 <= k < n, got ({k},{n})")
+    return BundleExpr(k, n, ())
 
 
 def irreducible(k: int, n: int, upper: Weight, lower: Weight, mult: int = 1) -> BundleExpr:
     w = DoubleWeight(tuple(upper), tuple(lower))
     if w.ambient != (k, n):
         raise AmbientMismatchError(f"{w} does not live on G({k},{n})")
+    if mult < 0:
+        raise ValueError(f"multiplicity {mult} < 1 for {_normalise(w)}")
     return _expr(k, n, {w: mult})
 
 
@@ -166,7 +161,8 @@ def twist(a: BundleExpr, t: int) -> BundleExpr:
     if t == 0:
         return a
     out = {
-        DoubleWeight(tuple(e + t for e in w.upper), w.lower): m for w, m in a.terms
+        DoubleWeight._trusted(tuple(e + t for e in w.upper), w.lower): m
+        for w, m in a.terms
     }
     return _expr(a.k, a.n, out)
 
@@ -174,7 +170,7 @@ def twist(a: BundleExpr, t: int) -> BundleExpr:
 def dual(a: BundleExpr) -> BundleExpr:
     """Termwise dual: negate and reverse each block."""
     out = {
-        DoubleWeight(negate_reverse(w.upper), negate_reverse(w.lower)): m
+        DoubleWeight._trusted(negate_reverse(w.upper), negate_reverse(w.lower)): m
         for w, m in a.terms
     }
     return _expr(a.k, a.n, out)
@@ -220,16 +216,16 @@ def _atom_sym(kind: str, t: int, m: int, k: int, n: int) -> DoubleWeight:
     """Sym^m of the atom `kind` twisted by O(t)."""
     lo0 = (0,) * (n - k)
     if kind == "O":
-        return DoubleWeight((m * t,) * k, lo0)
+        return DoubleWeight._trusted((m * t,) * k, lo0)
     mt = m * t
     if kind == "UD":
-        return DoubleWeight((mt + m,) + (mt,) * (k - 1), lo0)
+        return DoubleWeight._trusted((mt + m,) + (mt,) * (k - 1), lo0)
     if kind == "U":
-        return DoubleWeight((mt,) * (k - 1) + (mt - m,), lo0)
+        return DoubleWeight._trusted((mt,) * (k - 1) + (mt - m,), lo0)
     if kind == "QD":
-        return DoubleWeight((mt,) * k, (m,) + (0,) * (n - k - 1))
+        return DoubleWeight._trusted((mt,) * k, (m,) + (0,) * (n - k - 1))
     if kind == "Q":
-        return DoubleWeight((mt,) * k, (0,) * (n - k - 1) + (-m,))
+        return DoubleWeight._trusted((mt,) * k, (0,) * (n - k - 1) + (-m,))
     raise AssertionError(kind)
 
 
@@ -239,19 +235,19 @@ def _atom_wedge(kind: str, t: int, m: int, k: int, n: int) -> DoubleWeight | Non
     if m > r:
         return None
     if m == 0:
-        return DoubleWeight((0,) * k, (0,) * (n - k))
+        return DoubleWeight._trusted((0,) * k, (0,) * (n - k))
     lo0 = (0,) * (n - k)
     mt = m * t
     if kind == "O":
-        return DoubleWeight((t,) * k, lo0)
+        return DoubleWeight._trusted((t,) * k, lo0)
     if kind == "UD":
-        return DoubleWeight(tuple(mt + 1 if i < m else mt for i in range(k)), lo0)
+        return DoubleWeight._trusted(tuple(mt + 1 if i < m else mt for i in range(k)), lo0)
     if kind == "U":
-        return DoubleWeight(tuple(mt if i < k - m else mt - 1 for i in range(k)), lo0)
+        return DoubleWeight._trusted(tuple(mt if i < k - m else mt - 1 for i in range(k)), lo0)
     if kind == "QD":
-        return DoubleWeight((mt,) * k, tuple(1 if i < m else 0 for i in range(n - k)))
+        return DoubleWeight._trusted((mt,) * k, tuple(1 if i < m else 0 for i in range(n - k)))
     if kind == "Q":
-        return DoubleWeight(
+        return DoubleWeight._trusted(
             (mt,) * k, tuple(0 if i < n - k - m else -1 for i in range(n - k))
         )
     raise AssertionError(kind)
@@ -387,14 +383,15 @@ def cotangent_power(k: int, n: int, t: int) -> BundleExpr:
     Omega^1 = U (x) Q*, so Omega^t is the sum of S_mu U (x) S_mu' Q* over
     partitions mu of t inside the k x (n-k) box.
     """
+    empty = zero(k, n)  # checks 1 <= k < n
     if t < 0 or t > k * (n - k):
-        return zero(k, n)
+        return empty
     out: dict[DoubleWeight, int] = {}
     for mu in _box_partitions(t, k, n - k):
         upper = negate_reverse(mu + (0,) * (k - len(mu)))
         conj = _conjugate(mu)
         lower = conj + (0,) * (n - k - len(conj))
-        out[DoubleWeight(upper, lower)] = 1
+        out[DoubleWeight._trusted(upper, lower)] = 1
     return _expr(k, n, out)
 
 

@@ -223,7 +223,7 @@ class LinearSystem:
 
 def spectral_flow(
     system: LinearSystem,
-    totals: dict[int, Form | int],
+    totals: dict[int, int],
     *,
     low: int,
     high: int,
@@ -240,15 +240,11 @@ def spectral_flow(
     ms = sorted(totals)
     m_min, m_max = ms[0], ms[-1]
 
-    def maybe_nonzero(m: int) -> bool:
-        t = totals.get(m, 0)
-        return bool(t.coeffs or t.const) if isinstance(t, Form) else t != 0
-
-    # a differential m -> m+1 can only have rank if both sides can be nonzero
+    # a differential m -> m+1 can only have rank if both sides are nonzero
     flows = {
         m: Form.var(system.new_var(0, _UNBOUNDED))
         for m in range(m_min, m_max)
-        if maybe_nonzero(m) and maybe_nonzero(m + 1)
+        if totals.get(m, 0) and totals.get(m + 1, 0)
     }
 
     def flow(m: int) -> Form:
@@ -256,9 +252,7 @@ def spectral_flow(
 
     out: dict[int, Form] = {}
     for m in range(m_min, m_max + 1):
-        t = totals.get(m, 0)
-        tf = Form.of(t) if isinstance(t, int) else t
-        h = tf - flow(m - 1) - flow(m)
+        h = Form.of(totals.get(m, 0)) - flow(m - 1) - flow(m)
         if low <= m <= high:
             system.add_ge0(h)
             out[m] = h

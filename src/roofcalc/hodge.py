@@ -42,6 +42,7 @@ from .errors import (
     AmbiguityError,
     InconsistentDataError,
     InjectivityViolationError,
+    PlethysmRequiredError,
     RankError,
 )
 
@@ -185,6 +186,12 @@ class ZeroLocusSpec:
             raise RankError(
                 f"rank {bundles.rank(self.bundle)} exceeds dim G = {self.ambient_dim}"
             )
+        for w, _ in self.bundle.terms:
+            if bundles._atom_of(w) is None:
+                raise PlethysmRequiredError(
+                    "a zero locus needs a sum of twisted U, UD, Q, QD, O(t); "
+                    f"{w} is none of these"
+                )
 
     @property
     def ambient_dim(self) -> int:
@@ -214,7 +221,6 @@ class _Pipeline:
     def __init__(self, spec: ZeroLocusSpec):
         self.spec = spec
         self.k, self.n = spec.k, spec.n
-        self.dim_g = spec.ambient_dim
         self.dim_x = spec.dim
         self.f_dual = bundles.dual(spec.bundle)
         self.wedge_characters = bundles.wedge_characters(self.f_dual)
@@ -247,10 +253,7 @@ class _Pipeline:
         vectors = [self.restricted_forms(system, totals) for totals, _ in per_t]
         j = len(per_t) - 1
         chi = sum((-1) ** (j - t) * c for t, (_, c) in enumerate(per_t))
-        if j == 0:
-            return vectors[0], chi
-        forms = les_chain(system, vectors[0], vectors[1:], top=self.dim_x)
-        return forms, chi
+        return les_chain(system, vectors[0], vectors[1:], top=self.dim_x), chi
 
 
 def _intersect(a: tuple[int, int], b: tuple[int, int], where: str) -> tuple[int, int]:

@@ -39,10 +39,6 @@ class SchurSum:
         return len(self.terms)
 
 
-def _canonical(terms: dict[Weight, int]) -> tuple[tuple[Weight, int], ...]:
-    return tuple(sorted(terms.items(), key=lambda t: t[0], reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _lr_partitions(inner: Weight, content: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
     """Expand s_inner * s_content for partitions, rows truncated at `rank`."""
@@ -91,21 +87,12 @@ def _lr_partitions(inner: Weight, content: Weight, rank: int) -> tuple[tuple[Wei
         rec(0, size, (), 0, 0)
 
     place(0, tuple(e for e in inner if e > 0), ())
-    return _canonical(results)
+    return tuple(sorted(results.items(), reverse=True))
 
 
-def lr_product(lam: Weight, mu: Weight, rank: int) -> SchurSum:
-    """Tensor product multiplicities of two GL(rank) Schur functors.
-
-    Both inputs must be non-increasing of length `rank`; negative entries are
-    shifted away, expanded, and shifted back.
-    """
-    lam = check_dominant(lam)
-    mu = check_dominant(mu)
-    if len(lam) != rank or len(mu) != rank:
-        raise RankError(
-            f"rank mismatch: len({lam})={len(lam)}, len({mu})={len(mu)}, rank={rank}"
-        )
+def _lr_terms(lam: Weight, mu: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
+    """`lr_product`'s terms, unchecked: negative entries are shifted away,
+    expanded and shifted back, which keeps the terms lex-descending."""
     ca = -min(lam[-1], 0)
     cb = -min(mu[-1], 0)
     a = tuple(e + ca for e in lam)
@@ -114,11 +101,23 @@ def lr_product(lam: Weight, mu: Weight, rank: int) -> SchurSum:
     if (sum(b), b) > (sum(a), a):
         a, b = b, a
     shift = ca + cb
-    terms = {
-        tuple(e - shift for e in nu): m
-        for nu, m in _lr_partitions(a, b, rank)
-    }
-    return SchurSum(rank=rank, terms=_canonical(terms))
+    return tuple(
+        (tuple(e - shift for e in nu), m) for nu, m in _lr_partitions(a, b, rank)
+    )
+
+
+def lr_product(lam: Weight, mu: Weight, rank: int) -> SchurSum:
+    """Tensor product multiplicities of two GL(rank) Schur functors.
+
+    Both inputs must be non-increasing of length `rank`.
+    """
+    lam = check_dominant(lam)
+    mu = check_dominant(mu)
+    if len(lam) != rank or len(mu) != rank:
+        raise RankError(
+            f"rank mismatch: len({lam})={len(lam)}, len({mu})={len(mu)}, rank={rank}"
+        )
+    return SchurSum(rank=rank, terms=_lr_terms(lam, mu, rank))
 
 
 def lr_double_product(a: DoubleWeight, b: DoubleWeight) -> dict[DoubleWeight, int]:
@@ -130,11 +129,9 @@ def lr_double_product(a: DoubleWeight, b: DoubleWeight) -> dict[DoubleWeight, in
     if a.ambient != b.ambient:
         raise AmbientMismatchError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
     k, n = a.ambient
-    upper = lr_product(a.upper, b.upper, k)
-    lower = lr_product(a.lower, b.lower, n - k)
-    out: dict[DoubleWeight, int] = {}
-    for up, mu in upper:
-        for lo, ml in lower:
-            w = DoubleWeight(up, lo)
-            out[w] = out.get(w, 0) + mu * ml
-    return out
+    lower = _lr_terms(a.lower, b.lower, n - k)
+    return {
+        DoubleWeight._trusted(up, lo): mu * ml
+        for up, mu in _lr_terms(a.upper, b.upper, k)
+        for lo, ml in lower
+    }

@@ -19,7 +19,6 @@ from .errors import ExcludedCaseError, UsageError
 from .hodge import HodgeDiamond, PairReport, check_pair_theorem
 from .motive import derive_b2, verify_lemma_leq
 from .roofs import RoofRecord, classify
-from .weights import DoubleWeight
 from .windows import (
     bar_moved_collection,
     check_tilting_minus,
@@ -281,8 +280,7 @@ KAPRANOV_25_BARMOVED = [
 def check_windows() -> list[CheckResult]:
     kap = kapranov_collection(2, 5)
     got = {(w.upper, w.lower) for w in kap}
-    want = {DoubleWeight(u, l) for u, l in KAPRANOV_25}
-    want = {(w.upper, w.lower) for w in want}
+    want = set(KAPRANOV_25)
     out = [
         _expect("Kapranov collection on G(2,5) has the 10 published members", got, want)
     ]

@@ -4,13 +4,17 @@ A weight is a dense tuple of integers of fixed length (trailing zeros kept
 explicit).  Weights labelling Schur functors must be non-increasing; negative
 entries are allowed, so twists like O(2m + lambda_1) can be absorbed without a
 separate normalisation step.
+
+Validation happens once, at the boundary: public constructors such as
+`DoubleWeight(...)` check their input.  Weights derived from checked ones
+(shifts, duals, LR output, atom powers, bar moves) are dominant by
+construction; they come from the private `DoubleWeight._trusted` unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
 
 from .errors import DominanceError, NotGloballyGeneratedError, RankError
 
@@ -52,6 +56,13 @@ class DoubleWeight:
         object.__setattr__(self, "upper", check_dominant(self.upper, "upper block"))
         object.__setattr__(self, "lower", check_dominant(self.lower, "lower block"))
 
+    @classmethod
+    def _trusted(cls, upper: Weight, lower: Weight) -> "DoubleWeight":
+        """Unchecked constructor for int tuples already non-increasing."""
+        w = object.__new__(cls)
+        w.__dict__.update(upper=upper, lower=lower)
+        return w
+
     @property
     def k(self) -> int:
         return len(self.upper)
@@ -74,7 +85,7 @@ class DoubleWeight:
     def shift(self, c: int) -> "DoubleWeight":
         """Add c to every entry of both blocks (same bundle up to a twist of
         the equivariant structure; cohomology dimensions are unchanged)."""
-        return DoubleWeight(
+        return DoubleWeight._trusted(
             tuple(e + c for e in self.upper), tuple(e + c for e in self.lower)
         )
 
@@ -112,7 +123,6 @@ def enumerate_box(a: int, b: int) -> BoxSet:
     if b < 0:
         raise RankError(f"box cap must be >= 0, got b={b}")
     members = tuple(combinations_with_replacement(range(b, -1, -1), a))
-    assert len(members) == comb(a + b, b)
     return BoxSet(rows=a, cap=b, members=members)
 
 
@@ -130,7 +140,7 @@ def bar_move(w: DoubleWeight) -> DoubleWeight:
         raise NotGloballyGeneratedError(
             f"{w} is not fully ordered; bar moving is undefined"
         )
-    return DoubleWeight(w.upper + (w.lower[0],), w.lower[1:])
+    return DoubleWeight._trusted(w.upper + (w.lower[0],), w.lower[1:])
 
 
 def dual_schur_q(lam: Weight) -> tuple[Weight, int]:

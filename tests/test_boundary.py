@@ -1,0 +1,109 @@
+"""Validation happens where values enter the library; code deriving new
+values from checked ones trusts them."""
+
+import re
+
+import pytest
+
+from roofcalc import bundles, bwb, lr, weights
+from roofcalc.errors import DominanceError, PlethysmRequiredError, RankError
+from roofcalc.hodge import ZeroLocusSpec
+from roofcalc.lr import lr_double_product
+from roofcalc.parser import parse_bundle
+from roofcalc.weights import DoubleWeight
+
+from test_parser_cli import run_cli_error
+
+
+@pytest.fixture
+def dominance_checks(monkeypatch):
+    """Counts every `check_dominant` call, wherever the name is bound."""
+    calls = [0]
+    original = weights.check_dominant
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module in (weights, lr, bwb):
+        monkeypatch.setattr(module, "check_dominant", counted)
+    return calls
+
+
+class TestInsideTrustsItsInputs:
+    def test_wrapper_sees_the_public_constructor(self, dominance_checks):
+        DoubleWeight((1, 0), (0, 0, 0))
+        assert dominance_checks[0] == 2
+
+    def test_derived_expressions_are_not_rechecked(self, dominance_checks):
+        a = parse_bundle("S[2,1]UD + QD*O(1) + S[1,1]Q", 2, 5)
+        b = parse_bundle("UD*QD + O(2) + S[2]U", 2, 5)
+        atoms = parse_bundle("QD*O(1) + UD + O(2) + U", 2, 5)
+        w1 = DoubleWeight((3, 1), (2, 1, 0))
+        w2 = DoubleWeight((2, -1), (1, 1, -2))
+        assert len(a.terms) > 1 and len(b.terms) > 1
+        dominance_checks[0] = 0
+
+        product = bundles.tensor(a, b)
+        bundles.dual(a)
+        bundles.twist(a, 2)
+        power = bundles.sym_power(atoms, 3)
+        omega = bundles.cotangent_power(2, 5, 3)
+        lr_double_product(w1, w2)
+        assert dominance_checks[0] == 0
+        for expr in (product, power, omega):
+            assert expr.terms
+            assert all(
+                weights.is_dominant(w.upper) and weights.is_dominant(w.lower)
+                for w, _ in expr.terms
+            )
+
+
+class TestBoundaryContract:
+    def test_public_constructors_still_check(self):
+        with pytest.raises(DominanceError):
+            DoubleWeight((0, 1), (0,))
+        with pytest.raises(RankError, match=re.escape("need 1 <= k < n, got (0,3)")):
+            bundles.zero(0, 3)
+        with pytest.raises(
+            ValueError, match=re.escape("multiplicity -1 < 1 for (1,0|0,0,0)")
+        ):
+            bundles.irreducible(2, 5, (1, 0), (0, 0, 0), -1)
+        assert bundles.irreducible(2, 5, (1, 0), (0, 0, 0), 0).is_zero()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["bott", "--k", "2", "--n", "5", "--weight", "0,1|0,0,0"],
+                "upper block (0, 1) is not non-increasing",
+            ),
+            (
+                ["lr", "--rank", "2", "--a", "0,1", "--b", "1,0"],
+                "weight (0, 1) is not non-increasing",
+            ),
+            (
+                ["lr", "--rank", "3", "--a", "1,0", "--b", "1,0"],
+                "rank mismatch: len((1, 0))=2, len((1, 0))=2, rank=3",
+            ),
+            (
+                ["hodge", "--k", "2", "--n", "5", "--bundle", "S[0,1]QD"],
+                "lower block (0, 1, 0) is not non-increasing",
+            ),
+        ],
+    )
+    def test_cli_messages(self, capsys, argv, message):
+        assert run_cli_error(capsys, *argv) == (3, f"precondition violated: {message}")
+
+
+class TestAtomsOnlyZeroLocus:
+    def test_spec_rejects_non_atom_summand(self):
+        f = bundles.sym_power(bundles.tautological_dual(2, 5), 2)
+        with pytest.raises(PlethysmRequiredError):
+            ZeroLocusSpec(2, 5, f)
+
+    def test_cli_names_the_users_summand(self, capsys):
+        code, line = run_cli_error(capsys, "hodge", "--k", "2", "--n", "5", "--bundle", "Sym^2(UD)")
+        assert code == 3
+        assert "(2,0|0,0,0)" in line and "(0,-2|" not in line
+        assert "U, UD, Q, QD, O(t)" in line
