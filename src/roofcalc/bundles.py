@@ -405,3 +405,10 @@ def rank(a: BundleExpr) -> int:
 def is_globally_generated(a: BundleExpr) -> bool:
     """Every irreducible summand has a fully ordered total sequence."""
     return all(w.is_fully_ordered() for w, _ in a.terms)
+
+
+def is_ample(a: BundleExpr) -> bool:
+    """Snow's criterion (Trans. AMS 294, 1986), the strict form of global
+    generation: every summand's upper block ends above its lower block's
+    start.  So O(1), U*(1) and Q*(2) are ample; U*, Q and Q*(1) are not."""
+    return all(w.upper[-1] > w.lower[0] for w, _ in a.terms)

@@ -4,8 +4,9 @@ Subcommands mirror the library surface: `bott`, `hodge`, `pair`, `roofs`,
 `windows`, `lr`, `verify`.  Output is deterministic UTF-8 JSON (sorted keys,
 big integers as decimal strings) unless a text mode is chosen; `--out FILE`
 writes the same bytes to a file.  Exit codes: 0 success, 2 parse error or
-unknown suite or unwritable output file, 3 precondition violation or
-inconsistent chase data, 4 ambiguity, 5 verification mismatch.
+unknown suite or unwritable output file, 3 precondition violation (an input
+beyond the work limit included) or inconsistent chase data, 4 ambiguity,
+5 verification mismatch.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     RankError,
     RoofcalcError,
     UsageError,
+    WorkLimitError,
 )
 from .hodge import (
     ZeroLocusSpec,
@@ -61,6 +63,7 @@ _PRECONDITION_ERRORS = (
     PlethysmRequiredError,
     ExcludedCaseError,
     MalformedContractionError,
+    WorkLimitError,
 )
 
 

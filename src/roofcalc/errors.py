@@ -58,6 +58,10 @@ class MalformedContractionError(RoofcalcError, ValueError):
     """Kept nodes of a diagram contraction do not sit in a single component."""
 
 
+class WorkLimitError(RoofcalcError, ValueError):
+    """An input whose estimated work exceeds a fixed limit of the package."""
+
+
 class InconsistentDataError(RoofcalcError, ArithmeticError):
     """Dimension data that admit no solution at one stage of a computation.
 

@@ -2,29 +2,44 @@
 
 For X = Z(s) with s a general section of a globally generated, completely
 reducible bundle F of rank r, h^{p,q}(X) = h^q(X, Omega^p_X) is computed by
-the two-stage chase:
+one of two routes, chosen by `bundles.is_ample(F)`:
 
-  1. every term (Sym^{p-t} F* (x) Omega^t_G)|_X of the exterior power of the
-     conormal sequence is resolved by the Koszul complex of wedge powers of
-     F*; the hypercohomology spectral sequence is solved antidiagonal-wise
-     (differentials raise total degree by one and vanish outside [0, dim X]).
-     Only the per-degree totals of H^*(G, wedge^s F* (x) Sym^{p-t} F* (x)
-     Omega^t_G) enter, so wedge^s F* is never multiplied out: its torus
-     character goes straight into `bwb.tensor_cohomology`, which sums
-     Klimyk's signed weights through Bott's sort.  Terms of opposite sign
-     there are the same irreducible summand, in the same degree, so they
-     cancel within one total and every total stays exact;
-  2. the conormal complex itself is split into short exact sequences and the
-     long exact sequences are chased.
+  1. Lefschetz route, when every summand of F is ample.  Sommese's
+     Lefschetz theorem for ample vector bundles (Lazarsfeld, Positivity II,
+     7.1) gives h^{p,q}(X) = h^{p,q}(G) for p+q < dim X, and Poincare
+     duality gives the entries above the middle row.  Each middle entry then
+     follows from the exact column Euler characteristic chi_p = chi(Omega^p_X),
+     and Serre duality chi_{d-p} = (-1)^d chi_p halves the columns needed.
+     chi_p is the alternating sum over t of chi(X, (Sym^{p-t} F* (x)
+     Omega^t_G)|_X); each of those comes from the Koszul complex as
+     chi(G, base (x) lambda_{-1} F*), with lambda_{-1} F* = sum_s (-1)^s
+     wedge^s F* merged into one virtual character, summed by the signed
+     Vandermonde kernel `bwb.euler_characteristic`.  No per-degree totals,
+     no linear system.
+  2. Chase route, for every other F (e.g. U*, Q or U* + O(1) on G(2,5)).
+     Every term (Sym^{p-t} F* (x) Omega^t_G)|_X of the exterior power of
+     the conormal sequence is resolved by the Koszul complex of wedge powers
+     of F*; the hypercohomology spectral sequence is solved antidiagonal-wise
+     (differentials raise total degree by one and vanish outside
+     [0, dim X]).  Only the per-degree totals of H^*(G, wedge^s F* (x)
+     Sym^{p-t} F* (x) Omega^t_G) enter, so wedge^s F* is never multiplied
+     out: its torus character goes straight into `bwb.tensor_cohomology`,
+     which sums Klimyk's signed weights through Bott's sort.  Terms of
+     opposite sign there are the same irreducible summand, in the same
+     degree, so they cancel within one total and every total stays exact.
+     The conormal complex itself is then split into short exact sequences
+     and the long exact sequences are chased.
 
-All unknown connecting ranks stay symbolic in one linear system per column,
-so forced cancellations propagate exactly; afterwards Hodge symmetry, Serre
-duality, ample-class positivity and the exact column Euler sums are iterated
-to a fixpoint over the whole table (all theorems for a nonempty smooth
-projective variety; they pin down the columns above the middle that
-dimension bookkeeping alone leaves open).  Entries that still cannot be
-forced are reported as intervals and flagged inexact; no rank is guessed.
-Euler characteristics of columns are alternating sums, hence always exact.
+On the chase route all unknown connecting ranks stay symbolic in one linear
+system per column, so forced cancellations propagate exactly; afterwards
+Hodge symmetry, Serre duality, ample-class positivity and the exact column
+Euler sums are iterated to a fixpoint over the whole table (all theorems for
+a nonempty smooth projective variety; they pin down the columns above the
+middle that dimension bookkeeping alone leaves open).  Entries that still
+cannot be forced are reported as intervals and flagged inexact; no rank is
+guessed.  Euler characteristics of columns are alternating sums, hence
+always exact.  Both routes end with the same Euler-column and symmetry
+checks.
 
 Smoothness and generality of the section are recorded assumptions, not
 verified.
@@ -36,7 +51,7 @@ from dataclasses import dataclass, field
 
 from . import bundles
 from .bundles import BundleExpr, _box_partitions
-from .bwb import tensor_cohomology
+from .bwb import euler_characteristic, tensor_cohomology
 from .chase import Form, LinearSystem, les_chain, spectral_flow
 from .errors import (
     AmbiguityError,
@@ -44,7 +59,16 @@ from .errors import (
     InjectivityViolationError,
     PlethysmRequiredError,
     RankError,
+    WorkLimitError,
 )
+from .weights import Weight
+
+# Limit on n^2 (rank F + 1) (atoms of F), a coarse measure of the Koszul
+# stage's work: the wedge characters fold up to rank F + 1 powers per atom,
+# and every weight of them costs a Vandermonde of n^2/2 factors.  The pair
+# bundles up to G(8,15) stay below 3000; 1200 copies of O(1) on P^1299 is
+# at 2.4e12.
+MAX_KOSZUL_WORK = 10**8
 
 
 class HodgeDiamond:
@@ -215,19 +239,55 @@ def ambient_diamond(k: int, n: int) -> HodgeDiamond:
     return out
 
 
+def _wedge_characters(spec: ZeroLocusSpec) -> list[dict[Weight, int]]:
+    """`bundles.wedge_characters` of F*, once the input passes the work limit."""
+    f = spec.bundle
+    work = spec.n**2 * (bundles.rank(f) + 1) * sum(m for _, m in f.terms)
+    if work > MAX_KOSZUL_WORK:
+        raise WorkLimitError(
+            f"Koszul stage too large: n^2 (rank F + 1) (atoms of F) = {work} "
+            f"exceeds {MAX_KOSZUL_WORK}"
+        )
+    return bundles.wedge_characters(bundles.dual(f))
+
+
+def _conormal_term(spec: ZeroLocusSpec, f_dual: BundleExpr, j: int, t: int) -> BundleExpr:
+    """Sym^{j-t} F* (x) Omega^t_G, the t-th term of wedge^j of the conormal
+    sequence, before restriction to X."""
+    sym = bundles.sym_power(f_dual, j - t)
+    return bundles.tensor(sym, bundles.cotangent_power(spec.k, spec.n, t))
+
+
+def _euler_columns(spec: ZeroLocusSpec, top: int) -> list[int]:
+    """chi(Omega^p_X) for p = 0..top, by the Euler kernel on lambda_{-1} F*."""
+    koszul: dict[Weight, int] = {}
+    for s, character in enumerate(_wedge_characters(spec)):
+        sign = -1 if s & 1 else 1
+        for nu, c in character.items():
+            koszul[nu] = koszul.get(nu, 0) + sign * c
+    koszul = {nu: c for nu, c in koszul.items() if c}
+    f_dual = bundles.dual(spec.bundle)
+    return [
+        sum(
+            (-1) ** (p - t)
+            * euler_characteristic(_conormal_term(spec, f_dual, p, t), koszul)
+            for t in range(p + 1)
+        )
+        for p in range(top + 1)
+    ]
+
+
 class _Pipeline:
     """One zero-locus computation: term expansion plus the linear chase."""
 
     def __init__(self, spec: ZeroLocusSpec):
         self.spec = spec
-        self.k, self.n = spec.k, spec.n
         self.dim_x = spec.dim
         self.f_dual = bundles.dual(spec.bundle)
-        self.wedge_characters = bundles.wedge_characters(self.f_dual)
+        self.wedge_characters = _wedge_characters(spec)
 
     def conormal_term(self, j: int, t: int) -> BundleExpr:
-        sym = bundles.sym_power(self.f_dual, j - t)
-        return bundles.tensor(sym, bundles.cotangent_power(self.k, self.n, t))
+        return _conormal_term(self.spec, self.f_dual, j, t)
 
     def koszul_data(self, j: int, t: int) -> tuple[dict[int, int], int]:
         """Antidiagonal totals and chi of the Koszul resolution of
@@ -306,24 +366,46 @@ def _symmetrise(grid: list[list[tuple[int, int]]], chis: list[int]) -> None:
             return
 
 
-def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
-    """Full diamond of the zero locus.
-
-    Entries are exact whenever the chase together with Hodge and Serre
-    symmetry forces them; everything else is reported as an interval."""
-    d = spec.dim
-    meta = {
+def _meta(spec: ZeroLocusSpec) -> dict:
+    return {
         "ambient": f"G({spec.k},{spec.n})",
         "bundle": str(spec.bundle),
         "assumes": "general section, smooth zero locus",
     }
-    if d == 0:
-        out = HodgeDiamond(0, meta=meta)
-        npts = point_count(spec)
-        out.set_entry(0, 0, npts)
-        out.euler_columns[0] = npts
-        return out
 
+
+def _lefschetz_diamond(spec: ZeroLocusSpec) -> HodgeDiamond:
+    """Diamond of the zero locus of an ample F: ambient entries off the
+    middle row, middle entries from the Euler columns p <= d/2."""
+    d = spec.dim
+    ambient = ambient_diamond(spec.k, spec.n).diagonal()
+    half = _euler_columns(spec, d // 2)
+    chis = half + [(-1) ** d * half[d - p] for p in range(len(half), d + 1)]
+    out = HodgeDiamond(d, meta=_meta(spec))
+    for p in range(d + 1):
+        # (-1)^{d-p} h^{p,d-p} = chi_p - (-1)^p h^{p,p}, where h^{p,p} is the
+        # column's one entry off the middle row
+        middle = chis[p]
+        if 2 * p != d:
+            below = ambient[min(p, d - p)]
+            out.set_entry(p, p, below)
+            middle -= (-1) ** p * below
+        middle *= (-1) ** (d - p)
+        if middle < 0:
+            raise InconsistentDataError(
+                "Lefschetz middle row", f"h^{{{p},{d - p}}} = {middle} < 0"
+            )
+        out.set_entry(p, d - p, middle)
+        out.euler_columns[p] = chis[p]
+    out.check_euler_columns()
+    out.check_symmetries()
+    return out
+
+
+def _chase_diamond(spec: ZeroLocusSpec) -> HodgeDiamond:
+    """Diamond of the zero locus by the Koszul/conormal chase and the
+    symmetry fixpoint; entries it cannot force stay intervals."""
+    d = spec.dim
     pipeline = _Pipeline(spec)
     grid: list[list[tuple[int, int]]] = []
     chis: list[int] = []
@@ -337,7 +419,7 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
         chis.append(chi)
     _symmetrise(grid, chis)
 
-    out = HodgeDiamond(d, meta=meta)
+    out = HodgeDiamond(d, meta=_meta(spec))
     for p in range(d + 1):
         for q in range(d + 1):
             lo, hi = grid[p][q]
@@ -348,12 +430,29 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
     return out
 
 
+def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
+    """Full diamond of the zero locus.
+
+    For ample F every entry is exact (Lefschetz route).  Otherwise entries
+    are exact whenever the chase together with Hodge and Serre symmetry
+    forces them; everything else is reported as an interval."""
+    if spec.dim == 0:
+        out = HodgeDiamond(0, meta=_meta(spec))
+        npts = point_count(spec)
+        out.set_entry(0, 0, npts)
+        out.euler_columns[0] = npts
+        return out
+    if bundles.is_ample(spec.bundle):
+        return _lefschetz_diamond(spec)
+    return _chase_diamond(spec)
+
+
 def point_count(spec: ZeroLocusSpec) -> int:
     """Length of a zero-dimensional zero locus: chi(O_X) from the Koszul
     complex of wedge powers of the dual bundle."""
     if spec.dim != 0:
         raise RankError(f"point count needs dim 0, got {spec.dim}")
-    return _Pipeline(spec).koszul_data(0, 0)[1]
+    return _euler_columns(spec, 0)[0]
 
 
 def v_cohomology(y: HodgeDiamond, ambient: HodgeDiamond) -> list[int]:

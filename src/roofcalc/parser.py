@@ -136,7 +136,9 @@ class _Parser:
 
 
 def parse_bundle(text: str, k: int, n: int) -> BundleExpr:
-    """Parse a bundle expression on G(k,n); raises ParseError with offset."""
+    """Parse a bundle expression on G(k,n); raises ParseError with offset,
+    and RankError unless 1 <= k < n."""
+    bundles.zero(k, n)  # the ambient check, before any atom is built on it
     return _Parser(text, k, n).parse()
 
 

@@ -2,12 +2,13 @@
 values from checked ones trusts them."""
 
 import re
+import time
 
 import pytest
 
 from roofcalc import bundles, bwb, lr, weights
 from roofcalc.errors import DominanceError, PlethysmRequiredError, RankError
-from roofcalc.hodge import ZeroLocusSpec
+from roofcalc.hodge import ZeroLocusSpec, _wedge_characters, pair_specs
 from roofcalc.lr import lr_double_product
 from roofcalc.parser import parse_bundle
 from roofcalc.weights import DoubleWeight
@@ -107,3 +108,31 @@ class TestAtomsOnlyZeroLocus:
         assert code == 3
         assert "(2,0|0,0,0)" in line and "(0,-2|" not in line
         assert "U, UD, Q, QD, O(t)" in line
+
+
+class TestWorkLimit:
+    @pytest.mark.parametrize("atom", ["O(1)", "O(0)"])  # Lefschetz and chase routes
+    def test_1200_summands_exit_at_once(self, capsys, atom):
+        t0 = time.perf_counter()
+        code, line = run_cli_error(
+            capsys, "hodge", "--k", "1", "--n", "1300", "--bundle", "+".join([atom] * 1200)
+        )
+        assert time.perf_counter() - t0 < 10
+        assert code == 3
+        assert line.startswith("precondition violated: Koszul stage too large")
+
+    def test_paper_and_benchmark_inputs_stay_below(self):
+        specs = [spec for k in range(1, 8) for spec in pair_specs(k, 2 * k + 1)]
+        specs += pair_specs(4, 10) + pair_specs(2, 6)
+        specs += [ZeroLocusSpec(1, n, bundles.line(1, n, 3)) for n in (20, 22, 24)]
+        for spec in specs:
+            assert _wedge_characters(spec)
+
+    def test_ambient_checked_before_the_text(self, capsys):
+        for k, n in [(0, 1), (-1, 3), (3, 3)]:
+            code, line = run_cli_error(
+                capsys, "hodge", f"--k={k}", f"--n={n}", "--bundle", "U"
+            )
+            assert (code, line) == (
+                3, f"precondition violated: need 1 <= k < n, got ({k},{n})"
+            )

@@ -250,6 +250,31 @@ class TestCotangentPower:
         )
 
 
+class TestAmple:
+    # G(2,5) and G(3,7): both blocks of rank >= 2, so U* and Q are no line bundles
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 7)])
+    def test_snow_boundary_cases(self, k, n):
+        ample = [
+            bundles.line(k, n, 1),
+            bundles.twist(bundles.tautological_dual(k, n), 1),
+            bundles.twist(bundles.quotient_dual(k, n), 2),
+        ]
+        generated_only = [
+            bundles.tautological_dual(k, n),
+            bundles.quotient(k, n),
+            bundles.twist(bundles.quotient_dual(k, n), 1),
+        ]
+        for a in ample + generated_only:
+            assert bundles.is_globally_generated(a), a
+        for a in ample:
+            assert bundles.is_ample(a), a
+        for a in generated_only:
+            assert not bundles.is_ample(a), a
+        # a sum is ample exactly when every summand is
+        assert bundles.is_ample(bundles.direct_sum(*ample))
+        assert not bundles.is_ample(bundles.direct_sum(ample[0], generated_only[0]))
+
+
 class TestRank:
     def test_examples(self):
         assert bundles.rank(bundles.twist(bundles.quotient_dual(2, 6), 2)) == 4

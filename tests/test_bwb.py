@@ -3,7 +3,7 @@ import random
 import pytest
 
 from roofcalc import bundles
-from roofcalc.bwb import bott, gl_dimension, rho, tensor_cohomology
+from roofcalc.bwb import bott, euler_characteristic, gl_dimension, rho, tensor_cohomology
 from roofcalc.errors import DominanceError
 from roofcalc.weights import DoubleWeight
 
@@ -128,3 +128,46 @@ class TestBundleCohomology:
 
         assert euler_characteristic(bundles.line(1, 3, 2)) == 6  # h^0(O_P2(2))
         assert euler_characteristic(bundles.line(1, 3, -3)) == 1  # Serre dual
+
+
+class TestEulerCharacteristic:
+    def test_alternating_sum_of_klimyk_totals(self):
+        # random bases against virtual characters sum_s c_s wedge^s F, signs included
+        from roofcalc.parser import parse_bundle
+
+        rng = random.Random(8)
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            k = rng.randint(1, n - 1)
+            expr = bundles.direct_sum(
+                *(
+                    bundles.irreducible(
+                        k,
+                        n,
+                        sorted((rng.randint(-3, 3) for _ in range(k)), reverse=True),
+                        sorted((rng.randint(-3, 3) for _ in range(n - k)), reverse=True),
+                        rng.randint(1, 3),
+                    )
+                    for _ in range(rng.randint(1, 3))
+                )
+            )
+            atoms = rng.sample(["UD", "U*O(1)", "QD*O(-1)", "Q", "O(2)", "O(-1)"], 2)
+            wedges = bundles.wedge_characters(parse_bundle("+".join(atoms), k, n))
+            coefficients = [rng.randint(-2, 2) for _ in wedges]
+            character = {}
+            for c, wedge in zip(coefficients, wedges):
+                for nu, m in wedge.items():
+                    character[nu] = character.get(nu, 0) + c * m
+            want = sum(
+                c * (-1) ** degree * dim
+                for c, wedge in zip(coefficients, wedges)
+                for degree, dim in tensor_cohomology(expr, wedge).items()
+            )
+            assert euler_characteristic(expr, character) == want
+
+    def test_line_bundles_on_projective_space(self):
+        # chi(P^m, O(t)) = C(m+t, m) as a polynomial in t, negative values included
+        assert euler_characteristic(bundles.line(1, 5, 2), {(0,) * 5: 1}) == 15
+        assert euler_characteristic(bundles.line(1, 5, -6), {(0,) * 5: 1}) == 5
+        assert euler_characteristic(bundles.line(1, 4, -5), {(0,) * 4: 1}) == -4
+        assert euler_characteristic(bundles.line(1, 4, -2), {(0,) * 4: 1}) == 0

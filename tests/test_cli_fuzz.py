@@ -1,0 +1,59 @@
+"""Property test of the CLI contract on `hodge`: every input of the bundle
+grammar, on any ambient with k < n <= 7, ends in a documented exit code with
+at most one line on stderr and no traceback."""
+
+import contextlib
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from roofcalc.cli import main
+
+BLOCKS = st.sampled_from(["U", "UD", "Q", "QD"])
+LEAVES = st.one_of(
+    BLOCKS,
+    st.integers(-2, 3).map(lambda t: f"O({t})"),
+    st.tuples(st.lists(st.integers(-1, 2), min_size=1, max_size=3), BLOCKS).map(
+        lambda lb: f"S[{','.join(map(str, lb[0]))}]{lb[1]}"
+    ),
+)
+
+
+def _compound(inner):
+    power = st.tuples(st.sampled_from(["Sym", "Wedge"]), st.integers(0, 3), inner)
+    return st.one_of(
+        st.tuples(inner, inner).map("+".join),
+        st.tuples(inner, inner).map("*".join),
+        power.map(lambda p: f"{p[0]}^{p[1]}({p[2]})"),
+        inner.map(lambda e: f"Dual({e})"),
+        inner.map(lambda e: f"({e})"),
+    )
+
+
+EXPRESSIONS = st.recursive(LEAVES, _compound, max_leaves=4)
+# well-formed text, and its truncations for the parse-error exits
+BUNDLES = st.one_of(
+    EXPRESSIONS,
+    st.tuples(EXPRESSIONS, st.integers(0, 30)).map(lambda et: et[0][: et[1]]),
+)
+
+
+@st.composite
+def hodge_argv(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(-1, n - 1))
+    argv = ["hodge", f"--k={k}", f"--n={n}", "--bundle", draw(BUNDLES)]
+    return argv + (["--diamond"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hodge_argv())
+def test_hodge_exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in {0, 2, 3, 4, 5}, (argv, code, lines)
+    assert len(lines) <= 1, (argv, lines)
+    assert "Traceback" not in err.getvalue(), argv

@@ -5,10 +5,12 @@ import pytest
 
 from roofcalc import bundles, bwb
 from roofcalc.bwb import bott
+from roofcalc.chase import LinearSystem
 from roofcalc.errors import AmbiguityError, InjectivityViolationError, RankError
 from roofcalc.hodge import (
     HodgeDiamond,
     ZeroLocusSpec,
+    _chase_diamond,
     _Pipeline,
     ambient_diamond,
     check_pair_theorem,
@@ -157,6 +159,72 @@ class TestKoszulKernel:
         assert checked > 100
         # the sign path: terms whose blocks need reordering, some an odd number of times
         assert seen["reordered"] > 0 and seen["odd"] > 0
+
+
+class TestLefschetzRoute:
+    # ample F on every G(k,n) with n <= 6, the pair bundles Q*(2) and U(2) included
+    AMPLE = ["O(1)", "O(2)", "UD*O(1)", "QD*O(2)", "O(1)+O(1)", "U*O(2)"]
+
+    def test_chase_agrees_entry_by_entry(self):
+        compared, left_open = 0, []
+        for text in self.AMPLE:
+            for n in range(2, 7):
+                for k in range(1, n):
+                    try:
+                        spec = ZeroLocusSpec(k, n, parse_bundle(text, k, n))
+                    except RankError:
+                        continue
+                    if spec.dim == 0:
+                        continue
+                    assert bundles.is_ample(spec.bundle), (text, k, n)
+                    chased = _chase_diamond(spec)
+                    if not chased.fully_exact():
+                        left_open.append((text, k, n))
+                        continue
+                    direct = hodge_numbers(spec)
+                    assert direct.entries == chased.entries, (text, k, n)
+                    assert direct.euler_columns == chased.euler_columns, (text, k, n)
+                    compared += 1
+        assert compared == 69
+        assert left_open == [("O(1)+O(1)", 3, 6)]
+
+    @pytest.mark.parametrize("text", ["UD", "Q", "QD*O(1)", "UD+O(1)"])
+    def test_non_ample_takes_the_chase(self, text, monkeypatch):
+        calls = []
+        propagate = LinearSystem.propagate
+
+        def counting(system):
+            calls.append(system)
+            return propagate(system)
+
+        monkeypatch.setattr(LinearSystem, "propagate", counting)
+        spec = ZeroLocusSpec(2, 5, parse_bundle(text, 2, 5))
+        assert not bundles.is_ample(spec.bundle)
+        assert hodge_numbers(spec).fully_exact()
+        assert len(calls) == spec.dim + 1  # one system per column
+
+    @pytest.mark.parametrize("text", ["O(1)", "UD*O(1)", "QD*O(2)", "UD*O(1)+QD*O(2)"])
+    def test_ample_skips_the_chase(self, text, monkeypatch):
+        monkeypatch.setattr(LinearSystem, "propagate", None)  # any call fails
+        spec = ZeroLocusSpec(2, 5, parse_bundle(text, 2, 5))
+        assert hodge_numbers(spec).fully_exact()
+
+    @pytest.mark.parametrize(
+        "k,n,text,middle",
+        [
+            # the chase left h^{2,2} in [1..2] and h^{2,3} in [0..1]
+            (2, 6, "O(1)+O(1)+O(1)", [0, 0, 1, 1, 0, 0]),
+            (3, 6, "O(1)+O(1)", [0, 0, 0, 1, 1, 0, 0, 0]),
+        ],
+    )
+    def test_linear_sections_turn_exact(self, k, n, text, middle):
+        d = hodge_numbers(ZeroLocusSpec(k, n, parse_bundle(text, k, n)))
+        diagonal = ambient_diamond(k, n).diagonal()
+        assert d.fully_exact()
+        assert d.middle_row() == middle
+        assert d.diagonal() == [
+            diagonal[min(p, d.dim - p)] for p in range(d.dim + 1)
+        ]
 
 
 class TestDiamondInvariants:
