@@ -378,7 +378,7 @@ def _lefschetz_diamond(spec: ZeroLocusSpec) -> HodgeDiamond:
     """Diamond of the zero locus of an ample F: ambient entries off the
     middle row, middle entries from the Euler columns p <= d/2."""
     d = spec.dim
-    ambient = ambient_diamond(spec.k, spec.n).diagonal()
+    diagonal = ambient_diamond(spec.k, spec.n).diagonal()
     half = _euler_columns(spec, d // 2)
     chis = half + [(-1) ** d * half[d - p] for p in range(len(half), d + 1)]
     out = HodgeDiamond(d, meta=_meta(spec))
@@ -387,7 +387,7 @@ def _lefschetz_diamond(spec: ZeroLocusSpec) -> HodgeDiamond:
         # column's one entry off the middle row
         middle = chis[p]
         if 2 * p != d:
-            below = ambient[min(p, d - p)]
+            below = diagonal[min(p, d - p)]
             out.set_entry(p, p, below)
             middle -= (-1) ** p * below
         middle *= (-1) ** (d - p)

@@ -210,21 +210,19 @@ class TestLefschetzRoute:
         assert hodge_numbers(spec).fully_exact()
 
     @pytest.mark.parametrize(
-        "k,n,text,middle",
+        "k,n,text,diagonal,middle",
         [
             # the chase left h^{2,2} in [1..2] and h^{2,3} in [0..1]
-            (2, 6, "O(1)+O(1)+O(1)", [0, 0, 1, 1, 0, 0]),
-            (3, 6, "O(1)+O(1)", [0, 0, 0, 1, 1, 0, 0, 0]),
+            (2, 6, "O(1)+O(1)+O(1)", [1, 1, 2, 2, 1, 1], [0, 0, 1, 1, 0, 0]),
+            (3, 6, "O(1)+O(1)", [1, 1, 2, 3, 3, 2, 1, 1], [0, 0, 0, 1, 1, 0, 0, 0]),
         ],
     )
-    def test_linear_sections_turn_exact(self, k, n, text, middle):
+    def test_linear_sections_turn_exact(self, k, n, text, diagonal, middle):
         d = hodge_numbers(ZeroLocusSpec(k, n, parse_bundle(text, k, n)))
-        diagonal = ambient_diamond(k, n).diagonal()
         assert d.fully_exact()
+        assert d.diagonal() == diagonal
         assert d.middle_row() == middle
-        assert d.diagonal() == [
-            diagonal[min(p, d.dim - p)] for p in range(d.dim + 1)
-        ]
+        assert len(d.entries) == len(diagonal) + 2  # nothing else is nonzero
 
 
 class TestDiamondInvariants:
