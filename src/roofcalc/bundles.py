@@ -119,16 +119,12 @@ def schur(k: int, n: int, block: str, lam: Weight) -> BundleExpr:
     lam is padded with zeros to the block rank; functors of the undualised
     bundles are rewritten on the dual by negate-and-reverse.
     """
-    r = k if block in ("U", "UD") else n - k
-    lam = tuple(lam)
-    if len(lam) > r:
-        raise RankError(f"label {lam} longer than block rank {r}")
-    lam = lam + (0,) * (r - len(lam))
-    if block in ("U", "Q"):
-        lam = negate_reverse(lam)
-    if block in ("U", "UD"):
-        return irreducible(k, n, lam, (0,) * (n - k))
-    return irreducible(k, n, (0,) * k, lam)
+    w = _atom_power(block, 0, tuple(lam), k, n)
+    if w is None:
+        raise RankError(
+            f"label {tuple(lam)} longer than block rank {_atom_rank(block, k, n)}"
+        )
+    return irreducible(k, n, w.upper, w.lower)
 
 
 def direct_sum(*exprs: BundleExpr) -> BundleExpr:
@@ -212,45 +208,23 @@ def _atom_rank(kind: str, k: int, n: int) -> int:
     return k if kind in ("U", "UD") else n - k
 
 
-def _atom_sym(kind: str, t: int, m: int, k: int, n: int) -> DoubleWeight:
-    """Sym^m of the atom `kind` twisted by O(t)."""
-    lo0 = (0,) * (n - k)
-    if kind == "O":
-        return DoubleWeight._trusted((m * t,) * k, lo0)
-    mt = m * t
-    if kind == "UD":
-        return DoubleWeight._trusted((mt + m,) + (mt,) * (k - 1), lo0)
-    if kind == "U":
-        return DoubleWeight._trusted((mt,) * (k - 1) + (mt - m,), lo0)
-    if kind == "QD":
-        return DoubleWeight._trusted((mt,) * k, (m,) + (0,) * (n - k - 1))
-    if kind == "Q":
-        return DoubleWeight._trusted((mt,) * k, (0,) * (n - k - 1) + (-m,))
-    raise AssertionError(kind)
+def _atom_power(kind: str, t: int, label: Weight, k: int, n: int) -> DoubleWeight | None:
+    """S_label of the atom `kind` twisted by O(t); None when it vanishes.
 
-
-def _atom_wedge(kind: str, t: int, m: int, k: int, n: int) -> DoubleWeight | None:
-    """wedge^m of the atom `kind` twisted by O(t); None when it vanishes."""
+    The label goes on the atom's block as in `schur`, and the twist becomes
+    O(|label| t).  Sym^m takes the label (m,), wedge^m the label (1^m).
+    """
     r = _atom_rank(kind, k, n)
-    if m > r:
+    if len(label) > r:
         return None
-    if m == 0:
-        return DoubleWeight._trusted((0,) * k, (0,) * (n - k))
-    lo0 = (0,) * (n - k)
-    mt = m * t
-    if kind == "O":
-        return DoubleWeight._trusted((t,) * k, lo0)
-    if kind == "UD":
-        return DoubleWeight._trusted(tuple(mt + 1 if i < m else mt for i in range(k)), lo0)
-    if kind == "U":
-        return DoubleWeight._trusted(tuple(mt if i < k - m else mt - 1 for i in range(k)), lo0)
-    if kind == "QD":
-        return DoubleWeight._trusted((mt,) * k, tuple(1 if i < m else 0 for i in range(n - k)))
-    if kind == "Q":
-        return DoubleWeight._trusted(
-            (mt,) * k, tuple(0 if i < n - k - m else -1 for i in range(n - k))
-        )
-    raise AssertionError(kind)
+    shift = sum(label) * t
+    block = label + (0,) * (r - len(label))
+    if kind in ("U", "Q"):
+        block = negate_reverse(block)
+    if kind in ("U", "UD"):
+        return DoubleWeight._trusted(tuple(e + shift for e in block), (0,) * (n - k))
+    lower = (0,) * (n - k) if kind == "O" else block
+    return DoubleWeight._trusted((shift,) * k, lower)
 
 
 def _atom_list(a: BundleExpr) -> list[tuple[str, int]]:
@@ -265,8 +239,9 @@ def _atom_list(a: BundleExpr) -> list[tuple[str, int]]:
     return atoms
 
 
-def _graded_power(a: BundleExpr, m: int, per_atom) -> BundleExpr:
-    """Expand a power of a direct sum of atoms with the binomial rule."""
+def _graded_power(a: BundleExpr, m: int, label) -> BundleExpr:
+    """Expand a power of a direct sum of atoms with the binomial rule; the
+    degree-j power of one atom is its Schur functor S_{label(j)}."""
     if m < 0:
         raise RankError(f"power must be >= 0, got {m}")
     k, n = a.ambient
@@ -278,7 +253,7 @@ def _graded_power(a: BundleExpr, m: int, per_atom) -> BundleExpr:
 
     @cache
     def factor(atom: tuple[str, int], j: int) -> BundleExpr:
-        w = per_atom(atom[0], atom[1], j, k, n)
+        w = _atom_power(atom[0], atom[1], label(j), k, n)
         return zero(k, n) if w is None else _expr(k, n, {w: 1})
 
     if len(atoms) == 1:
@@ -304,12 +279,12 @@ def _graded_power(a: BundleExpr, m: int, per_atom) -> BundleExpr:
 
 def sym_power(a: BundleExpr, m: int) -> BundleExpr:
     """Sym^m of an atom twist or a direct sum of atom twists."""
-    return _graded_power(a, m, _atom_sym)
+    return _graded_power(a, m, lambda j: (j,))
 
 
 def wedge_power(a: BundleExpr, m: int) -> BundleExpr:
     """wedge^m of an atom twist or a direct sum of atom twists."""
-    return _graded_power(a, m, _atom_wedge)
+    return _graded_power(a, m, lambda j: (1,) * j)
 
 
 def _block_orbit(block: Weight) -> list[Weight]:
@@ -338,7 +313,7 @@ def wedge_characters(a: BundleExpr) -> list[dict[Weight, int]]:
     for kind, t in _atom_list(a):
         heads = []
         for j in range(_atom_rank(kind, k, n) + 1):
-            w = _atom_wedge(kind, t, j, k, n)
+            w = _atom_power(kind, t, (1,) * j, k, n)
             heads.append(
                 [u + v for u in _block_orbit(w.upper) for v in _block_orbit(w.lower)]
             )

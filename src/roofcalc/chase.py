@@ -81,6 +81,9 @@ class Form:
 
 _UNBOUNDED = None
 
+# Sweeps of bound propagation before `propagate` gives up on convergence.
+MAX_SWEEPS = 2000
+
 
 class LinearSystem:
     """Variables with integer boxes, substitutions, and >=0 constraints."""
@@ -166,7 +169,7 @@ class LinearSystem:
             hi = None if (hi is None or term_hi is None) else hi + term_hi
         return lo, hi
 
-    def propagate(self, max_sweeps: int = 2000) -> None:
+    def propagate(self) -> None:
         reduced = [self.reduce(f) for f in self.ineqs]
         reduced = [f for f in reduced if f.coeffs or f.const < 0]
         for f in reduced:
@@ -175,7 +178,7 @@ class LinearSystem:
                     "chase", f"inconsistent chase: {f.const} >= 0"
                 )
         boxes = self.boxes
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             changed = False
             for f in reduced:
                 # upper bound of f over the boxes, skipping unbounded terms

@@ -38,7 +38,6 @@ from .hodge import (
     ZeroLocusSpec,
     check_pair_theorem,
     hodge_numbers,
-    pair_invariants,
     pair_specs,
 )
 from .lr import lr_product
@@ -168,8 +167,8 @@ def _cmd_hodge(args) -> int:
 def _cmd_pair(args) -> int:
     t0 = time.perf_counter()
     k, n = args.k, args.n
-    inv = pair_invariants(k, n)
     report = check_pair_theorem(k, n)
+    inv = report.invariants
     spec1, spec2 = pair_specs(k, n)
     ok_leq, residual = (None, None)
     if report.diamond1.fully_exact() and report.diamond2.fully_exact():

@@ -2,7 +2,11 @@
 
 For X = Z(s) with s a general section of a globally generated, completely
 reducible bundle F of rank r, h^{p,q}(X) = h^q(X, Omega^p_X) is computed by
-one of two routes, chosen by `bundles.is_ample(F)`:
+one of two routes, chosen by `bundles.is_ample(F)`.  Both read the same
+Koszul stage: `_conormal_rows` yields, for each degree j, the terms
+Sym^{j-t} F* (x) Omega^t_G of wedge^j of the conormal sequence, building
+each Sym^m F* and Omega^t once, and `bundles.wedge_characters` gives the
+torus characters of the wedge^s F* that resolve their restrictions to X.
 
   1. Lefschetz route, when every summand of F is ample.  Sommese's
      Lefschetz theorem for ample vector bundles (Lazarsfeld, Positivity II,
@@ -19,9 +23,9 @@ one of two routes, chosen by `bundles.is_ample(F)`:
   2. Chase route, for every other F (e.g. U*, Q or U* + O(1) on G(2,5)).
      Every term (Sym^{p-t} F* (x) Omega^t_G)|_X of the exterior power of
      the conormal sequence is resolved by the Koszul complex of wedge powers
-     of F*; the hypercohomology spectral sequence is solved antidiagonal-wise
-     (differentials raise total degree by one and vanish outside
-     [0, dim X]).  Only the per-degree totals of H^*(G, wedge^s F* (x)
+     of F* (`_koszul_totals`); the hypercohomology spectral sequence is
+     solved antidiagonal-wise (differentials raise total degree by one and
+     vanish outside [0, dim X]).  Only the per-degree totals of H^*(G, wedge^s F* (x)
      Sym^{p-t} F* (x) Omega^t_G) enter, so wedge^s F* is never multiplied
      out: its torus character goes straight into `bwb.tensor_cohomology`,
      which sums Klimyk's signed weights through Bott's sort.  Terms of
@@ -251,11 +255,17 @@ def _wedge_characters(spec: ZeroLocusSpec) -> list[dict[Weight, int]]:
     return bundles.wedge_characters(bundles.dual(f))
 
 
-def _conormal_term(spec: ZeroLocusSpec, f_dual: BundleExpr, j: int, t: int) -> BundleExpr:
-    """Sym^{j-t} F* (x) Omega^t_G, the t-th term of wedge^j of the conormal
-    sequence, before restriction to X."""
-    sym = bundles.sym_power(f_dual, j - t)
-    return bundles.tensor(sym, bundles.cotangent_power(spec.k, spec.n, t))
+def _conormal_rows(spec: ZeroLocusSpec, top: int):
+    """Rows j = 0..top of the exterior powers of the conormal sequence:
+    row j lists Sym^{j-t} F* (x) Omega^t_G for t = 0..j, before restriction
+    to X.  Each Sym^m F* and Omega^t is built once, when its row comes up."""
+    f_dual = bundles.dual(spec.bundle)
+    syms: list[BundleExpr] = []
+    omegas: list[BundleExpr] = []
+    for j in range(top + 1):
+        syms.append(bundles.sym_power(f_dual, j))
+        omegas.append(bundles.cotangent_power(spec.k, spec.n, j))
+        yield [bundles.tensor(syms[j - t], omegas[t]) for t in range(j + 1)]
 
 
 def _euler_columns(spec: ZeroLocusSpec, top: int) -> list[int]:
@@ -266,54 +276,27 @@ def _euler_columns(spec: ZeroLocusSpec, top: int) -> list[int]:
         for nu, c in character.items():
             koszul[nu] = koszul.get(nu, 0) + sign * c
     koszul = {nu: c for nu, c in koszul.items() if c}
-    f_dual = bundles.dual(spec.bundle)
     return [
         sum(
-            (-1) ** (p - t)
-            * euler_characteristic(_conormal_term(spec, f_dual, p, t), koszul)
-            for t in range(p + 1)
+            (-1) ** (p - t) * euler_characteristic(base, koszul)
+            for t, base in enumerate(row)
         )
-        for p in range(top + 1)
+        for p, row in enumerate(_conormal_rows(spec, top))
     ]
 
 
-class _Pipeline:
-    """One zero-locus computation: term expansion plus the linear chase."""
-
-    def __init__(self, spec: ZeroLocusSpec):
-        self.spec = spec
-        self.dim_x = spec.dim
-        self.f_dual = bundles.dual(spec.bundle)
-        self.wedge_characters = _wedge_characters(spec)
-
-    def conormal_term(self, j: int, t: int) -> BundleExpr:
-        return _conormal_term(self.spec, self.f_dual, j, t)
-
-    def koszul_data(self, j: int, t: int) -> tuple[dict[int, int], int]:
-        """Antidiagonal totals and chi of the Koszul resolution of
-        (Sym^{j-t}F* (x) Omega^t_G)|_X."""
-        base = self.conormal_term(j, t)
-        totals: dict[int, int] = {}
-        chi = 0
-        for s, character in enumerate(self.wedge_characters):
-            for degree, dim in tensor_cohomology(base, character).items():
-                totals[degree - s] = totals.get(degree - s, 0) + dim
-                chi += (-1) ** (s + degree) * dim
-        return totals, chi
-
-    def restricted_forms(
-        self, system: LinearSystem, totals: dict[int, int]
-    ) -> list[Form]:
-        flow = spectral_flow(system, totals, low=0, high=self.dim_x)
-        return [flow.get(q, Form.of(0)) for q in range(self.dim_x + 1)]
-
-    def column_forms(
-        self, system: LinearSystem, per_t: list[tuple[dict[int, int], int]]
-    ) -> tuple[list[Form], int]:
-        vectors = [self.restricted_forms(system, totals) for totals, _ in per_t]
-        j = len(per_t) - 1
-        chi = sum((-1) ** (j - t) * c for t, (_, c) in enumerate(per_t))
-        return les_chain(system, vectors[0], vectors[1:], top=self.dim_x), chi
+def _koszul_totals(
+    base: BundleExpr, characters: list[dict[Weight, int]]
+) -> tuple[dict[int, int], int]:
+    """Antidiagonal totals and chi of the Koszul resolution of base|_X, where
+    characters[s] is the torus character of wedge^s F*."""
+    totals: dict[int, int] = {}
+    chi = 0
+    for s, character in enumerate(characters):
+        for degree, dim in tensor_cohomology(base, character).items():
+            totals[degree - s] = totals.get(degree - s, 0) + dim
+            chi += (-1) ** (s + degree) * dim
+    return totals, chi
 
 
 def _intersect(a: tuple[int, int], b: tuple[int, int], where: str) -> tuple[int, int]:
@@ -406,14 +389,20 @@ def _chase_diamond(spec: ZeroLocusSpec) -> HodgeDiamond:
     """Diamond of the zero locus by the Koszul/conormal chase and the
     symmetry fixpoint; entries it cannot force stay intervals."""
     d = spec.dim
-    pipeline = _Pipeline(spec)
+    characters = _wedge_characters(spec)
     grid: list[list[tuple[int, int]]] = []
     chis: list[int] = []
-    for j in range(d + 1):
+    for j, row in enumerate(_conormal_rows(spec, d)):
         # one system per column keeps its rank correlations undiluted
         system = LinearSystem()
-        per_t = [pipeline.koszul_data(j, t) for t in range(j + 1)]
-        forms, chi = pipeline.column_forms(system, per_t)
+        vectors = []
+        chi = 0
+        for t, base in enumerate(row):
+            totals, c = _koszul_totals(base, characters)
+            flow = spectral_flow(system, totals, low=0, high=d)
+            vectors.append([flow.get(q, Form.of(0)) for q in range(d + 1)])
+            chi += (-1) ** (j - t) * c
+        forms = les_chain(system, vectors[0], vectors[1:], top=d)
         system.propagate()
         grid.append([(max(lo, 0), hi) for lo, hi in map(system.bounds, forms)])
         chis.append(chi)

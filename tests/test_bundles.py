@@ -12,7 +12,7 @@ from roofcalc.parser import parse_bundle
 from oracles import projective_space_omega_cohomology, schur_polynomial
 
 
-def recursive_power(a, m, per_atom):
+def recursive_power(a, m, label):
     """The binomial expansion as a recursion over the atoms: the reference
     for `bundles._graded_power`, which folds over them instead."""
     k, n = a.ambient
@@ -21,7 +21,7 @@ def recursive_power(a, m, per_atom):
     atoms = bundles._atom_list(a)
 
     def factor(atom, j):
-        w = per_atom(atom[0], atom[1], j, k, n)
+        w = bundles._atom_power(atom[0], atom[1], label(j), k, n)
         return bundles.zero(k, n) if w is None else bundles.irreducible(k, n, w.upper, w.lower)
 
     def rec(i, budget):
@@ -35,6 +35,48 @@ def recursive_power(a, m, per_atom):
         return out
 
     return rec(0, m)
+
+
+def atom_sym_table(kind, t, m, k, n):
+    """Sym^m of the atom `kind` twisted by O(t), written out per kind: the
+    reference for `bundles._atom_power` with the label (m,)."""
+    lo0 = (0,) * (n - k)
+    if kind == "O":
+        return DoubleWeight((m * t,) * k, lo0)
+    mt = m * t
+    if kind == "UD":
+        return DoubleWeight((mt + m,) + (mt,) * (k - 1), lo0)
+    if kind == "U":
+        return DoubleWeight((mt,) * (k - 1) + (mt - m,), lo0)
+    if kind == "QD":
+        return DoubleWeight((mt,) * k, (m,) + (0,) * (n - k - 1))
+    if kind == "Q":
+        return DoubleWeight((mt,) * k, (0,) * (n - k - 1) + (-m,))
+    raise AssertionError(kind)
+
+
+def atom_wedge_table(kind, t, m, k, n):
+    """wedge^m of the atom `kind` twisted by O(t), None when it vanishes,
+    written out per kind: the reference for `bundles._atom_power` with the
+    label (1^m)."""
+    r = bundles._atom_rank(kind, k, n)
+    if m > r:
+        return None
+    if m == 0:
+        return DoubleWeight((0,) * k, (0,) * (n - k))
+    lo0 = (0,) * (n - k)
+    mt = m * t
+    if kind == "O":
+        return DoubleWeight((t,) * k, lo0)
+    if kind == "UD":
+        return DoubleWeight(tuple(mt + 1 if i < m else mt for i in range(k)), lo0)
+    if kind == "U":
+        return DoubleWeight(tuple(mt if i < k - m else mt - 1 for i in range(k)), lo0)
+    if kind == "QD":
+        return DoubleWeight((mt,) * k, tuple(1 if i < m else 0 for i in range(n - k)))
+    if kind == "Q":
+        return DoubleWeight((mt,) * k, tuple(0 if i < n - k - m else -1 for i in range(n - k)))
+    raise AssertionError(kind)
 
 
 class TestTensor:
@@ -150,10 +192,31 @@ class TestSymWedge:
         ]:
             e = bundles.direct_sum(*parts)
             for m in range(5):
-                assert bundles.sym_power(e, m) == recursive_power(e, m, bundles._atom_sym)
+                assert bundles.sym_power(e, m) == recursive_power(e, m, lambda j: (j,))
                 assert bundles.wedge_power(e, m) == recursive_power(
-                    e, m, bundles._atom_wedge
+                    e, m, lambda j: (1,) * j
                 )
+
+    def test_atom_power_matches_tables(self):
+        checked = 0
+        for k, n in [(1, 4), (2, 5), (3, 6), (3, 7), (4, 5)]:
+            # U/UD on k = 1 and Q/QD on n - k = 1 are line bundles, so O(t)
+            kinds = ["O"] + [
+                kind
+                for kind in ("U", "UD", "Q", "QD")
+                if bundles._atom_rank(kind, k, n) >= 2
+            ]
+            for kind in kinds:
+                r = bundles._atom_rank(kind, k, n)
+                for t in range(-2, 3):
+                    for m in range(r + 2):
+                        where = (kind, t, m, k, n)
+                        sym = bundles._atom_power(kind, t, (m,), k, n)
+                        assert sym == atom_sym_table(kind, t, m, k, n), where
+                        wedge = bundles._atom_power(kind, t, (1,) * m, k, n)
+                        assert wedge == atom_wedge_table(kind, t, m, k, n), where
+                        checked += 1
+        assert checked > 300
 
     def test_many_summands_do_not_recurse(self):
         # more atoms than the interpreter's default recursion limit

@@ -11,7 +11,9 @@ from roofcalc.hodge import (
     HodgeDiamond,
     ZeroLocusSpec,
     _chase_diamond,
-    _Pipeline,
+    _conormal_rows,
+    _koszul_totals,
+    _wedge_characters,
     ambient_diamond,
     check_pair_theorem,
     hodge_numbers,
@@ -87,15 +89,15 @@ class TestPointCounts:
             point_count(hyperplane(3))
 
 
-def koszul_data_lr(pipeline, j, t):
+def koszul_data_lr(spec, base):
     """The Koszul totals by Littlewood-Richardson: expand each
     wedge^s F* (x) base into irreducibles and run Bott on every one.  The
-    reference for `_Pipeline.koszul_data`, which never expands the tensor."""
-    base = pipeline.conormal_term(j, t)
+    reference for `_koszul_totals`, which never expands the tensor."""
+    f_dual = bundles.dual(spec.bundle)
     totals = {}
     chi = 0
-    for s in range(bundles.rank(pipeline.spec.bundle) + 1):
-        term = bundles.tensor(bundles.wedge_power(pipeline.f_dual, s), base)
+    for s in range(bundles.rank(spec.bundle) + 1):
+        term = bundles.tensor(bundles.wedge_power(f_dual, s), base)
         for w, mult in term.terms:
             res = bott(w)
             if not res.acyclic:
@@ -149,16 +151,40 @@ class TestKoszulKernel:
                 except RankError:
                     continue
             for spec in specs[:2]:
-                pipeline = _Pipeline(spec)
-                for j in range(spec.dim + 1):
-                    for t in range(j + 1):
-                        assert pipeline.koszul_data(j, t) == koszul_data_lr(
-                            pipeline, j, t
+                characters = _wedge_characters(spec)
+                for j, row in enumerate(_conormal_rows(spec, spec.dim)):
+                    for t, base in enumerate(row):
+                        assert _koszul_totals(base, characters) == koszul_data_lr(
+                            spec, base
                         ), (text, spec.k, spec.n, j, t)
                         checked += 1
         assert checked > 100
         # the sign path: terms whose blocks need reordering, some an odd number of times
         assert seen["reordered"] > 0 and seen["odd"] > 0
+
+
+class TestConormalRows:
+    @pytest.mark.parametrize(
+        "k, n, text, top",
+        [
+            # Y1 of the (4,9) pair: Lefschetz route, columns p <= d/2 = 7
+            (4, 9, "QD*O(2)", 7),
+            # not ample: chase route, every column p <= d = 8
+            (3, 7, "UD+O(1)", 8),
+        ],
+    )
+    def test_each_power_built_once(self, monkeypatch, k, n, text, top):
+        spec = ZeroLocusSpec(k, n, parse_bundle(text, k, n))
+        calls = Counter()
+        for name in ("sym_power", "cotangent_power"):
+            def counted(*args, _fn=getattr(bundles, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(bundles, name, counted)
+        hodge_numbers(spec)
+        assert 0 < calls["sym_power"] <= top + 1
+        assert 0 < calls["cotangent_power"] <= top + 1
 
 
 class TestLefschetzRoute:
