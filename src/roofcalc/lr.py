@@ -11,12 +11,16 @@ checked while distributing each value.  Rows beyond the requested rank are
 pruned, which is exactly the GL(r) truncation (columns taller than r vanish).
 
 Negative entries are handled by the uniform shift S_{lam + c*1} = S_lam (x) det^c.
+The one cache sits on `_lr_terms`, the unchecked core behind both
+`lr_product` and `lr_double_product`, so a repeated product costs a lookup
+with no shifting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import AmbientMismatchError, RankError
 from .weights import DoubleWeight, Weight, check_dominant
@@ -39,60 +43,74 @@ class SchurSum:
         return len(self.terms)
 
 
-@lru_cache(maxsize=None)
-def _lr_partitions(inner: Weight, content: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
-    """Expand s_inner * s_content for partitions, rows truncated at `rank`."""
-    results: dict[Weight, int] = {}
-    # zero parts place no boxes; dropping them keeps the recursion as deep as
-    # the content's nonzero rows rather than as deep as the rank
-    content = tuple(e for e in content if e > 0)
-    nrows = len(content)
+def _strips(
+    shape: tuple[int, ...], prev: tuple[int, ...], v: int, size: int, rank: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every way to add a horizontal strip of `size` copies of value v to
+    `shape`, as (new shape, strip row counts); `prev` is value v-1's strip.
 
-    def place(v: int, shape: tuple[int, ...], prev: tuple[int, ...]) -> None:
-        if v == nrows:
-            key = shape + (0,) * (rank - len(shape))
-            results[key] = results.get(key, 0) + 1
+    Row j of the strip is capped by the interlacing bound (old row j-1) and
+    by the ballot prefix bound against the previous value's row counts."""
+    rows = len(shape)
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def rec(j: int, remaining: int, acc: tuple[int, ...], prefix_v: int, prefix_prev: int) -> None:
+        if remaining == 0:
+            grow = len(acc) - rows
+            if grow > 0:
+                out.append((tuple(map(add, shape + (0,) * grow, acc)), acc))
+            else:
+                strip = acc + (0,) * -grow
+                out.append((tuple(map(add, shape, strip)), strip))
             return
-        size = content[v]
-        rows = len(shape)
-
-        # Distribute `size` copies of value v over rows; row j of the new
-        # strip is capped by the interlacing bound (old row j-1) and by the
-        # ballot prefix bound against the previous value's row counts.
-        def rec(j: int, remaining: int, acc: tuple[int, ...], prefix_v: int, prefix_prev: int) -> None:
-            if remaining == 0:
-                new_shape = tuple(
-                    (shape[i] if i < rows else 0) + (acc[i] if i < len(acc) else 0)
-                    for i in range(max(rows, len(acc)))
-                )
-                place(v + 1, new_shape, acc + (0,) * (max(rows, len(acc)) - len(acc)))
+        if j >= rank:
+            return
+        old_j = shape[j] if j < rows else 0
+        old_above = shape[j - 1] if 0 < j <= rows else (10**9 if j == 0 else 0)
+        cap = old_above - old_j  # interlacing: new row j <= old row j-1
+        if v > 0:
+            cap = min(cap, prefix_prev - prefix_v)  # ballot prefix bound
+        cap = min(cap, remaining)
+        if cap < 0:
+            cap = -1
+        next_prev = prefix_prev + (prev[j] if v > 0 and j < len(prev) else 0)
+        for a in range(cap, -1, -1):
+            if a == 0 and old_j == 0 and remaining > 0:
+                # rows below an empty row are empty; nothing can be placed
                 return
-            if j >= rank:
-                return
-            old_j = shape[j] if j < rows else 0
-            old_above = shape[j - 1] if 0 < j <= rows else (10**9 if j == 0 else 0)
-            cap = old_above - old_j  # interlacing: new row j <= old row j-1
-            if v > 0:
-                cap = min(cap, prefix_prev - prefix_v)  # ballot prefix bound
-            cap = min(cap, remaining)
-            if cap < 0:
-                cap = -1
-            next_prev = prefix_prev + (prev[j] if v > 0 and j < len(prev) else 0)
-            for a in range(cap, -1, -1):
-                if a == 0 and old_j == 0 and remaining > 0:
-                    # rows below an empty row are empty; nothing can be placed
-                    return
-                rec(j + 1, remaining - a, acc + (a,), prefix_v + a, next_prev)
+            rec(j + 1, remaining - a, acc + (a,), prefix_v + a, next_prev)
 
-        rec(0, size, (), 0, 0)
+    rec(0, size, (), 0, 0)
+    return out
 
-    place(0, tuple(e for e in inner if e > 0), ())
+
+def _lr_partitions(inner: Weight, content: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
+    """Expand s_inner * s_content for partitions, rows truncated at `rank`.
+
+    Values are placed one at a time: all strips of value v are collected
+    before value v+1 is placed, so the recursion is only as deep as the rank.
+    Partial tableaux that reach the same (shape, last strip) are merged with
+    a count, since the rest of the placement depends on nothing else."""
+    # zero parts place no boxes, so they are dropped from both partitions
+    states = {(tuple(e for e in inner if e > 0), ()): 1}
+    for v, size in enumerate(e for e in content if e > 0):
+        placed: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (shape, prev), count in states.items():
+            for state in _strips(shape, prev, v, size, rank):
+                placed[state] = placed.get(state, 0) + count
+        states = placed
+    results: dict[Weight, int] = {}
+    for (shape, _), count in states.items():
+        key = shape + (0,) * (rank - len(shape))
+        results[key] = results.get(key, 0) + count
     return tuple(sorted(results.items(), reverse=True))
 
 
+@lru_cache(maxsize=None)
 def _lr_terms(lam: Weight, mu: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
-    """`lr_product`'s terms, unchecked: negative entries are shifted away,
-    expanded and shifted back, which keeps the terms lex-descending."""
+    """`lr_product`'s terms, unchecked and cached: negative entries are
+    shifted away, expanded and shifted back, which keeps the terms
+    lex-descending."""
     ca = -min(lam[-1], 0)
     cb = -min(mu[-1], 0)
     a = tuple(e + ca for e in lam)

@@ -7,14 +7,20 @@ space turns each Ext group into cohomology on the base of
 
     dual(E) (x) E' (x) Sym^m(A(2))        (A = Q* downstairs, U upstairs)
 
-summed over m >= 0; the verifier expands every summand and runs Borel-Weil-
-Bott on it, recording any positive-degree survivor.  The sum over m is
-truncated at m_max, and at the cut-off we additionally record whether every
-summand is already fully ordered, in which case larger m only multiplies in
-more fully ordered rows and the remaining tail provably stays in degree zero.
+summed over m >= 0, truncated at m_max.  A summand whose total sequence is
+fully ordered has cohomology in degree 0 only (Borel-Weil), so the verifier
+runs Borel-Weil-Bott on the other summands alone and records any
+positive-degree survivor.  At the cut-off it also records whether every
+summand is fully ordered, in which case larger m only multiplies in more
+fully ordered rows and the remaining tail provably stays in degree zero.
 
 One loop (`_check_pairs`) serves both sides: it takes the labelled members
 and the atom A(2), and the two public checks differ only in those inputs.
+About half the pairs share their product dual(E) (x) E' with another pair:
+wedge^a Q is wedge^(r-a) Q* (x) det Q, so the wedge labels (a, b) and
+(r-b, r-a) meet in one product.  The loop therefore keeps the survivors and
+the tail flag of each distinct product and files them under each pair's
+labels.
 """
 
 from __future__ import annotations
@@ -92,19 +98,25 @@ def bar_moved_collection(c: Collection) -> Collection:
     return Collection(c.k + 1, c.n, members)
 
 
-def _record_positive_degrees(
-    expr: BundleExpr,
-    lam: Weight,
-    lam_prime: Weight,
-    m: int,
-    failures: list[VanishingFailure],
-) -> None:
-    for w, _ in expr.terms:
-        res = bott(w)
-        if not res.acyclic and res.degree > 0:
-            failures.append(
-                VanishingFailure(lam, lam_prime, m, res.degree, w.concat())
-            )
+def _survivors(
+    pair_part: BundleExpr, syms: list[BundleExpr]
+) -> tuple[list[tuple[int, int, Weight]], bool]:
+    """Positive-degree summands of pair_part (x) Sym^m(atom) for each m, as
+    (m, degree, total sequence), and whether every summand at m = m_max is
+    fully ordered.  A fully ordered summand has cohomology in degree 0 only,
+    so Bott runs on the others alone."""
+    survivors: list[tuple[int, int, Weight]] = []
+    for m, sym in enumerate(syms):
+        ordered = True
+        for w, _ in bundles.tensor(pair_part, sym).terms:
+            if w.is_fully_ordered():
+                continue
+            ordered = False
+            res = bott(w)
+            if not res.acyclic and res.degree > 0:
+                survivors.append((m, res.degree, w.concat()))
+    # `ordered` now describes the m = m_max summand
+    return survivors, ordered
 
 
 def _check_pairs(
@@ -114,22 +126,27 @@ def _check_pairs(
 ) -> VanishingReport:
     """Expand dual(w) (x) w' (x) Sym^m(atom) for every ordered pair of
     labelled members and 0 <= m <= report.m_max, recording failures under
-    the labels."""
+    the labels.  Pairs with the same product dual(w) (x) w' share one
+    expansion."""
     k, n = atom.ambient
     syms = [bundles.sym_power(atom, m) for m in range(report.m_max + 1)]
     exprs = [
         (label, bundles.irreducible(k, n, w.upper, w.lower)) for label, w in members
     ]
+    memo: dict[BundleExpr, tuple[list[tuple[int, int, Weight]], bool]] = {}
     for label, e in exprs:
         dual_expr = bundles.dual(e)
         for label_prime, e_prime in exprs:
             report.checked_pairs += 1
             pair_part = bundles.tensor(dual_expr, e_prime)
-            for m, sym in enumerate(syms):
-                expr = bundles.tensor(pair_part, sym)
-                _record_positive_degrees(expr, label, label_prime, m, report.failures)
-            # expr is the m = m_max summand
-            if not bundles.is_globally_generated(expr):
+            if pair_part not in memo:
+                memo[pair_part] = _survivors(pair_part, syms)
+            survivors, ordered = memo[pair_part]
+            report.failures.extend(
+                VanishingFailure(label, label_prime, m, degree, weight)
+                for m, degree, weight in survivors
+            )
+            if not ordered:
                 report.tail_certified = False
     return report
 

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from roofcalc.bwb import gl_dimension
+from roofcalc.cli import main
 from roofcalc.errors import AmbientMismatchError, RankError
 from roofcalc.lr import lr_double_product, lr_product
 from roofcalc.weights import DoubleWeight
@@ -92,6 +95,29 @@ class TestLrProduct:
                         c * gl_dimension(nu) for nu, c in lr_product(a, b, rank)
                     )
                     assert total == gl_dimension(a) * gl_dimension(b)
+
+
+class TestDeepInputs:
+    """Many content rows at a large rank: the tableau recursion must stay as
+    deep as the rank, not as rows times values."""
+
+    HALF = (1,) * 30 + (0,) * 30  # wedge^30 of the standard rank-60 module
+
+    def test_cli_rank_60(self, capsys):
+        weight = ",".join(map(str, self.HALF))
+        code = main(["lr", "--rank", "60", "--a", weight, "--b", weight])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert len(doc["outputs"]["terms"]) == 31
+
+    def test_dimension_sum_rank_60(self):
+        total = sum(
+            c * gl_dimension(nu) for nu, c in lr_product(self.HALF, self.HALF, 60)
+        )
+        assert total == gl_dimension(self.HALF) ** 2
 
 
 class TestLrDoubleProduct:

@@ -1,15 +1,44 @@
 import pytest
 
-from roofcalc import bundles
+from roofcalc import bundles, windows
 from roofcalc.bwb import bott
 from roofcalc.errors import RankError
 from roofcalc.weights import DoubleWeight, bar_move, dual_schur_q, enumerate_box
 from roofcalc.windows import (
+    VanishingFailure,
     bar_moved_collection,
     check_tilting_minus,
     check_tilting_plus,
     kapranov_collection,
 )
+
+
+def check_pairs_reference(report, members, atom):
+    """`windows._check_pairs` without its shortcuts: every pair is expanded
+    on its own and Bott runs on every summand."""
+    k, n = atom.ambient
+    syms = [bundles.sym_power(atom, m) for m in range(report.m_max + 1)]
+    exprs = [
+        (label, bundles.irreducible(k, n, w.upper, w.lower)) for label, w in members
+    ]
+    for label, e in exprs:
+        dual_expr = bundles.dual(e)
+        for label_prime, e_prime in exprs:
+            report.checked_pairs += 1
+            pair_part = bundles.tensor(dual_expr, e_prime)
+            for m, sym in enumerate(syms):
+                expr = bundles.tensor(pair_part, sym)
+                for w, _ in expr.terms:
+                    res = bott(w)
+                    if not res.acyclic and res.degree > 0:
+                        report.failures.append(
+                            VanishingFailure(label, label_prime, m, res.degree, w.concat())
+                        )
+            # expr is the m = m_max summand
+            if not bundles.is_globally_generated(expr):
+                report.tail_certified = False
+    return report
+
 
 # the negative control check_tilting_minus(4, 8, box_cap=2), as
 # (lam, lam', m, degree, weight) in the order recorded
@@ -194,3 +223,68 @@ class TestTiltingChecks:
             check_tilting_plus(3, 8)
         with pytest.raises(RankError):
             check_tilting_minus(5, -1)
+
+
+class TestSharedExpansion:
+    """`_check_pairs` expands each distinct pair product once and runs Bott
+    only on summands that are not fully ordered; the reports must not move."""
+
+    CASES = (
+        [("minus", n, 1) for n in range(4, 8)]
+        + [("plus", n, 1) for n in range(4, 8)]
+        + [("minus", 4, 2), ("minus", 5, 2)]
+    )
+
+    @staticmethod
+    def report(side, n, box_cap):
+        if side == "minus":
+            return check_tilting_minus(n, 8, box_cap=box_cap)
+        return check_tilting_plus(n, 8)
+
+    @pytest.mark.parametrize("side,n,box_cap", CASES)
+    def test_matches_reference(self, monkeypatch, side, n, box_cap):
+        got = self.report(side, n, box_cap)
+        monkeypatch.setattr(windows, "_check_pairs", check_pairs_reference)
+        want = self.report(side, n, box_cap)
+        assert (got.checked_pairs, got.tail_certified) == (
+            want.checked_pairs, want.tail_certified,
+        )
+        assert got.failures == want.failures
+        if box_cap == 2:
+            assert want.failures
+
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    def test_work_done_once(self, monkeypatch, side):
+        n, m_max = 8, 8
+        if side == "minus":
+            k, weights = 1, [DoubleWeight((0,), lam) for lam in enumerate_box(n - 1, 1)]
+            check = check_tilting_minus
+        else:
+            k, weights = 2, list(bar_moved_collection(kapranov_collection(1, n)))
+            check = check_tilting_plus
+        exprs = [bundles.irreducible(k, n, w.upper, w.lower) for w in weights]
+        products = {
+            bundles.tensor(bundles.dual(e), e_prime) for e in exprs for e_prime in exprs
+        }
+        bott_args = []
+        tensor_calls = 0
+        tensor = bundles.tensor
+
+        def counted_bott(w):
+            bott_args.append(w)
+            return bott(w)
+
+        def counted_tensor(a, b):
+            nonlocal tensor_calls
+            tensor_calls += 1
+            return tensor(a, b)
+
+        monkeypatch.setattr(windows, "bott", counted_bott)
+        monkeypatch.setattr(bundles, "tensor", counted_tensor)
+        report = check(n, m_max)
+        assert bott_args
+        assert not any(w.is_fully_ordered() for w in bott_args)
+        pairs = len(exprs) ** 2
+        assert report.checked_pairs == pairs
+        assert len(products) < pairs
+        assert tensor_calls == pairs + len(products) * (m_max + 1)
