@@ -11,25 +11,22 @@ The sort here is to the strictly *decreasing* chamber: dominant total
 sequences must land in degree zero with H^0 the space of sections, which
 the trivial examples pin down.
 
-Klimyk-Bott shortcut (`tensor_cohomology`).  The cohomology of E (x) W, for
-E irreducible with label lam and W any representation of the Levi
-L = GL(k) x GL(n-k), needs no Littlewood-Richardson decomposition.  By
-Klimyk's formula (Racah-Speiser reflection), E (x) W is the signed sum over
-the weights nu of W of the L-irreducible obtained by sorting lam + nu + rho_L
-within each block, with sign (-1)^(within-block inversions), or zero if that
-has a repeat.  Since rho_G - rho_L is constant on each block, Bott's theorem
-then acts on the same sequence seq = lam + nu + rho_G, sorted within blocks.
-So each weight contributes sign * |prod_{i<j} (seq_i - seq_j)| / prod_{i<j}
-(j - i) in degree (cross-block inversions of seq), and nothing if seq has a
-repeated entry.  Two terms that cancel in Klimyk's sum are the same
-L-irreducible and so have the same degree: per-degree totals are exact.
+Klimyk-Bott shortcut.  The cohomology of E (x) W, for E irreducible with
+label lam and W any representation of the Levi L = GL(k) x GL(n-k), needs
+no Littlewood-Richardson decomposition.  By Klimyk's formula (Racah-Speiser
+reflection), E (x) W is the signed sum over the weights nu of W of the
+L-irreducible obtained by sorting lam + nu + rho_L within each block, with
+sign (-1)^(within-block inversions), or zero if that has a repeat.  Since
+rho_G - rho_L is constant on each block, Bott's theorem then acts on the
+same sequence seq = lam + nu + rho_G, sorted within blocks.
 
-Euler characteristics (`euler_characteristic`) need even less.  The plain
-Vandermonde prod_{i<j} (seq_i - seq_j) is zero on a repeated entry and
-carries the sign (-1)^(all inversions), which is the Klimyk sign times
-(-1)^degree.  So chi(G, E (x) W) is the sum of the Vandermondes of all
-seq = lam + nu + rho_G, weighted by multiplicities, over prod_{i<j} (j - i):
-no repeat test, no inversion count and one division.
+One walk, `_sequences`, yields every such seq without a repeated entry,
+and `bott` (W trivial), `tensor_cohomology` and `euler_characteristic` read
+it.  The Vandermonde prod_{i<j} (seq_i - seq_j) carries the Klimyk sign
+times (-1)^degree, degree being the cross-block inversions of seq, so
+`tensor_cohomology` buckets (-1)^degree times it by degree (terms that
+cancel are the same L-irreducible, in the same degree, so the totals are
+exact) and `euler_characteristic` just sums it.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations, product, repeat, starmap
 from math import factorial, prod
 from operator import add, lt, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .weights import DoubleWeight, Weight, check_dominant
 
@@ -68,34 +65,40 @@ def _weyl_quotient(num: int, n: int) -> int:
     return q
 
 
-def _bott_sort(seq: Weight, k: int) -> tuple[int, int] | None:
-    """Bott's sort of a rho-shifted sequence whose first k entries form the
-    upper block.
+def _sequences(
+    terms: Iterable[tuple[DoubleWeight, int]], n: int, character: dict[Weight, int]
+) -> Iterator[tuple[int, Weight]]:
+    """(mult * c, seq) for each term (lam, mult) and weight nu of multiplicity
+    c in `character`, with seq = lam + nu + rho; sequences with a repeated
+    entry have no cohomology and are skipped."""
+    r = rho(n)
+    for w, mult in terms:
+        shifted = tuple(map(add, w.concat(), r))
+        for nu, c in character.items():
+            seq = tuple(map(add, shifted, nu))
+            if len(set(seq)) == n:
+                yield mult * c, seq
 
-    None when an entry repeats (no cohomology).  Otherwise (degree, num):
-    degree counts the cross-block inversions (i < k <= j with
-    seq_i < seq_j), and num is (-1)^(within-block inversions) times
-    prod_{i<j} |seq_i - seq_j|, the Weyl numerator of the sorted sequence.
-    """
-    if len(set(seq)) < len(seq):
-        return None
-    degree = sum(starmap(lt, product(seq[:k], seq[k:])))
-    num = prod(starmap(sub, combinations(seq, 2)))
-    # num carries (-1)^(all inversions); drop the cross-block ones
-    return degree, -num if degree & 1 else num
+
+def _degree(seq: Weight, k: int) -> int:
+    """Bott degree: the cross-block inversions, i < k <= j with seq_i < seq_j."""
+    return sum(starmap(lt, product(seq[:k], seq[k:])))
+
+
+def _vandermonde(seq: Weight) -> int:
+    """prod_{i<j} (seq_i - seq_j), signed by (-1)^(all inversions)."""
+    return prod(starmap(sub, combinations(seq, 2)))
 
 
 def bott(w: DoubleWeight) -> BottResult:
     """All cohomology of the irreducible homogeneous bundle labelled by w."""
     n = w.n
-    s = tuple(a + b for a, b in zip(w.concat(), rho(n)))
-    res = _bott_sort(s, w.k)
-    if res is None:
-        return BottResult(acyclic=True)
-    # both blocks are dominant, so s has no within-block inversions: num > 0
-    degree, num = res
-    weight = tuple(a - b for a, b in zip(sorted(s, reverse=True), rho(n)))
-    return BottResult(False, degree, weight, _weyl_quotient(num, n))
+    for _, seq in _sequences(((w, 1),), n, {(0,) * n: 1}):
+        # both blocks are dominant, so all inversions are cross-block ones
+        weight = tuple(map(sub, sorted(seq, reverse=True), rho(n)))
+        dim = _weyl_quotient(abs(_vandermonde(seq)), n)
+        return BottResult(False, _degree(seq, w.k), weight, dim)
+    return BottResult(acyclic=True)
 
 
 def gl_dimension(mu: Weight) -> int:
@@ -129,15 +132,11 @@ def tensor_cohomology(
     docstring for why the signed per-degree sums are exact.
     """
     k, n = expr.ambient
-    r = rho(n)
     buckets: dict[int, int] = {}
-    for w, mult in expr.terms:
-        shifted = tuple(map(add, w.concat(), r))
-        for nu, c in character.items():
-            res = _bott_sort(tuple(map(add, shifted, nu)), k)
-            if res is not None:
-                degree, num = res
-                buckets[degree] = buckets.get(degree, 0) + mult * c * num
+    for c, seq in _sequences(expr.terms, n, character):
+        degree = _degree(seq, k)
+        num = _vandermonde(seq)
+        buckets[degree] = buckets.get(degree, 0) + (-c if degree & 1 else c) * num
     out = {}
     for degree, num in sorted(buckets.items()):
         dim = _weyl_quotient(num, n)
@@ -150,15 +149,9 @@ def euler_characteristic(expr: "BundleExpr", character: dict[Weight, int]) -> in
     """chi(G(k,n), E (x) W) with E = `expr` and W given by its `character`,
     as in `tensor_cohomology`; W may be virtual (negative multiplicities).
 
-    Each weight contributes its signed Vandermonde; see the module docstring.
+    The sum of the Vandermondes of the walk; see the module docstring.
     """
-    r = rho(expr.n)
-    num = 0
-    for w, mult in expr.terms:
-        shifted = tuple(map(add, w.concat(), r))
-        num += mult * sum(
-            c * prod(starmap(sub, combinations(map(add, shifted, nu), 2)))
-            for nu, c in character.items()
-        )
-    chi = _weyl_quotient(abs(num), expr.n)
+    n = expr.n
+    num = sum(c * _vandermonde(seq) for c, seq in _sequences(expr.terms, n, character))
+    chi = _weyl_quotient(abs(num), n)
     return chi if num >= 0 else -chi

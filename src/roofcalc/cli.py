@@ -5,8 +5,8 @@ Subcommands mirror the library surface: `bott`, `hodge`, `pair`, `roofs`,
 big integers as decimal strings) unless a text mode is chosen; `--out FILE`
 writes the same bytes to a file.  Exit codes: 0 success, 2 parse error or
 unknown suite or unwritable output file, 3 precondition violation (an input
-beyond the work limit included) or inconsistent chase data, 4 ambiguity,
-5 verification mismatch.
+beyond the work limit or an empty zero locus included) or inconsistent chase
+data, 4 ambiguity, 5 verification mismatch.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .bwb import bott
 from .errors import (
     AmbiguityError,
     DominanceError,
+    EmptyZeroLocusError,
     ExcludedCaseError,
     InconsistentDataError,
     InjectivityViolationError,
@@ -63,6 +64,7 @@ _PRECONDITION_ERRORS = (
     ExcludedCaseError,
     MalformedContractionError,
     WorkLimitError,
+    EmptyZeroLocusError,
 )
 
 

@@ -62,6 +62,10 @@ class WorkLimitError(RoofcalcError, ValueError):
     """An input whose estimated work exceeds a fixed limit of the package."""
 
 
+class EmptyZeroLocusError(RoofcalcError, ValueError):
+    """The zero locus of a general section is empty: its degree is 0."""
+
+
 class InconsistentDataError(RoofcalcError, ArithmeticError):
     """Dimension data that admit no solution at one stage of a computation.
 

@@ -2,13 +2,14 @@
 
 For X = Z(s) with s a general section of a globally generated, completely
 reducible bundle F of rank r, h^{p,q}(X) = h^q(X, Omega^p_X) is computed by
-one of two routes, chosen by `bundles.is_ample(F)`.  Both read the same
-Koszul stage: `_conormal_rows` yields, for each degree j, the terms
+one of two routes, chosen by `bundles.is_ample(F)` and dim X.  Both read
+the same Koszul stage: `_conormal_rows` yields, for each degree j, the terms
 Sym^{j-t} F* (x) Omega^t_G of wedge^j of the conormal sequence, building
 each Sym^m F* and Omega^t once, and `bundles.wedge_characters` gives the
 torus characters of the wedge^s F* that resolve their restrictions to X.
 
-  1. Lefschetz route, when every summand of F is ample.  Sommese's
+  1. Lefschetz route, when every summand of F is ample or dim X = 0 (a
+     point set has the single entry h^{0,0} = chi(O_X)).  Sommese's
      Lefschetz theorem for ample vector bundles (Lazarsfeld, Positivity II,
      7.1) gives h^{p,q}(X) = h^{p,q}(G) for p+q < dim X, and Poincare
      duality gives the entries above the middle row.  Each middle entry then
@@ -20,7 +21,8 @@ torus characters of the wedge^s F* that resolve their restrictions to X.
      wedge^s F* merged into one virtual character, summed by the signed
      Vandermonde kernel `bwb.euler_characteristic`.  No per-degree totals,
      no linear system.
-  2. Chase route, for every other F (e.g. U*, Q or U* + O(1) on G(2,5)).
+  2. Chase route, for every other F with dim X > 0 (e.g. U*, Q or
+     U* + O(1) on G(2,5)).
      Every term (Sym^{p-t} F* (x) Omega^t_G)|_X of the exterior power of
      the conormal sequence is resolved by the Koszul complex of wedge powers
      of F* (`_koszul_totals`); the hypercohomology spectral sequence is
@@ -28,7 +30,7 @@ torus characters of the wedge^s F* that resolve their restrictions to X.
      vanish outside [0, dim X]).  Only the per-degree totals of H^*(G, wedge^s F* (x)
      Sym^{p-t} F* (x) Omega^t_G) enter, so wedge^s F* is never multiplied
      out: its torus character goes straight into `bwb.tensor_cohomology`,
-     which sums Klimyk's signed weights through Bott's sort.  Terms of
+     which sums Klimyk's signed weights by Bott's degree.  Terms of
      opposite sign there are the same irreducible summand, in the same
      degree, so they cancel within one total and every total stays exact.
      The conormal complex itself is then split into short exact sequences
@@ -45,13 +47,19 @@ guessed.  Euler characteristics of columns are alternating sums, hence
 always exact.  Both routes end with the same Euler-column and symmetry
 checks.
 
-Smoothness and generality of the section are recorded assumptions, not
-verified.
+Emptiness is decided, not assumed.  For F not ample, deg X = c_r(F) H^d
+is computed first as the d-th finite difference of m -> chi(X, O(m)), m =
+0..d, each term by the same Euler kernel on lambda_{-1} F*; a general zero
+locus of a globally generated F is empty iff that is 0, and then
+`EmptyZeroLocusError` is raised.  Ample F skips the check: c_r(F) > 0 when
+rank F <= dim G (Fulton-Lazarsfeld 1983).  Smoothness and generality of the
+section are recorded assumptions, not verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from . import bundles
 from .bundles import BundleExpr, _box_partitions
@@ -59,6 +67,7 @@ from .bwb import euler_characteristic, tensor_cohomology
 from .chase import Form, LinearSystem, les_chain, spectral_flow
 from .errors import (
     AmbiguityError,
+    EmptyZeroLocusError,
     InconsistentDataError,
     InjectivityViolationError,
     PlethysmRequiredError,
@@ -268,14 +277,19 @@ def _conormal_rows(spec: ZeroLocusSpec, top: int):
         yield [bundles.tensor(syms[j - t], omegas[t]) for t in range(j + 1)]
 
 
-def _euler_columns(spec: ZeroLocusSpec, top: int) -> list[int]:
-    """chi(Omega^p_X) for p = 0..top, by the Euler kernel on lambda_{-1} F*."""
+def _koszul_character(spec: ZeroLocusSpec) -> dict[Weight, int]:
+    """The virtual torus character of lambda_{-1} F* = sum_s (-1)^s wedge^s F*."""
     koszul: dict[Weight, int] = {}
     for s, character in enumerate(_wedge_characters(spec)):
         sign = -1 if s & 1 else 1
         for nu, c in character.items():
             koszul[nu] = koszul.get(nu, 0) + sign * c
-    koszul = {nu: c for nu, c in koszul.items() if c}
+    return {nu: c for nu, c in koszul.items() if c}
+
+
+def _euler_columns(spec: ZeroLocusSpec, top: int) -> list[int]:
+    """chi(Omega^p_X) for p = 0..top, by the Euler kernel on lambda_{-1} F*."""
+    koszul = _koszul_character(spec)
     return [
         sum(
             (-1) ** (p - t) * euler_characteristic(base, koszul)
@@ -283,6 +297,18 @@ def _euler_columns(spec: ZeroLocusSpec, top: int) -> list[int]:
         )
         for p, row in enumerate(_conormal_rows(spec, top))
     ]
+
+
+def _degree(spec: ZeroLocusSpec) -> int:
+    """deg X = c_r(F) H^d, the d-th finite difference of m -> chi(X, O(m)):
+    sum_{m=0..d} (-1)^{d-m} C(d,m) chi(X, O(m)), each by the Euler kernel."""
+    d = spec.dim
+    koszul = _koszul_character(spec)
+    return sum(
+        (-1) ** (d - m) * comb(d, m)
+        * euler_characteristic(bundles.line(spec.k, spec.n, m), koszul)
+        for m in range(d + 1)
+    )
 
 
 def _koszul_totals(
@@ -424,14 +450,16 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
 
     For ample F every entry is exact (Lefschetz route).  Otherwise entries
     are exact whenever the chase together with Hodge and Serre symmetry
-    forces them; everything else is reported as an interval."""
-    if spec.dim == 0:
-        out = HodgeDiamond(0, meta=_meta(spec))
-        npts = point_count(spec)
-        out.set_entry(0, 0, npts)
-        out.euler_columns[0] = npts
-        return out
-    if bundles.is_ample(spec.bundle):
+    forces them; everything else is reported as an interval.  A point set
+    (dim X = 0) takes the Lefschetz route too.  For F not ample, an empty X
+    (degree 0) raises EmptyZeroLocusError; ample F is never empty."""
+    ample = bundles.is_ample(spec.bundle)
+    if not ample and _degree(spec) == 0:
+        raise EmptyZeroLocusError(
+            "zero locus is empty (degree 0): c_r(F) = 0, so a general section "
+            f"of F vanishes nowhere on G({spec.k},{spec.n})"
+        )
+    if ample or spec.dim == 0:
         return _lefschetz_diamond(spec)
     return _chase_diamond(spec)
 

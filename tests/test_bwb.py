@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -49,10 +51,13 @@ class TestBott:
             )
             w = DoubleWeight(upper, lower)
             res = bott(w)
+            # the single-weight walk agrees with the Klimyk walk on the trivial character
+            e = bundles.irreducible(k, n, w.upper, w.lower)
+            assert tensor_cohomology(e, {(0,) * n: 1}) == (
+                {} if res.acyclic else {res.degree: res.dimension}
+            )
             # dual(E) (x) omega with omega = O(-n) is one irreducible term
-            ((dual_w, _),) = bundles.twist(
-                bundles.dual(bundles.irreducible(k, n, w.upper, w.lower)), -n
-            ).terms
+            ((dual_w, _),) = bundles.twist(bundles.dual(e), -n).terms
             dual = bott(dual_w)
             dim_g = k * (n - k)
             if res.acyclic:
@@ -164,6 +169,17 @@ class TestEulerCharacteristic:
                 for degree, dim in tensor_cohomology(expr, wedge).items()
             )
             assert euler_characteristic(expr, character) == want
+            # the unfiltered sum: every sequence, repeats included, whose
+            # Vandermonde is then 0
+            num = sum(
+                mult * c * prod(a - b for a, b in combinations(seq, 2))
+                for w, mult in expr.terms
+                for nu, c in character.items()
+                for seq in [[x + y + z for x, y, z in zip(w.concat(), nu, rho(n))]]
+            )
+            superfactorial = prod(factorial(i) for i in range(n))
+            assert num % superfactorial == 0
+            assert euler_characteristic(expr, character) == num // superfactorial
 
     def test_line_bundles_on_projective_space(self):
         # chi(P^m, O(t)) = C(m+t, m) as a polynomial in t, negative values included

@@ -12,6 +12,7 @@ from roofcalc.hodge import (
     ZeroLocusSpec,
     _chase_diamond,
     _conormal_rows,
+    _degree,
     _koszul_totals,
     _wedge_characters,
     ambient_diamond,
@@ -89,6 +90,26 @@ class TestPointCounts:
             point_count(hyperplane(3))
 
 
+class TestDegree:
+    @pytest.mark.parametrize(
+        "k,n,text,degree",
+        [
+            (2, 5, "UD+Q", 0),
+            (2, 6, "UD+Q+O(1)", 0),
+            (2, 4, "O(0)", 0),
+            (1, 2, "O(0)", 0),
+            (2, 5, "UD", 2),  # G(2,4), the Klein quadric
+            (2, 5, "Q", 1),  # the P^3 of planes through a line
+            (2, 5, "O(1)+O(1)+O(1)", 5),  # three hyperplanes of G(2,5)
+            (1, 4, "O(3)", 3),  # the cubic surface
+            (3, 9, "UD+UD+UD", 42),  # G(3,6)
+            (4, 10, "UD+UD+UD", 462),  # G(4,7)
+        ],
+    )
+    def test_known_degrees(self, k, n, text, degree):
+        assert _degree(ZeroLocusSpec(k, n, parse_bundle(text, k, n))) == degree
+
+
 def koszul_data_lr(spec, base):
     """The Koszul totals by Littlewood-Richardson: expand each
     wedge^s F* (x) base into irreducibles and run Bott on every one.  The
@@ -126,20 +147,22 @@ class TestKoszulKernel:
 
     def test_matches_lr_reference(self, monkeypatch):
         seen = Counter()
-        sort = bwb._bott_sort
+        walk = bwb._sequences
 
-        def recording_sort(seq, k):
-            out = sort(seq, k)
-            if out is not None:
+        def recording_walk(terms, n, character):
+            terms = tuple(terms)
+            k = terms[0][0].k
+            for c, seq in walk(terms, n, character):
                 upper, lower = seq[:k], seq[k:]
                 if list(upper) != sorted(upper, reverse=True) or list(lower) != sorted(
                     lower, reverse=True
                 ):
                     seen["reordered"] += 1
-                    seen["odd"] += out[1] < 0
-            return out
+                    # the Vandermonde's sign is (-1)^(within-block + cross-block inversions)
+                    seen["odd"] += (bwb._vandermonde(seq) < 0) != (bwb._degree(seq, k) & 1)
+                yield c, seq
 
-        monkeypatch.setattr(bwb, "_bott_sort", recording_sort)
+        monkeypatch.setattr(bwb, "_sequences", recording_walk)
         rng = random.Random(20261018)
         checked = 0
         for text in self.BUNDLES:

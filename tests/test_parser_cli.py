@@ -162,11 +162,20 @@ class TestCli:
         code = main(["hodge", "--k", "2", "--n", "6", "--bundle", "Sym^2(S[2,1]QD)"])
         assert code == 3
 
-    def test_empty_zero_locus_exits_precondition(self, capsys):
-        # a general section of O(0) vanishes nowhere, so h^{0,0} >= 1 fails
-        code, err = run_cli_error(capsys, "hodge", "--k", "2", "--n", "4", "--bundle", "O(0)")
+    @pytest.mark.parametrize(
+        "k,n,text", [(2, 4, "O(0)"), (1, 2, "O(0)"), (2, 5, "UD+Q"), (2, 6, "UD+Q+O(1)")]
+    )
+    def test_empty_zero_locus_exits_precondition(self, capsys, k, n, text):
+        # a general section vanishes nowhere: the degree c_r(F) H^d is 0
+        code, err = run_cli_error(capsys, "hodge", "--k", str(k), "--n", str(n), "--bundle", text)
         assert code == 3
-        assert "Hodge symmetry fixpoint" in err and "may be empty" in err
+        assert "zero locus is empty (degree 0)" in err
+
+    def test_nonempty_non_ample_zero_locus_succeeds(self, capsys):
+        # UD+UD+UD on G(3,9) is not ample and has degree 42 = deg G(3,6)
+        code, out = run_cli(capsys, "hodge", "--k", "3", "--n", "9", "--bundle", "UD+UD+UD")
+        assert code == 0
+        assert json.loads(out)["outputs"]["dim"] == 9
 
     def test_unknown_suite_exits_usage(self, capsys):
         code, err = run_cli_error(capsys, "verify", "--suite", "nope")
