@@ -1,8 +1,9 @@
-"""Byte-identity gate: CLI JSON, with `timing` removed, against pinned digests.
+"""Byte-identity gate: CLI output against pinned digests.
 
 `golden_outputs.json` maps each argv (joined by spaces) to the sha256 of
-`cli.main`'s JSON for it, `timing` removed and re-serialised with sorted
-keys.  The digests are regression pins taken from the code itself, not
+`cli.main`'s output for it: for the JSON commands in `ARGVS`, the report
+with `timing` removed and re-serialised with sorted keys; for the text
+modes in `TEXT_ARGVS`, the raw stdout.  The digests are regression pins taken from the code itself, not
 oracles: they say that an output did not change, not that it is right.
 A change that is meant to alter an output regenerates them with
 
@@ -39,21 +40,36 @@ ARGVS = [
           (2, 4, "UD+UD"),
       ]),
     ["windows", "--n", "6"],
+    ["bott", "--k", "2", "--n", "5", "--weight", "0,0|2,0,0"],  # acyclic
+    ["bott", "--k", "2", "--n", "5", "--weight", "0,-5|0,0,0"],  # H^3
+    ["lr", "--rank", "3", "--a", "2,1,0", "--b", "1,1,0"],
+    ["roofs", "--max-rank", "8"],
+]
+
+TEXT_ARGVS = [
+    ["hodge", "--k", "2", "--n", "6", "--bundle", "QD*O(2)", "--diamond"],
+    ["verify", "--suite", "paper"],
 ]
 
 
-def digest(argv: list[str]) -> str:
+def stdout_of(argv: list[str]) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(argv)
     assert code == 0, (argv, code)
-    payload = json.loads(buf.getvalue())
-    del payload["timing"]
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    return buf.getvalue()
+
+
+def digest(argv: list[str]) -> str:
+    text = stdout_of(argv)
+    if argv not in TEXT_ARGVS:
+        payload = json.loads(text)
+        del payload["timing"]
+        text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+@pytest.mark.parametrize("argv", ARGVS + TEXT_ARGVS, ids=" ".join)
 def test_output_unchanged(argv):
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digest(argv) == pinned[" ".join(argv)]
@@ -61,10 +77,17 @@ def test_output_unchanged(argv):
 
 def test_every_pin_is_checked():
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert sorted(pinned) == sorted(" ".join(argv) for argv in ARGVS)
+    assert sorted(pinned) == sorted(" ".join(argv) for argv in ARGVS + TEXT_ARGVS)
+
+
+@pytest.mark.parametrize("argv", [ARGVS[-4], ARGVS[-2], TEXT_ARGVS[0]], ids=" ".join)
+def test_out_file_holds_the_printed_bytes(argv, tmp_path):
+    target = tmp_path / "report"
+    printed = stdout_of([*argv, "--out", str(target)])
+    assert target.read_bytes() == printed.encode("utf-8")
 
 
 if __name__ == "__main__":
-    pins = {" ".join(argv): digest(argv) for argv in ARGVS}
+    pins = {" ".join(argv): digest(argv) for argv in ARGVS + TEXT_ARGVS}
     GOLDEN.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     sys.exit(0)
