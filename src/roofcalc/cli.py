@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands mirror the library surface: `bott`, `hodge`, `pair`, `roofs`,
-`windows`, `lr`, `verify`.  Output is deterministic UTF-8 JSON (sorted keys,
-big integers as decimal strings) unless a text mode is chosen; `--out FILE`
-writes the same bytes to a file.  Exit codes: 0 success, 2 parse error or
-unknown suite or unwritable output file, 3 precondition violation (an input
-beyond the work limit or an empty zero locus included) or inconsistent chase
-data, 4 ambiguity, 5 verification mismatch.
+`windows`, `lr`, `verify`.  Each `_cmd_*` returns its `outputs` block (or,
+in a text mode, its text) and its exit status, 0 or 5 for a failed check.
+`main` alone times the call, wraps `outputs` in the report envelope, and
+prints deterministic UTF-8 JSON (sorted keys, big integers as decimal
+strings); `--out FILE` writes the same bytes to a file.  A package error
+ends in the exit code and the one stderr line its class in
+`roofcalc.errors` carries.
 """
 
 from __future__ import annotations
@@ -18,29 +19,8 @@ import time
 
 from . import __version__
 from .bwb import bott
-from .errors import (
-    AmbiguityError,
-    DominanceError,
-    EmptyZeroLocusError,
-    ExcludedCaseError,
-    InconsistentDataError,
-    InjectivityViolationError,
-    MalformedContractionError,
-    MismatchError,
-    NotGloballyGeneratedError,
-    ParseError,
-    PlethysmRequiredError,
-    RankError,
-    RoofcalcError,
-    UsageError,
-    WorkLimitError,
-)
-from .hodge import (
-    ZeroLocusSpec,
-    check_pair_theorem,
-    hodge_numbers,
-    pair_specs,
-)
+from .errors import ParseError, RankError, RoofcalcError, UsageError
+from .hodge import ZeroLocusSpec, check_pair_theorem, hodge_numbers
 from .lr import lr_product
 from .motive import verify_lemma_leq
 from .parser import parse_bundle
@@ -51,21 +31,10 @@ from .windows import check_tilting_minus, check_tilting_plus
 
 SCHEMA_VERSION = "1"
 
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_AMBIGUITY = 4
 EXIT_MISMATCH = 5
 
-_PRECONDITION_ERRORS = (
-    RankError,
-    DominanceError,
-    NotGloballyGeneratedError,
-    PlethysmRequiredError,
-    ExcludedCaseError,
-    MalformedContractionError,
-    WorkLimitError,
-    EmptyZeroLocusError,
-)
+# parsed values that are no input: the dispatch, and how the output is written
+_NOT_INPUTS = {"command", "func", "out", "diamond", "json"}
 
 
 def _parse_weight(text: str) -> tuple[int, ...]:
@@ -82,99 +51,44 @@ def _parse_double_weight(text: str) -> DoubleWeight:
     return DoubleWeight(_parse_weight(upper), _parse_weight(lower))
 
 
-def _report(command: str, inputs: dict, outputs: dict, t0: float) -> dict:
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "tool": {"name": "roofcalc", "version": __version__},
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "timing": {"seconds": round(time.perf_counter() - t0, 3)},
-    }
-
-
-def _emit(text: str, out_file: str | None) -> None:
-    if out_file:
-        try:
-            with open(out_file, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(
-                f"cannot write --out {out_file}: {exc.strerror or exc}"
-            ) from None
-    print(text)
-
-
-def _emit_json(payload: dict, out_file: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, ensure_ascii=False), out_file)
-
-
-def _cmd_bott(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_bott(args) -> tuple[dict, int]:
     w = _parse_double_weight(args.weight)
     if w.ambient != (args.k, args.n):
         raise RankError(f"weight {w} lives on G{w.ambient}, flags say G({args.k},{args.n})")
     res = bott(w)
     if res.acyclic:
-        outputs = {"acyclic": True}
-    else:
-        outputs = {
-            "acyclic": False,
-            "degree": res.degree,
-            "weight": list(res.weight),
-            "dimension": str(res.dimension),
-        }
-    _emit_json(
-        _report("bott", {"k": args.k, "n": args.n, "weight": args.weight}, outputs, t0),
-        args.out,
-    )
-    return 0
-
-
-def _cmd_lr(args) -> int:
-    t0 = time.perf_counter()
-    a = _parse_weight(args.a)
-    b = _parse_weight(args.b)
-    total = lr_product(a, b, args.rank)
+        return {"acyclic": True}, 0
     outputs = {
-        "terms": [{"weight": list(w), "multiplicity": m} for w, m in total],
+        "acyclic": False,
+        "degree": res.degree,
+        "weight": list(res.weight),
+        "dimension": str(res.dimension),
     }
-    _emit_json(
-        _report("lr", {"rank": args.rank, "a": args.a, "b": args.b}, outputs, t0),
-        args.out,
-    )
-    return 0
+    return outputs, 0
 
 
-def _cmd_hodge(args) -> int:
-    t0 = time.perf_counter()
-    expr = parse_bundle(args.bundle, args.k, args.n)
-    spec = ZeroLocusSpec(args.k, args.n, expr)
+def _cmd_lr(args) -> tuple[dict, int]:
+    total = lr_product(_parse_weight(args.a), _parse_weight(args.b), args.rank)
+    return {"terms": [{"weight": list(w), "multiplicity": m} for w, m in total]}, 0
+
+
+def _cmd_hodge(args) -> tuple[dict | str, int]:
+    spec = ZeroLocusSpec(args.k, args.n, parse_bundle(args.bundle, args.k, args.n))
     diamond = hodge_numbers(spec)
     if args.diamond:
-        _emit(diamond.render(), args.out)
-        return 0
+        return diamond.render(), 0
     outputs = {"diamond": diamond.to_json_dict(), "dim": diamond.dim}
     if spec.dim == 0:
         outputs["points"] = str(diamond.h(0, 0))
-    _emit_json(
-        _report(
-            "hodge", {"k": args.k, "n": args.n, "bundle": args.bundle}, outputs, t0
-        ),
-        args.out,
-    )
-    return 0
+    return outputs, 0
 
 
-def _cmd_pair(args) -> int:
-    t0 = time.perf_counter()
-    k, n = args.k, args.n
-    report = check_pair_theorem(k, n)
-    inv = report.invariants
-    spec1, spec2 = pair_specs(k, n)
+def _cmd_pair(args) -> tuple[dict, int]:
+    report = check_pair_theorem(args.k, args.n)
+    d1, d2, inv = report.diamond1, report.diamond2, report.invariants
     ok_leq, residual = (None, None)
-    if report.diamond1.fully_exact() and report.diamond2.fully_exact():
-        ok_leq, residual = verify_lemma_leq(k, n, report.diamond1, report.diamond2)
+    if d1.fully_exact() and d2.fully_exact():
+        ok_leq, residual = verify_lemma_leq(args.k, args.n, d1, d2)
     outputs = {
         "invariants": {
             "d1": inv.d1,
@@ -184,12 +98,12 @@ def _cmd_pair(args) -> int:
             "calabiYau": inv.cy,
         },
         "points": {
-            "y1": str(report.diamond1.h(0, 0)) if inv.d1 == 0 else None,
-            "y2": str(report.diamond2.h(0, 0)) if inv.d2 == 0 else None,
+            "y1": str(d1.h(0, 0)) if inv.d1 == 0 else None,
+            "y2": str(d2.h(0, 0)) if inv.d2 == 0 else None,
         },
-        "bundles": {"y1": str(spec1.bundle), "y2": str(spec2.bundle)},
-        "diamond1": report.diamond1.to_json_dict(),
-        "diamond2": report.diamond2.to_json_dict(),
+        "bundles": {"y1": d1.meta["bundle"], "y2": d2.meta["bundle"]},
+        "diamond1": d1.to_json_dict(),
+        "diamond2": d2.to_json_dict(),
         "vRow1": report.v1,
         "vRow2": report.v2,
         "shift": report.shift,
@@ -198,37 +112,29 @@ def _cmd_pair(args) -> int:
         "grothendieckIdentityHolds": ok_leq,
         "residual": str(residual) if residual is not None else None,
     }
-    _emit_json(_report("pair", {"k": k, "n": n}, outputs, t0), args.out)
-    return 0 if report.passed and ok_leq is not False else EXIT_MISMATCH
+    return outputs, 0 if report.passed and ok_leq is not False else EXIT_MISMATCH
 
 
-def _cmd_roofs(args) -> int:
-    t0 = time.perf_counter()
-    records = classify(args.max_rank)
-    outputs = {
-        "records": [
-            {
-                "group": r.group,
-                "marks": list(r.marks),
-                "family": r.family,
-                "type": r.type_label,
-                "roof": r.roof,
-                "base1": r.base1,
-                "base2": r.base2,
-                "fiberDim1": r.fiber_dim1,
-                "fiberDim2": r.fiber_dim2,
-                "equalRank": r.equal_rank,
-            }
-            for r in records
-        ],
-        "count": len(records),
-    }
-    _emit_json(_report("roofs", {"maxRank": args.max_rank}, outputs, t0), args.out)
-    return 0
+def _cmd_roofs(args) -> tuple[dict, int]:
+    records = [
+        {
+            "group": r.group,
+            "marks": list(r.marks),
+            "family": r.family,
+            "type": r.type_label,
+            "roof": r.roof,
+            "base1": r.base1,
+            "base2": r.base2,
+            "fiberDim1": r.fiber_dim1,
+            "fiberDim2": r.fiber_dim2,
+            "equalRank": r.equal_rank,
+        }
+        for r in classify(args.max_rank)
+    ]
+    return {"records": records, "count": len(records)}, 0
 
 
-def _cmd_windows(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_windows(args) -> tuple[dict, int]:
     sides = ["minus", "plus"] if args.side == "both" else [args.side]
     reports = []
     for side in sides:
@@ -245,46 +151,19 @@ def _cmd_windows(args) -> int:
                 "failures": [f.as_dict() for f in rep.failures],
             }
         )
-    _emit_json(
-        _report(
-            "windows",
-            {"n": args.n, "mMax": args.m_max, "side": args.side},
-            {"reports": reports},
-            t0,
-        ),
-        args.out,
-    )
-    return 0 if all(r["passed"] for r in reports) else EXIT_MISMATCH
+    return {"reports": reports}, 0 if all(r["passed"] for r in reports) else EXIT_MISMATCH
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args) -> tuple[dict | str, int]:
     results = run_suite(args.suite)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{status}] {r.name}: {r.detail}")
     passed = sum(r.passed for r in results)
-    lines.append(f"{passed}/{len(results)} checks passed")
-    text = "\n".join(lines)
+    status = 0 if passed == len(results) else EXIT_MISMATCH
     if args.json:
-        payload = _report(
-            "verify",
-            {"suite": args.suite},
-            {
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-                "passed": passed,
-                "total": len(results),
-            },
-            t0,
-        )
-        _emit_json(payload, args.out)
-    else:
-        _emit(text, args.out)
-    return 0 if passed == len(results) else EXIT_MISMATCH
+        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        return {"checks": checks, "passed": passed, "total": len(results)}, status
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in results]
+    lines.append(f"{passed}/{len(results)} checks passed")
+    return "\n".join(lines), status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,86 +175,90 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"roofcalc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    grassmannian = argparse.ArgumentParser(add_help=False)
+    grassmannian.add_argument("--k", type=int, required=True)
+    grassmannian.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("bott", help="cohomology of one irreducible bundle")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=list(parents))
+        p.set_defaults(func=func)
+        return p
+
+    p = command("bott", _cmd_bott, "cohomology of one irreducible bundle", grassmannian)
     p.add_argument("--weight", required=True, help='double weight, e.g. "2,2|1,0,0"')
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bott)
 
-    p = sub.add_parser("lr", help="Littlewood-Richardson product")
+    p = command("lr", _cmd_lr, "Littlewood-Richardson product")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--a", required=True, help='weight, e.g. "2,1,0"')
     p.add_argument("--b", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_lr)
 
-    p = sub.add_parser("hodge", help="Hodge diamond of a zero locus")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = command("hodge", _cmd_hodge, "Hodge diamond of a zero locus", grassmannian)
     p.add_argument("--bundle", required=True, help='e.g. "QD*O(2)" or "O(1)+O(2)"')
     p.add_argument("--diamond", action="store_true", help="render as a triangle")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_hodge)
 
-    p = sub.add_parser("pair", help="invariants, diamonds and checks of a zero-locus pair")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_pair)
+    command("pair", _cmd_pair, "invariants, diamonds and checks of a zero-locus pair",
+            grassmannian)
 
-    p = sub.add_parser("roofs", help="classify Picard-rank-two diagram roofs")
+    p = command("roofs", _cmd_roofs, "classify Picard-rank-two diagram roofs")
     p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_roofs)
 
-    p = sub.add_parser("windows", help="self-extension vanishing reports")
+    p = command("windows", _cmd_windows, "self-extension vanishing reports")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--side", choices=["minus", "plus", "both"], default="both")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_windows)
 
-    p = sub.add_parser("verify", help="run a reference verification suite")
+    p = command("verify", _cmd_verify, "run a reference verification suite")
     p.add_argument("--suite", default="paper")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
 
+    for p in sub.choices.values():  # last, so that help lists it last
+        p.add_argument("--out")
     return parser
 
 
+def _camel(dest: str) -> str:
+    head, *rest = dest.split("_")
+    return head + "".join(word.title() for word in rest)
+
+
+def _emit(text: str, out_file: str | None) -> None:
+    if out_file:
+        try:
+            with open(out_file, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write --out {out_file}: {exc.strerror or exc}"
+            ) from None
+    print(text)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InconsistentDataError as exc:
-        print(
-            f"precondition violated in the {exc.stage}: {exc}; the zero locus "
-            "may be empty or the section not general",
-            file=sys.stderr,
-        )
-        return EXIT_PRECONDITION
-    except AmbiguityError as exc:
-        print(f"ambiguous result: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUITY
-    except (MismatchError, InjectivityViolationError) as exc:
-        print(f"verification mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except RoofcalcError as exc:  # pragma: no cover
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        outputs, status = args.func(args)
+        if isinstance(outputs, str):
+            text = outputs
+        else:
+            report = {
+                "schemaVersion": SCHEMA_VERSION,
+                "tool": {"name": "roofcalc", "version": __version__},
+                "command": args.command,
+                "inputs": {
+                    _camel(dest): value
+                    for dest, value in vars(args).items()
+                    if dest not in _NOT_INPUTS
+                },
+                "outputs": outputs,
+                "timing": {"seconds": round(time.perf_counter() - t0, 3)},
+            }
+            text = json.dumps(report, sort_keys=True, ensure_ascii=False)
+        _emit(text, args.out)
+    except RoofcalcError as exc:
+        print(exc.cli_line(), file=sys.stderr)
+        return exc.exit_code
+    return status
 
 
 if __name__ == "__main__":

@@ -1,17 +1,28 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the CLI's exit-code table.
 
-Exit-code classes used by the CLI:
-  parse and usage errors -> 2, precondition violations and inconsistent
-  data -> 3, ambiguity -> 4, verification mismatches -> 5.
+Each class carries the exit code `roofcalc.cli.main` returns for it and the
+label that opens its one stderr line: 2 parse and usage errors, 3
+precondition violations (the default, inconsistent data included), 4
+ambiguity, 5 verification mismatches.
 """
 
 
 class RoofcalcError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 3
+    label = "precondition violated"
+
+    def cli_line(self) -> str:
+        """The single stderr line the CLI prints for this error."""
+        return f"{self.label}: {self}"
+
 
 class ParseError(RoofcalcError, ValueError):
     """Bundle-expression syntax error, annotated with a byte offset."""
+
+    exit_code = 2
+    label = "parse error"
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -20,6 +31,9 @@ class ParseError(RoofcalcError, ValueError):
 
 class UsageError(RoofcalcError, ValueError):
     """A command-line value names no suite or file the tool can use."""
+
+    exit_code = 2
+    label = "usage error"
 
 
 class RankError(RoofcalcError, ValueError):
@@ -45,9 +59,15 @@ class PlethysmRequiredError(RoofcalcError, ValueError):
 class AmbiguityError(RoofcalcError, ValueError):
     """An operation needed exact Hodge numbers but only intervals are known."""
 
+    exit_code = 4
+    label = "ambiguous result"
+
 
 class InjectivityViolationError(RoofcalcError, ValueError):
     """Middle-row subtraction went negative; restriction map cannot inject."""
+
+    exit_code = 5
+    label = "verification mismatch"
 
 
 class ExcludedCaseError(RoofcalcError, ValueError):
@@ -69,16 +89,16 @@ class EmptyZeroLocusError(RoofcalcError, ValueError):
 class InconsistentDataError(RoofcalcError, ArithmeticError):
     """Dimension data that admit no solution at one stage of a computation.
 
-    The chase and the Hodge fixpoint apply theorems about a nonempty smooth
-    zero locus of a general section; an empty zero locus or a special
-    section can contradict them.  `stage` names where the contradiction
-    showed.
+    The chase, the Lefschetz middle row and the Hodge fixpoint apply
+    theorems about a smooth zero locus of a general section.  Emptiness is
+    decided before any of them (by degree for F not ample; ample F is never
+    empty, by Fulton-Lazarsfeld), so what can contradict them is a special
+    section.  `stage` names where the contradiction showed.
     """
 
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
 
-
-class MismatchError(RoofcalcError):
-    """A verification check failed against its reference values."""
+    def cli_line(self) -> str:
+        return f"{self.label} in the {self.stage}: {self}; the section may not be general"

@@ -1,6 +1,7 @@
-"""Property test of the CLI contract on `hodge`: every input of the bundle
-grammar, on any ambient with k < n <= 7, ends in a documented exit code with
-at most one line on stderr and no traceback."""
+"""Property tests of the CLI contract: every `hodge` input of the bundle
+grammar on any ambient with k < n <= 7, and every `bott` and `lr` weight
+text (well-formed, truncated, non-numeric or not dominant), ends in a
+documented exit code with at most one line on stderr and no traceback."""
 
 import contextlib
 import io
@@ -47,9 +48,42 @@ def hodge_argv(draw):
     return argv + (["--diamond"] if draw(st.booleans()) else [])
 
 
-@settings(max_examples=200, deadline=None)
-@given(hodge_argv())
-def test_hodge_exits_cleanly(argv):
+# weight texts: entries in [-3, 3], at most 4 per block, plus truncations
+# and non-numeric pieces for the parse-error exits
+NUMBERS = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+WEIGHTS = st.one_of(NUMBERS, st.sampled_from(["", "x", "1.5", "2,", ",1", "1,,0", "|"]))
+
+
+def _truncations(texts):
+    return st.one_of(
+        texts, st.tuples(texts, st.integers(0, 20)).map(lambda tc: tc[0][: tc[1]])
+    )
+
+
+# values go in the `--flag=value` form: argparse reads a separate value that
+# starts with "-" as a flag
+
+
+@st.composite
+def bott_argv(draw):
+    text = draw(_truncations(st.tuples(WEIGHTS, WEIGHTS).map("|".join)))
+    upper, _, lower = text.partition("|")
+    # mostly the ambient the blocks name, sometimes any other
+    k = draw(st.one_of(st.just(upper.count(",") + 1), st.integers(-1, 4)))
+    n = draw(st.one_of(st.just(k + lower.count(",") + 1), st.integers(-1, 8)))
+    return ["bott", f"--k={k}", f"--n={n}", f"--weight={text}"]
+
+
+@st.composite
+def lr_argv(draw):
+    a, b = draw(_truncations(WEIGHTS)), draw(_truncations(WEIGHTS))
+    rank = draw(st.one_of(st.just(a.count(",") + 1), st.integers(-1, 4)))
+    return ["lr", f"--rank={rank}", f"--a={a}", f"--b={b}"]
+
+
+def _exits_cleanly(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -57,3 +91,21 @@ def test_hodge_exits_cleanly(argv):
     assert code in {0, 2, 3, 4, 5}, (argv, code, lines)
     assert len(lines) <= 1, (argv, lines)
     assert "Traceback" not in err.getvalue(), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(hodge_argv())
+def test_hodge_exits_cleanly(argv):
+    _exits_cleanly(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bott_argv())
+def test_bott_exits_cleanly(argv):
+    _exits_cleanly(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lr_argv())
+def test_lr_exits_cleanly(argv):
+    _exits_cleanly(argv)
