@@ -5,15 +5,16 @@ Subcommands mirror the library surface: `bott`, `hodge`, `pair`, `roofs`,
 in a text mode, its text) and its exit status, 0 or 5 for a failed check.
 `main` alone times the call, wraps `outputs` in the report envelope, and
 prints deterministic UTF-8 JSON (sorted keys, big integers as decimal
-strings); `--out FILE` writes the same bytes to a file.  A package error
-ends in the exit code and the one stderr line its class in
-`roofcalc.errors` carries.
+strings); `--out FILE` writes the same bytes to a file.  A package error,
+a bad command line (`UsageError`) included, ends in the exit code and the
+one stderr line its class in `roofcalc.errors` carries.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -166,8 +167,23 @@ def _cmd_verify(args) -> tuple[dict | str, int]:
     return "\n".join(lines), status
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the package's error contract: a bad command line raises
+    `UsageError` (one stderr line, exit 2) instead of printing the usage, and
+    a value that starts with "-" and a digit, such as a weight "-5,-5|0,0,0",
+    is read as a value in the `--weight VALUE` form as well."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes a value only if all of it is a number
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roofcalc",
         description="Exact cohomology calculator for homogeneous bundles on "
         "Grassmannians: Bott's algorithm, Hodge diamonds of zero loci, roof "
@@ -234,9 +250,9 @@ def _emit(text: str, out_file: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         outputs, status = args.func(args)
         if isinstance(outputs, str):
             text = outputs

@@ -144,10 +144,10 @@ def lr_double_product(a: DoubleWeight, b: DoubleWeight) -> dict[DoubleWeight, in
     The rule applies to the blocks above and below the bar separately; the
     result is the Cartesian combination with multiplied multiplicities.
     """
-    if a.ambient != b.ambient:
+    k, q = len(a.upper), len(a.lower)
+    if len(b.upper) != k or len(b.lower) != q:
         raise AmbientMismatchError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
-    k, n = a.ambient
-    lower = _lr_terms(a.lower, b.lower, n - k)
+    lower = _lr_terms(a.lower, b.lower, q)
     return {
         DoubleWeight._trusted(up, lo): mu * ml
         for up, mu in _lr_terms(a.upper, b.upper, k)

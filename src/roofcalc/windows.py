@@ -10,9 +10,17 @@ space turns each Ext group into cohomology on the base of
 summed over m >= 0, truncated at m_max.  A summand whose total sequence is
 fully ordered has cohomology in degree 0 only (Borel-Weil), so the verifier
 runs Borel-Weil-Bott on the other summands alone and records any
-positive-degree survivor.  At the cut-off it also records whether every
-summand is fully ordered, in which case larger m only multiplies in more
-fully ordered rows and the remaining tail provably stays in degree zero.
+positive-degree survivor.
+
+The expansion of one product stops at the first degree m where every
+summand is fully ordered.  This rests on the atom A(2) being globally
+generated, which Q*(2) and U(2) are and which `_check_pairs` asserts: an
+irreducible bundle is globally generated exactly when it is fully ordered,
+global generation survives (x) and direct summands, and Sym^(m+1) is a
+direct summand of Sym^m (x) A(2).  So once degree m is fully ordered, every
+higher degree is too, nothing above it can fail, and the tail past m_max
+provably stays in degree zero.  The report's `tail_certified` records
+whether every product reached that point by m = m_max.
 
 One loop (`_check_pairs`) serves both sides: it takes the labelled members
 and the atom A(2), and the two public checks differ only in those inputs.
@@ -25,7 +33,9 @@ labels.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from . import bundles
 from .bundles import BundleExpr
@@ -74,7 +84,7 @@ class VanishingReport:
     m_max: int
     checked_pairs: int = 0
     failures: list[VanishingFailure] = field(default_factory=list)
-    tail_certified: bool = True  # every pair fully ordered at m = m_max
+    tail_certified: bool = True  # every pair fully ordered by m = m_max
 
     @property
     def passed(self) -> bool:
@@ -99,23 +109,26 @@ def bar_moved_collection(c: Collection) -> Collection:
 
 
 def _survivors(
-    pair_part: BundleExpr, syms: list[BundleExpr]
+    pair_part: BundleExpr, sym: Callable[[int], BundleExpr], m_max: int
 ) -> tuple[list[tuple[int, int, Weight]], bool]:
-    """Positive-degree summands of pair_part (x) Sym^m(atom) for each m, as
-    (m, degree, total sequence), and whether every summand at m = m_max is
-    fully ordered.  A fully ordered summand has cohomology in degree 0 only,
-    so Bott runs on the others alone."""
+    """Positive-degree summands of pair_part (x) sym(m) for 0 <= m <= m_max,
+    as (m, degree, total sequence), and whether some m <= m_max has every
+    summand fully ordered.  A fully ordered summand has cohomology in degree
+    0 only, so Bott runs on the others alone; and since sym(m) is Sym^m of a
+    globally generated atom, every degree above a fully ordered one is fully
+    ordered too (see the module docstring), so the loop stops there."""
     survivors: list[tuple[int, int, Weight]] = []
-    for m, sym in enumerate(syms):
+    for m in range(m_max + 1):
         ordered = True
-        for w, _ in bundles.tensor(pair_part, sym).terms:
+        for w, _ in bundles.tensor(pair_part, sym(m)).terms:
             if w.is_fully_ordered():
                 continue
             ordered = False
             res = bott(w)
             if not res.acyclic and res.degree > 0:
                 survivors.append((m, res.degree, w.concat()))
-    # `ordered` now describes the m = m_max summand
+        if ordered:
+            break
     return survivors, ordered
 
 
@@ -127,9 +140,12 @@ def _check_pairs(
     """Expand dual(w) (x) w' (x) Sym^m(atom) for every ordered pair of
     labelled members and 0 <= m <= report.m_max, recording failures under
     the labels.  Pairs with the same product dual(w) (x) w' share one
-    expansion."""
+    expansion, and Sym^m(atom) is built once, for the degrees some product
+    reaches."""
+    # the early stop in `_survivors` needs a globally generated atom
+    assert bundles.is_globally_generated(atom), atom
     k, n = atom.ambient
-    syms = [bundles.sym_power(atom, m) for m in range(report.m_max + 1)]
+    sym = cache(partial(bundles.sym_power, atom))
     exprs = [
         (label, bundles.irreducible(k, n, w.upper, w.lower)) for label, w in members
     ]
@@ -140,7 +156,7 @@ def _check_pairs(
             report.checked_pairs += 1
             pair_part = bundles.tensor(dual_expr, e_prime)
             if pair_part not in memo:
-                memo[pair_part] = _survivors(pair_part, syms)
+                memo[pair_part] = _survivors(pair_part, sym, report.m_max)
             survivors, ordered = memo[pair_part]
             report.failures.extend(
                 VanishingFailure(label, label_prime, m, degree, weight)

@@ -62,8 +62,16 @@ def _truncations(texts):
     )
 
 
-# values go in the `--flag=value` form: argparse reads a separate value that
-# starts with "-" as a flag
+def _options(draw, **values):
+    """Each value in the `--flag=value` form or as a separate argument; a
+    separate value may start with "-"."""
+    argv = []
+    for flag, value in values.items():
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={value}")
+        else:
+            argv += [f"--{flag}", str(value)]
+    return argv
 
 
 @st.composite
@@ -73,14 +81,14 @@ def bott_argv(draw):
     # mostly the ambient the blocks name, sometimes any other
     k = draw(st.one_of(st.just(upper.count(",") + 1), st.integers(-1, 4)))
     n = draw(st.one_of(st.just(k + lower.count(",") + 1), st.integers(-1, 8)))
-    return ["bott", f"--k={k}", f"--n={n}", f"--weight={text}"]
+    return ["bott"] + _options(draw, k=k, n=n, weight=text)
 
 
 @st.composite
 def lr_argv(draw):
     a, b = draw(_truncations(WEIGHTS)), draw(_truncations(WEIGHTS))
     rank = draw(st.one_of(st.just(a.count(",") + 1), st.integers(-1, 4)))
-    return ["lr", f"--rank={rank}", f"--a={a}", f"--b={b}"]
+    return ["lr"] + _options(draw, rank=rank, a=a, b=b)
 
 
 def _exits_cleanly(argv):
@@ -89,6 +97,8 @@ def _exits_cleanly(argv):
         code = main(argv)
     lines = err.getvalue().splitlines()
     assert code in {0, 2, 3, 4, 5}, (argv, code, lines)
+    # every value is a well-formed argument, so no usage error
+    assert not (lines and lines[0].startswith("usage error")), (argv, lines)
     assert len(lines) <= 1, (argv, lines)
     assert "Traceback" not in err.getvalue(), argv
 

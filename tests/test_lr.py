@@ -139,7 +139,7 @@ class TestLrDoubleProduct:
         assert lr_double_product(w, w) == {DoubleWeight((2, 2), (0, 0, 0)): 1}
 
     def test_ambient_mismatch(self):
-        with pytest.raises(AmbientMismatchError):
-            lr_double_product(
-                DoubleWeight((1,), (0, 0)), DoubleWeight((1, 0), (0,))
-            )
+        a = DoubleWeight((1,), (0, 0))
+        for b in (DoubleWeight((1, 0), (0,)), DoubleWeight((1,), (0,)), DoubleWeight((1,), (0, 0, 0))):
+            with pytest.raises(AmbientMismatchError, match=r"\(1, 3\) vs"):
+                lr_double_product(a, b)

@@ -182,6 +182,56 @@ class TestCli:
         assert code == 2
         assert err.endswith("available: paper")
 
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (
+                ["lr", "--rank", "x", "--a", "1,0", "--b", "0,0"],
+                "usage error: roofcalc lr: argument --rank: invalid int value: 'x'",
+            ),
+            (
+                ["windows", "--n", "5", "--side", "up"],
+                "usage error: roofcalc windows: argument --side: invalid choice: "
+                "'up' (choose from 'minus', 'plus', 'both')",
+            ),
+            (
+                ["bott", "--k", "2", "--n", "5"],
+                "usage error: roofcalc bott: the following arguments are required: "
+                "--weight",
+            ),
+            ([], "usage error: roofcalc: the following arguments are required: command"),
+        ],
+        ids=["not-an-int", "not-a-choice", "missing-option", "missing-command"],
+    )
+    def test_bad_command_line_exits_usage_with_one_line(self, capsys, argv, line):
+        assert run_cli_error(capsys, *argv) == (2, line)
+
+    @pytest.mark.parametrize(
+        "option,value,rest",
+        [
+            ("--weight", "-5,-5|0,0,0", ["bott", "--k", "2", "--n", "5"]),
+            ("--a", "-1,0", ["lr", "--rank", "2", "--b", "0,0"]),
+            ("--a", "-1,-1", ["lr", "--rank", "2", "--b", "0,0"]),
+        ],
+        ids=["bott", "lr-not-dominant", "lr"],
+    )
+    def test_leading_minus_value_in_space_form(self, capsys, option, value, rest):
+        # "--a -1,0" reads like "--a=-1,0", down to the exit code and stderr
+        results = []
+        for form in ([option, value], [f"{option}={value}"]):
+            code = main(rest + form)
+            captured = capsys.readouterr()
+            out = json.loads(captured.out)["outputs"] if captured.out else None
+            results.append((code, out, captured.err))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        if value == "-1,0":  # not non-increasing: a precondition, not a usage error
+            assert (code, out) == (3, None)
+            assert err.splitlines() == ["precondition violated: weight (-1, 0) is not non-increasing"]
+        else:
+            assert (code, err) == (0, "")
+            assert out
+
     def test_unwritable_out_exits_usage(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, err = run_cli_error(

@@ -226,31 +226,48 @@ class TestTiltingChecks:
 
 
 class TestSharedExpansion:
-    """`_check_pairs` expands each distinct pair product once and runs Bott
-    only on summands that are not fully ordered; the reports must not move."""
+    """`_check_pairs` expands each distinct pair product once, stops at the
+    first degree where every summand is fully ordered, and runs Bott only on
+    summands that are not fully ordered; the reports must not move."""
 
+    # (side, n, m_max, box_cap), with m_max 8 unless the id names it; m_max
+    # 0, 1 and 3 end the loop before, at and after the first fully ordered
+    # degree of the products
     CASES = (
-        [("minus", n, 1) for n in range(4, 8)]
-        + [("plus", n, 1) for n in range(4, 8)]
-        + [("minus", 4, 2), ("minus", 5, 2)]
+        [
+            pytest.param(side, n, 8, box_cap, id=f"{side}-{n}-{box_cap}")
+            for side, n, box_cap in (
+                [("minus", n, 1) for n in range(3, 8)]
+                + [("plus", n, 1) for n in range(4, 8)]
+                + [("minus", 4, 2), ("minus", 5, 2), ("minus", 4, 3)]
+            )
+        ]
+        + [
+            pytest.param(side, n, m_max, box_cap, id=f"{side}-{n}-{box_cap}-m{m_max}")
+            for m_max in (0, 1, 3)
+            for side, n, box_cap in (
+                ("minus", 3, 1), ("minus", 5, 1), ("plus", 5, 1),
+                ("minus", 4, 2), ("minus", 4, 3),
+            )
+        ]
     )
 
     @staticmethod
-    def report(side, n, box_cap):
+    def report(side, n, m_max, box_cap):
         if side == "minus":
-            return check_tilting_minus(n, 8, box_cap=box_cap)
-        return check_tilting_plus(n, 8)
+            return check_tilting_minus(n, m_max, box_cap=box_cap)
+        return check_tilting_plus(n, m_max)
 
-    @pytest.mark.parametrize("side,n,box_cap", CASES)
-    def test_matches_reference(self, monkeypatch, side, n, box_cap):
-        got = self.report(side, n, box_cap)
+    @pytest.mark.parametrize("side,n,m_max,box_cap", CASES)
+    def test_matches_reference(self, monkeypatch, side, n, m_max, box_cap):
+        got = self.report(side, n, m_max, box_cap)
         monkeypatch.setattr(windows, "_check_pairs", check_pairs_reference)
-        want = self.report(side, n, box_cap)
+        want = self.report(side, n, m_max, box_cap)
         assert (got.checked_pairs, got.tail_certified) == (
             want.checked_pairs, want.tail_certified,
         )
         assert got.failures == want.failures
-        if box_cap == 2:
+        if box_cap > 1:
             assert want.failures
 
     @pytest.mark.parametrize("side", ["minus", "plus"])
@@ -258,14 +275,25 @@ class TestSharedExpansion:
         n, m_max = 8, 8
         if side == "minus":
             k, weights = 1, [DoubleWeight((0,), lam) for lam in enumerate_box(n - 1, 1)]
+            atom = bundles.twist(bundles.quotient_dual(1, n), 2)
             check = check_tilting_minus
         else:
             k, weights = 2, list(bar_moved_collection(kapranov_collection(1, n)))
+            atom = bundles.twist(bundles.tautological(2, n), 2)
             check = check_tilting_plus
         exprs = [bundles.irreducible(k, n, w.upper, w.lower) for w in weights]
         products = {
             bundles.tensor(bundles.dual(e), e_prime) for e in exprs for e_prime in exprs
         }
+        # degrees expanded per product: up to the first fully ordered one
+        expanded = 0
+        for p in products:
+            for m in range(m_max + 1):
+                expanded += 1
+                if bundles.is_globally_generated(
+                    bundles.tensor(p, bundles.sym_power(atom, m))
+                ):
+                    break
         bott_args = []
         tensor_calls = 0
         tensor = bundles.tensor
@@ -287,4 +315,5 @@ class TestSharedExpansion:
         pairs = len(exprs) ** 2
         assert report.checked_pairs == pairs
         assert len(products) < pairs
-        assert tensor_calls == pairs + len(products) * (m_max + 1)
+        assert expanded < len(products) * (m_max + 1)
+        assert tensor_calls == pairs + expanded
