@@ -27,12 +27,13 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 ARGVS = [
     *(["pair", "--k", str(k), "--n", str(n)]
-      for k, n in [(1, 5), (1, 6), (2, 5), (2, 6), (3, 7), (4, 9)]),
+      for k, n in [(1, 5), (1, 6), (2, 5), (2, 6), (3, 7), (4, 9), (5, 11)]),
     ["verify", "--suite", "paper", "--json"],
     *(["hodge", "--k", str(k), "--n", str(n), "--bundle", text]
       for k, n, text in [
           (1, 20, "O(3)"),
           (3, 9, "UD+UD+UD"),
+          (4, 10, "UD+UD+UD"),
           (3, 7, "UD+O(1)"),
           (2, 5, "UD"),
           (2, 5, "Q"),
