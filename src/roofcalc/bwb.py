@@ -22,8 +22,19 @@ same sequence seq = lam + nu + rho_G, sorted within blocks.
 
 One walk, `_sequences`, yields every such seq without a repeated entry,
 and `bott` (W trivial), `tensor_cohomology` and `euler_characteristic` read
-it.  The Vandermonde prod_{i<j} (seq_i - seq_j) carries the Klimyk sign
-times (-1)^degree, degree being the cross-block inversions of seq, so
+it.  The repeat test is one AND of two bitmasks.  Entries i < j of
+seq = s + nu, with s = lam + rho_G, collide exactly when s_i - s_j =
+nu_j - nu_i.  A `Character` is prepared once, where it is built: with D =
+max - min over all its entries, each active pair (i, j) owns 2D + 1 bits,
+and each weight nu sets the bit of nu_j - nu_i in every band.  Per term the
+walk sets, once, the bit of each gap s_i - s_j that lies in [-D, D], and
+keeps nu only when its mask misses all of them.  The active pairs are every
+cross-block pair and each same-block pair whose two character columns
+differ: if the columns are identical, nu_j - nu_i = 0, and s is strictly
+decreasing within each block, so that pair never collides.
+
+The Vandermonde prod_{i<j} (seq_i - seq_j) carries the Klimyk sign times
+(-1)^degree, degree being the cross-block inversions of seq, so
 `tensor_cohomology` buckets (-1)^degree times it by degree (terms that
 cancel are the same L-irreducible, in the same degree, so the totals are
 exact) and `euler_characteristic` just sums it.
@@ -32,6 +43,7 @@ exact) and `euler_characteristic` just sums it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product, repeat, starmap
 from math import factorial, prod
 from operator import add, lt, sub
@@ -65,19 +77,69 @@ def _weyl_quotient(num: int, n: int) -> int:
     return q
 
 
+class Character:
+    """A torus character of GL(k) x GL(n-k), prepared for `_sequences`.
+
+    Built from a dict mapping each weight (upper block, then lower block) to
+    its multiplicity, which may be negative.  `pairs` lists (i, j, base) for
+    each active pair, its band of 2 * delta + 1 bits centred on bit base;
+    `weights` lists (nu, c, mask), mask holding the bit base + nu_j - nu_i
+    of every band (see the module docstring).
+    """
+
+    __slots__ = ("n", "delta", "pairs", "weights")
+
+    def __init__(self, multiplicities: dict[Weight, int], k: int, n: int):
+        entries = [e for nu in multiplicities for e in nu]
+        self.n = n
+        self.delta = delta = max(entries) - min(entries) if entries else 0
+        columns = list(zip(*multiplicities)) or [()] * n
+        active = [
+            (i, j)
+            for i, j in combinations(range(n), 2)
+            if i < k <= j or columns[i] != columns[j]
+        ]
+        width = 2 * delta + 1
+        self.pairs = tuple(
+            (i, j, p * width + delta) for p, (i, j) in enumerate(active)
+        )
+        self.weights = tuple(
+            (nu, c, sum(1 << (base + nu[j] - nu[i]) for i, j, base in self.pairs))
+            for nu, c in multiplicities.items()
+        )
+
+
+def _prepared(character: Character | dict[Weight, int], k: int, n: int) -> Character:
+    if isinstance(character, Character):
+        return character
+    return Character(character, k, n)
+
+
+@cache
+def _trivial(k: int, n: int) -> Character:
+    return Character({(0,) * n: 1}, k, n)
+
+
 def _sequences(
-    terms: Iterable[tuple[DoubleWeight, int]], n: int, character: dict[Weight, int]
+    terms: Iterable[tuple[DoubleWeight, int]], character: Character
 ) -> Iterator[tuple[int, Weight]]:
     """(mult * c, seq) for each term (lam, mult) and weight nu of multiplicity
-    c in `character`, with seq = lam + nu + rho; sequences with a repeated
-    entry have no cohomology and are skipped."""
-    r = rho(n)
+    c in `character`, with seq = lam + nu + rho, skipping every seq with a
+    repeated entry (it has no cohomology).  The gaps of lam + rho are
+    marked once per term, and a weight is skipped when its collision mask
+    meets them, before its seq is built."""
+    r = rho(character.n)
+    delta, pairs, weights = character.delta, character.pairs, character.weights
     for w, mult in terms:
         shifted = tuple(map(add, w.concat(), r))
-        for nu, c in character.items():
-            seq = tuple(map(add, shifted, nu))
-            if len(set(seq)) == n:
-                yield mult * c, seq
+        gaps = 0
+        for i, j, base in pairs:
+            g = shifted[i] - shifted[j]
+            if -delta <= g <= delta:
+                gaps |= 1 << (base + g)
+        for nu, c, mask in weights:
+            if not mask & gaps:
+                yield mult * c, tuple(map(add, shifted, nu))
 
 
 def _degree(seq: Weight, k: int) -> int:
@@ -93,7 +155,7 @@ def _vandermonde(seq: Weight) -> int:
 def bott(w: DoubleWeight) -> BottResult:
     """All cohomology of the irreducible homogeneous bundle labelled by w."""
     n = w.n
-    for _, seq in _sequences(((w, 1),), n, {(0,) * n: 1}):
+    for _, seq in _sequences(((w, 1),), _trivial(w.k, n)):
         # both blocks are dominant, so all inversions are cross-block ones
         weight = tuple(map(sub, sorted(seq, reverse=True), rho(n)))
         dim = _weyl_quotient(abs(_vandermonde(seq)), n)
@@ -122,18 +184,19 @@ def gl_dimension(mu: Weight) -> int:
 
 
 def tensor_cohomology(
-    expr: "BundleExpr", character: dict[Weight, int]
+    expr: "BundleExpr", character: Character | dict[Weight, int]
 ) -> dict[int, int]:
     """Per-degree dimensions of H^*(G(k,n), E (x) W), by Klimyk and Bott.
 
     E is `expr`; W is a representation of GL(k) x GL(n-k) given by its
     `character`, which maps each weight (upper block, then lower block) to
-    its multiplicity.  Degrees with zero total are left out.  See the module
-    docstring for why the signed per-degree sums are exact.
+    its multiplicity, or by that character prepared as a `Character`.
+    Degrees with zero total are left out.  See the module docstring for why
+    the signed per-degree sums are exact.
     """
     k, n = expr.ambient
     buckets: dict[int, int] = {}
-    for c, seq in _sequences(expr.terms, n, character):
+    for c, seq in _sequences(expr.terms, _prepared(character, k, n)):
         degree = _degree(seq, k)
         num = _vandermonde(seq)
         buckets[degree] = buckets.get(degree, 0) + (-c if degree & 1 else c) * num
@@ -145,13 +208,16 @@ def tensor_cohomology(
     return out
 
 
-def euler_characteristic(expr: "BundleExpr", character: dict[Weight, int]) -> int:
+def euler_characteristic(
+    expr: "BundleExpr", character: Character | dict[Weight, int]
+) -> int:
     """chi(G(k,n), E (x) W) with E = `expr` and W given by its `character`,
     as in `tensor_cohomology`; W may be virtual (negative multiplicities).
 
     The sum of the Vandermondes of the walk; see the module docstring.
     """
-    n = expr.n
-    num = sum(c * _vandermonde(seq) for c, seq in _sequences(expr.terms, n, character))
+    k, n = expr.ambient
+    walk = _sequences(expr.terms, _prepared(character, k, n))
+    num = sum(c * _vandermonde(seq) for c, seq in walk)
     chi = _weyl_quotient(abs(num), n)
     return chi if num >= 0 else -chi

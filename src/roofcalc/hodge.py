@@ -7,6 +7,8 @@ the same Koszul stage: `_conormal_rows` yields, for each degree j, the terms
 Sym^{j-t} F* (x) Omega^t_G of wedge^j of the conormal sequence, building
 each Sym^m F* and Omega^t once, and `bundles.wedge_characters` gives the
 torus characters of the wedge^s F* that resolve their restrictions to X.
+Each character the kernels read is prepared once per spec, as a
+`bwb.Character` with its collision masks.
 
   1. Lefschetz route, when every summand of F is ample or dim X = 0 (a
      point set has the single entry h^{0,0} = chi(O_X)).  Sommese's
@@ -59,11 +61,12 @@ section are recorded assumptions, not verified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from . import bundles
-from .bundles import BundleExpr, _box_partitions
-from .bwb import euler_characteristic, tensor_cohomology
+from .bundles import BundleExpr
+from .bwb import Character, euler_characteristic, tensor_cohomology
 from .chase import Form, LinearSystem, les_chain, spectral_flow
 from .errors import (
     AmbiguityError,
@@ -78,9 +81,11 @@ from .weights import Weight
 
 # Limit on n^2 (rank F + 1) (atoms of F), a coarse measure of the Koszul
 # stage's work: the wedge characters fold up to rank F + 1 powers per atom,
-# and every weight of them costs a Vandermonde of n^2/2 factors.  The pair
-# bundles up to G(8,15) stay below 3000; 1200 copies of O(1) on P^1299 is
-# at 2.4e12.
+# and each weight is prepared once into a collision mask of up to n^2/2
+# bands.  Per term the walk marks up to n^2/2 gaps; a weight whose mask
+# meets them costs one AND, and a surviving weight its sequence and a
+# Vandermonde of n^2/2 factors.  The pair bundles up to G(8,15) stay below
+# 3000; 1200 copies of O(1) on P^1299 is at 2.4e12.
 MAX_KOSZUL_WORK = 10**8
 
 
@@ -239,20 +244,35 @@ class ZeroLocusSpec:
         return self.ambient_dim - bundles.rank(self.bundle)
 
 
+@cache
+def _gaussian_binomial(k: int, n: int) -> tuple[int, ...]:
+    """Coefficients of [n choose k]_q = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i);
+    the coefficient of q^p counts the partitions of p in the k x (n-k) box."""
+    m = n - k
+    c = [1] + [0] * (k * m)
+    for i in range(1, k + 1):
+        # times (1 - q^(m+i)), then divided by (1 - q^i), both mod q^(km+1)
+        for j in range(k * m, m + i - 1, -1):
+            c[j] -= c[j - m - i]
+        for j in range(i, k * m + 1):
+            c[j] += c[j - i]
+    return tuple(c)
+
+
 def ambient_diamond(k: int, n: int) -> HodgeDiamond:
-    """Diamond of G(k,n): h^{p,p} counts partitions of p in the k x (n-k) box."""
+    """Diamond of G(k,n): h^{p,p} counts partitions of p in the k x (n-k) box,
+    the coefficients of the Gaussian binomial [n choose k]_q."""
     if not (1 <= k < n):
         raise RankError(f"need 1 <= k < n, got ({k},{n})")
     d = k * (n - k)
     out = HodgeDiamond(d, meta={"variety": f"G({k},{n})"})
-    for p in range(d + 1):
-        c = sum(1 for _ in _box_partitions(p, k, n - k))
+    for p, c in enumerate(_gaussian_binomial(k, n)):
         out.set_entry(p, p, c)
         out.euler_columns[p] = (-1) ** p * c
     return out
 
 
-def _wedge_characters(spec: ZeroLocusSpec) -> list[dict[Weight, int]]:
+def _wedge_dicts(spec: ZeroLocusSpec) -> list[dict[Weight, int]]:
     """`bundles.wedge_characters` of F*, once the input passes the work limit."""
     f = spec.bundle
     work = spec.n**2 * (bundles.rank(f) + 1) * sum(m for _, m in f.terms)
@@ -262,6 +282,11 @@ def _wedge_characters(spec: ZeroLocusSpec) -> list[dict[Weight, int]]:
             f"exceeds {MAX_KOSZUL_WORK}"
         )
     return bundles.wedge_characters(bundles.dual(f))
+
+
+def _wedge_characters(spec: ZeroLocusSpec) -> list[Character]:
+    """The torus characters of wedge^s F*, s = 0..rank F, prepared for the walk."""
+    return [Character(c, spec.k, spec.n) for c in _wedge_dicts(spec)]
 
 
 def _conormal_rows(spec: ZeroLocusSpec, top: int):
@@ -277,19 +302,19 @@ def _conormal_rows(spec: ZeroLocusSpec, top: int):
         yield [bundles.tensor(syms[j - t], omegas[t]) for t in range(j + 1)]
 
 
-def _koszul_character(spec: ZeroLocusSpec) -> dict[Weight, int]:
-    """The virtual torus character of lambda_{-1} F* = sum_s (-1)^s wedge^s F*."""
+def _koszul_character(spec: ZeroLocusSpec) -> Character:
+    """The virtual torus character of lambda_{-1} F* = sum_s (-1)^s wedge^s F*,
+    prepared for the walk; it may cancel to nothing."""
     koszul: dict[Weight, int] = {}
-    for s, character in enumerate(_wedge_characters(spec)):
+    for s, character in enumerate(_wedge_dicts(spec)):
         sign = -1 if s & 1 else 1
         for nu, c in character.items():
             koszul[nu] = koszul.get(nu, 0) + sign * c
-    return {nu: c for nu, c in koszul.items() if c}
+    return Character({nu: c for nu, c in koszul.items() if c}, spec.k, spec.n)
 
 
-def _euler_columns(spec: ZeroLocusSpec, top: int) -> list[int]:
+def _euler_columns(spec: ZeroLocusSpec, koszul: Character, top: int) -> list[int]:
     """chi(Omega^p_X) for p = 0..top, by the Euler kernel on lambda_{-1} F*."""
-    koszul = _koszul_character(spec)
     return [
         sum(
             (-1) ** (p - t) * euler_characteristic(base, koszul)
@@ -299,11 +324,11 @@ def _euler_columns(spec: ZeroLocusSpec, top: int) -> list[int]:
     ]
 
 
-def _degree(spec: ZeroLocusSpec) -> int:
+def _degree(spec: ZeroLocusSpec, koszul: Character) -> int:
     """deg X = c_r(F) H^d, the d-th finite difference of m -> chi(X, O(m)):
-    sum_{m=0..d} (-1)^{d-m} C(d,m) chi(X, O(m)), each by the Euler kernel."""
+    sum_{m=0..d} (-1)^{d-m} C(d,m) chi(X, O(m)), each by the Euler kernel
+    on `koszul`, the character of lambda_{-1} F*."""
     d = spec.dim
-    koszul = _koszul_character(spec)
     return sum(
         (-1) ** (d - m) * comb(d, m)
         * euler_characteristic(bundles.line(spec.k, spec.n, m), koszul)
@@ -312,7 +337,7 @@ def _degree(spec: ZeroLocusSpec) -> int:
 
 
 def _koszul_totals(
-    base: BundleExpr, characters: list[dict[Weight, int]]
+    base: BundleExpr, characters: list[Character]
 ) -> tuple[dict[int, int], int]:
     """Antidiagonal totals and chi of the Koszul resolution of base|_X, where
     characters[s] is the torus character of wedge^s F*."""
@@ -383,12 +408,12 @@ def _meta(spec: ZeroLocusSpec) -> dict:
     }
 
 
-def _lefschetz_diamond(spec: ZeroLocusSpec) -> HodgeDiamond:
+def _lefschetz_diamond(spec: ZeroLocusSpec, koszul: Character) -> HodgeDiamond:
     """Diamond of the zero locus of an ample F: ambient entries off the
     middle row, middle entries from the Euler columns p <= d/2."""
     d = spec.dim
     diagonal = ambient_diamond(spec.k, spec.n).diagonal()
-    half = _euler_columns(spec, d // 2)
+    half = _euler_columns(spec, koszul, d // 2)
     chis = half + [(-1) ** d * half[d - p] for p in range(len(half), d + 1)]
     out = HodgeDiamond(d, meta=_meta(spec))
     for p in range(d + 1):
@@ -454,13 +479,14 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
     (dim X = 0) takes the Lefschetz route too.  For F not ample, an empty X
     (degree 0) raises EmptyZeroLocusError; ample F is never empty."""
     ample = bundles.is_ample(spec.bundle)
-    if not ample and _degree(spec) == 0:
+    koszul = _koszul_character(spec)
+    if not ample and _degree(spec, koszul) == 0:
         raise EmptyZeroLocusError(
             "zero locus is empty (degree 0): c_r(F) = 0, so a general section "
             f"of F vanishes nowhere on G({spec.k},{spec.n})"
         )
     if ample or spec.dim == 0:
-        return _lefschetz_diamond(spec)
+        return _lefschetz_diamond(spec, koszul)
     return _chase_diamond(spec)
 
 
@@ -469,7 +495,7 @@ def point_count(spec: ZeroLocusSpec) -> int:
     complex of wedge powers of the dual bundle."""
     if spec.dim != 0:
         raise RankError(f"point count needs dim 0, got {spec.dim}")
-    return _euler_columns(spec, 0)[0]
+    return _euler_columns(spec, _koszul_character(spec), 0)[0]
 
 
 def v_cohomology(y: HodgeDiamond, ambient: HodgeDiamond) -> list[int]:

@@ -1,11 +1,20 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import factorial, prod
 
 import pytest
 
 from roofcalc import bundles
-from roofcalc.bwb import bott, euler_characteristic, gl_dimension, rho, tensor_cohomology
+from roofcalc.bwb import (
+    Character,
+    _sequences,
+    bott,
+    euler_characteristic,
+    gl_dimension,
+    rho,
+    tensor_cohomology,
+)
 from roofcalc.errors import DominanceError
 from roofcalc.weights import DoubleWeight
 
@@ -187,3 +196,95 @@ class TestEulerCharacteristic:
         assert euler_characteristic(bundles.line(1, 5, -6), {(0,) * 5: 1}) == 5
         assert euler_characteristic(bundles.line(1, 4, -5), {(0,) * 4: 1}) == -4
         assert euler_characteristic(bundles.line(1, 4, -2), {(0,) * 4: 1}) == 0
+
+
+def reference_walk(terms, n, character):
+    """The walk before collision masks: every (term, nu), filtered by a set."""
+    for w, mult in terms:
+        for nu, c in character.items():
+            seq = tuple(a + b + r for a, b, r in zip(w.concat(), nu, rho(n)))
+            if len(set(seq)) == n:
+                yield mult * c, seq
+
+
+class TestMaskedWalk:
+    """`bwb._sequences` keeps exactly the (c, seq) that the set test keeps."""
+
+    AMBIENTS = [(k, n) for n in range(2, 9) for k in range(1, n)]
+
+    @staticmethod
+    def random_terms(rng, k, n):
+        return [
+            (
+                DoubleWeight(
+                    tuple(sorted((rng.randint(-4, 4) for _ in range(k)), reverse=True)),
+                    tuple(sorted((rng.randint(-4, 4) for _ in range(n - k)), reverse=True)),
+                ),
+                rng.randint(1, 3),
+            )
+            for _ in range(rng.randint(1, 6))
+        ]
+
+    @staticmethod
+    def assert_same_walk(terms, k, n, character):
+        got = Counter(_sequences(terms, Character(character, k, n)))
+        assert got == Counter(reference_walk(terms, n, character)), (k, n, character)
+
+    def test_empty_and_trivial_characters(self):
+        rng = random.Random(14)
+        for k, n in self.AMBIENTS:
+            terms = self.random_terms(rng, k, n)
+            assert list(_sequences(terms, Character({}, k, n))) == []
+            self.assert_same_walk(terms, k, n, {(0,) * n: 1})
+            # identical columns: only the cross-block pairs can collide
+            assert len(Character({(0,) * n: 1}, k, n).pairs) == k * (n - k)
+
+    def test_virtual_characters(self):
+        rng = random.Random(15)
+        for k, n in self.AMBIENTS:
+            for _ in range(4):
+                character = {
+                    tuple(rng.randint(-3, 3) for _ in range(n)): rng.choice([-2, -1, 1, 3])
+                    for _ in range(rng.randint(1, 12))
+                }
+                self.assert_same_walk(self.random_terms(rng, k, n), k, n, character)
+
+    def test_wedge_characters_of_atom_sums(self):
+        from roofcalc.parser import parse_bundle
+
+        rng = random.Random(16)
+        for text in ["UD+UD+UD", "UD+Q", "QD*O(2)", "U*O(1)+O(1)", "Q+Q"]:
+            for k, n in rng.sample(self.AMBIENTS, 8):
+                wedges = bundles.wedge_characters(parse_bundle(text, k, n))
+                koszul = {}
+                for s, wedge in enumerate(wedges):
+                    self.assert_same_walk(self.random_terms(rng, k, n), k, n, wedge)
+                    for nu, c in wedge.items():
+                        koszul[nu] = koszul.get(nu, 0) + (-1) ** s * c
+                koszul = {nu: c for nu, c in koszul.items() if c}
+                self.assert_same_walk(self.random_terms(rng, k, n), k, n, koszul)
+
+    def test_same_block_columns_in_lockstep(self):
+        # nu_j - nu_i is a nonzero constant c for a same-block pair (i, j):
+        # the pair can still collide, when s_i - s_j = c, so it stays active
+        rng = random.Random(17)
+        caught = 0
+        for k, n in self.AMBIENTS:
+            blocks = [range(k), range(k, n)]
+            same = [(i, j) for b in blocks for i, j in combinations(b, 2)]
+            if not same:
+                continue
+            for _ in range(6):
+                i, j = rng.choice(same)
+                step = rng.choice([-3, -2, -1, 1, 2, 3])
+                character = {}
+                for _ in range(rng.randint(1, 8)):
+                    nu = [rng.randint(-2, 2) for _ in range(n)]
+                    nu[j] = nu[i] + step
+                    character[tuple(nu)] = rng.choice([-1, 1, 2])
+                terms = self.random_terms(rng, k, n)
+                self.assert_same_walk(terms, k, n, character)
+                for w, _ in terms:
+                    s = [a + r for a, r in zip(w.concat(), rho(n))]
+                    caught += s[i] - s[j] == step
+        assert caught > 0

@@ -13,6 +13,8 @@ from roofcalc.hodge import (
     _chase_diamond,
     _conormal_rows,
     _degree,
+    _gaussian_binomial,
+    _koszul_character,
     _koszul_totals,
     _wedge_characters,
     ambient_diamond,
@@ -57,6 +59,15 @@ class TestAmbientDiamond:
                 sizes = Counter(sum(w) for w in brute_force_box(k, n - k))
                 want = [sizes[p] for p in range(k * (n - k) + 1)]
                 assert ambient_diamond(k, n).diagonal() == want, (k, n)
+
+    def test_gaussian_binomial_counts_the_enumeration(self):
+        for n in range(2, 16):
+            for k in range(1, n):
+                want = [
+                    sum(1 for _ in bundles._box_partitions(p, k, n - k))
+                    for p in range(k * (n - k) + 1)
+                ]
+                assert list(_gaussian_binomial(k, n)) == want, (k, n)
 
 
 class TestHyperplanes:
@@ -107,7 +118,8 @@ class TestDegree:
         ],
     )
     def test_known_degrees(self, k, n, text, degree):
-        assert _degree(ZeroLocusSpec(k, n, parse_bundle(text, k, n))) == degree
+        spec = ZeroLocusSpec(k, n, parse_bundle(text, k, n))
+        assert _degree(spec, _koszul_character(spec)) == degree
 
 
 def koszul_data_lr(spec, base):
@@ -149,10 +161,10 @@ class TestKoszulKernel:
         seen = Counter()
         walk = bwb._sequences
 
-        def recording_walk(terms, n, character):
+        def recording_walk(terms, character):
             terms = tuple(terms)
             k = terms[0][0].k
-            for c, seq in walk(terms, n, character):
+            for c, seq in walk(terms, character):
                 upper, lower = seq[:k], seq[k:]
                 if list(upper) != sorted(upper, reverse=True) or list(lower) != sorted(
                     lower, reverse=True
