@@ -24,11 +24,13 @@ One walk, `_sequences`, yields every such seq without a repeated entry,
 and `bott` (W trivial), `tensor_cohomology` and `euler_characteristic` read
 it.  The repeat test is one AND of two bitmasks.  Entries i < j of
 seq = s + nu, with s = lam + rho_G, collide exactly when s_i - s_j =
-nu_j - nu_i.  A `Character` is prepared once, where it is built: with D =
-max - min over all its entries, each active pair (i, j) owns 2D + 1 bits,
-and each weight nu sets the bit of nu_j - nu_i in every band.  Per term the
-walk sets, once, the bit of each gap s_i - s_j that lies in [-D, D], and
-keeps nu only when its mask misses all of them.  The active pairs are every
+nu_j - nu_i.  A `Character` is prepared once, where it is built: each
+active pair (i, j) gives each distinct value of nu_j - nu_i over the
+weights a bit of its own, and each weight's mask holds its value's bit for
+every pair.  Masks thus grow with the number of weights, never with the size
+of their entries.  Per term the walk sets, once, the bit of each gap
+s_i - s_j that some weight takes, and keeps nu only when its mask misses
+all of them.  The active pairs are every
 cross-block pair and each same-block pair whose two character columns
 differ: if the columns are identical, nu_j - nu_i = 0, and s is strictly
 decreasing within each block, so that pair never collides.
@@ -81,38 +83,30 @@ class Character:
     """A torus character of GL(k) x GL(n-k), prepared for `_sequences`.
 
     Built from a dict mapping each weight (upper block, then lower block) to
-    its multiplicity, which may be negative.  `pairs` lists (i, j, base) for
-    each active pair, its band of 2 * delta + 1 bits centred on bit base;
-    `weights` lists (nu, c, mask), mask holding the bit base + nu_j - nu_i
-    of every band (see the module docstring).
+    its multiplicity, which may be negative.  `pairs` lists (i, j, bits) for
+    each active pair, bits mapping each value of nu_j - nu_i over the weights
+    to a bit of its own; `weights` lists (nu, c, mask), mask holding the bit
+    of nu_j - nu_i of every pair (see the module docstring).
     """
 
-    __slots__ = ("n", "delta", "pairs", "weights")
+    __slots__ = ("n", "pairs", "weights")
 
     def __init__(self, multiplicities: dict[Weight, int], k: int, n: int):
-        entries = [e for nu in multiplicities for e in nu]
         self.n = n
-        self.delta = delta = max(entries) - min(entries) if entries else 0
         columns = list(zip(*multiplicities)) or [()] * n
-        active = [
-            (i, j)
-            for i, j in combinations(range(n), 2)
-            if i < k <= j or columns[i] != columns[j]
-        ]
-        width = 2 * delta + 1
-        self.pairs = tuple(
-            (i, j, p * width + delta) for p, (i, j) in enumerate(active)
-        )
+        pairs = []
+        width = 0
+        for i, j in combinations(range(n), 2):
+            if i < k <= j or columns[i] != columns[j]:
+                diffs = dict.fromkeys(map(sub, columns[j], columns[i]))
+                bits = {d: 1 << b for b, d in enumerate(diffs, width)}
+                width += len(bits)
+                pairs.append((i, j, bits))
+        self.pairs = tuple(pairs)
         self.weights = tuple(
-            (nu, c, sum(1 << (base + nu[j] - nu[i]) for i, j, base in self.pairs))
+            (nu, c, sum(bits[nu[j] - nu[i]] for i, j, bits in pairs))
             for nu, c in multiplicities.items()
         )
-
-
-def _prepared(character: Character | dict[Weight, int], k: int, n: int) -> Character:
-    if isinstance(character, Character):
-        return character
-    return Character(character, k, n)
 
 
 @cache
@@ -129,14 +123,12 @@ def _sequences(
     marked once per term, and a weight is skipped when its collision mask
     meets them, before its seq is built."""
     r = rho(character.n)
-    delta, pairs, weights = character.delta, character.pairs, character.weights
+    pairs, weights = character.pairs, character.weights
     for w, mult in terms:
         shifted = tuple(map(add, w.concat(), r))
         gaps = 0
-        for i, j, base in pairs:
-            g = shifted[i] - shifted[j]
-            if -delta <= g <= delta:
-                gaps |= 1 << (base + g)
+        for i, j, bits in pairs:
+            gaps |= bits.get(shifted[i] - shifted[j], 0)
         for nu, c, mask in weights:
             if not mask & gaps:
                 yield mult * c, tuple(map(add, shifted, nu))
@@ -183,20 +175,17 @@ def gl_dimension(mu: Weight) -> int:
     return num // den
 
 
-def tensor_cohomology(
-    expr: "BundleExpr", character: Character | dict[Weight, int]
-) -> dict[int, int]:
+def tensor_cohomology(expr: "BundleExpr", character: Character) -> dict[int, int]:
     """Per-degree dimensions of H^*(G(k,n), E (x) W), by Klimyk and Bott.
 
     E is `expr`; W is a representation of GL(k) x GL(n-k) given by its
-    `character`, which maps each weight (upper block, then lower block) to
-    its multiplicity, or by that character prepared as a `Character`.
-    Degrees with zero total are left out.  See the module docstring for why
+    torus `character`, prepared as a `Character`.  Degrees with zero total
+    are left out.  See the module docstring for why
     the signed per-degree sums are exact.
     """
     k, n = expr.ambient
     buckets: dict[int, int] = {}
-    for c, seq in _sequences(expr.terms, _prepared(character, k, n)):
+    for c, seq in _sequences(expr.terms, character):
         degree = _degree(seq, k)
         num = _vandermonde(seq)
         buckets[degree] = buckets.get(degree, 0) + (-c if degree & 1 else c) * num
@@ -208,16 +197,13 @@ def tensor_cohomology(
     return out
 
 
-def euler_characteristic(
-    expr: "BundleExpr", character: Character | dict[Weight, int]
-) -> int:
+def euler_characteristic(expr: "BundleExpr", character: Character) -> int:
     """chi(G(k,n), E (x) W) with E = `expr` and W given by its `character`,
     as in `tensor_cohomology`; W may be virtual (negative multiplicities).
 
     The sum of the Vandermondes of the walk; see the module docstring.
     """
-    k, n = expr.ambient
-    walk = _sequences(expr.terms, _prepared(character, k, n))
+    walk = _sequences(expr.terms, character)
     num = sum(c * _vandermonde(seq) for c, seq in walk)
-    chi = _weyl_quotient(abs(num), n)
+    chi = _weyl_quotient(abs(num), character.n)
     return chi if num >= 0 else -chi

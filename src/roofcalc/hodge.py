@@ -81,11 +81,12 @@ from .weights import Weight
 
 # Limit on n^2 (rank F + 1) (atoms of F), a coarse measure of the Koszul
 # stage's work: the wedge characters fold up to rank F + 1 powers per atom,
-# and each weight is prepared once into a collision mask of up to n^2/2
-# bands.  Per term the walk marks up to n^2/2 gaps; a weight whose mask
-# meets them costs one AND, and a surviving weight its sequence and a
-# Vandermonde of n^2/2 factors.  The pair bundles up to G(8,15) stay below
-# 3000; 1200 copies of O(1) on P^1299 is at 2.4e12.
+# and each weight is prepared once into a collision mask with one bit for
+# each of up to n^2/2 position pairs (masks grow with the number of weights,
+# not with the size of the twist).  Per term the walk marks up to n^2/2
+# gaps; a weight whose mask meets them costs one AND, and a surviving weight
+# its sequence and a Vandermonde of n^2/2 factors.  The pair bundles up to
+# G(8,15) stay below 3000; 1200 copies of O(1) on P^1299 is at 2.4e12.
 MAX_KOSZUL_WORK = 10**8
 
 

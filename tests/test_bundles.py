@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from roofcalc import bundles
-from roofcalc.bwb import tensor_cohomology
+from roofcalc.bwb import Character, tensor_cohomology
 from roofcalc.errors import AmbientMismatchError, PlethysmRequiredError
 from roofcalc.weights import DoubleWeight
 
@@ -299,7 +299,7 @@ class TestCotangentPower:
             (-1) ** (t + d) * h
             for t in range(k * (n - k) + 1)
             for d, h in tensor_cohomology(
-                bundles.cotangent_power(k, n, t), {(0,) * n: 1}
+                bundles.cotangent_power(k, n, t), Character({(0,) * n: 1}, k, n)
             ).items()
         )
         assert total == comb(n, k)
@@ -355,7 +355,9 @@ class TestAgainstProjectiveSpaceFormula:
         for p in range(n + 1):
             omega_p = bundles.cotangent_power(1, n + 1, p)
             for t in range(-6, 7):
-                totals = tensor_cohomology(bundles.twist(omega_p, t), {(0,) * (n + 1): 1})
+                totals = tensor_cohomology(
+                    bundles.twist(omega_p, t), Character({(0,) * (n + 1): 1}, 1, n + 1)
+                )
                 assert totals == projective_space_omega_cohomology(
                     n, p, t
                 ), (n, p, t)

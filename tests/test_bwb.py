@@ -21,6 +21,11 @@ from roofcalc.weights import DoubleWeight
 from oracles import count_ssyt, partitions_up_to
 
 
+def trivial(k, n):
+    """The trivial character of GL(k) x GL(n-k), prepared for the walk."""
+    return Character({(0,) * n: 1}, k, n)
+
+
 class TestBott:
     def test_sections_of_hyperplane_line(self):
         res = bott(DoubleWeight((1,), (0, 0, 0, 0)))
@@ -62,7 +67,7 @@ class TestBott:
             res = bott(w)
             # the single-weight walk agrees with the Klimyk walk on the trivial character
             e = bundles.irreducible(k, n, w.upper, w.lower)
-            assert tensor_cohomology(e, {(0,) * n: 1}) == (
+            assert tensor_cohomology(e, trivial(k, n)) == (
                 {} if res.acyclic else {res.degree: res.dimension}
             )
             # dual(E) (x) omega with omega = O(-n) is one irreducible term
@@ -122,7 +127,7 @@ class TestBundleCohomology:
     @staticmethod
     def totals(expr):
         """Per-degree dimensions of H^*(E): E (x) the trivial representation."""
-        return tensor_cohomology(expr, {(0,) * expr.n: 1})
+        return tensor_cohomology(expr, trivial(expr.k, expr.n))
 
     def test_structure_sheaf(self):
         assert self.totals(bundles.line(2, 5, 0)) == {0: 1}
@@ -175,9 +180,12 @@ class TestEulerCharacteristic:
             want = sum(
                 c * (-1) ** degree * dim
                 for c, wedge in zip(coefficients, wedges)
-                for degree, dim in tensor_cohomology(expr, wedge).items()
+                for degree, dim in tensor_cohomology(
+                    expr, Character(wedge, k, n)
+                ).items()
             )
-            assert euler_characteristic(expr, character) == want
+            prepared = Character(character, k, n)
+            assert euler_characteristic(expr, prepared) == want
             # the unfiltered sum: every sequence, repeats included, whose
             # Vandermonde is then 0
             num = sum(
@@ -188,14 +196,14 @@ class TestEulerCharacteristic:
             )
             superfactorial = prod(factorial(i) for i in range(n))
             assert num % superfactorial == 0
-            assert euler_characteristic(expr, character) == num // superfactorial
+            assert euler_characteristic(expr, prepared) == num // superfactorial
 
     def test_line_bundles_on_projective_space(self):
         # chi(P^m, O(t)) = C(m+t, m) as a polynomial in t, negative values included
-        assert euler_characteristic(bundles.line(1, 5, 2), {(0,) * 5: 1}) == 15
-        assert euler_characteristic(bundles.line(1, 5, -6), {(0,) * 5: 1}) == 5
-        assert euler_characteristic(bundles.line(1, 4, -5), {(0,) * 4: 1}) == -4
-        assert euler_characteristic(bundles.line(1, 4, -2), {(0,) * 4: 1}) == 0
+        assert euler_characteristic(bundles.line(1, 5, 2), trivial(1, 5)) == 15
+        assert euler_characteristic(bundles.line(1, 5, -6), trivial(1, 5)) == 5
+        assert euler_characteristic(bundles.line(1, 4, -5), trivial(1, 4)) == -4
+        assert euler_characteristic(bundles.line(1, 4, -2), trivial(1, 4)) == 0
 
 
 def reference_walk(terms, n, character):
