@@ -39,6 +39,7 @@ ARGVS = [
           (2, 5, "Q"),
           (1, 6, "QD*O(2)"),
           (2, 4, "UD+UD"),
+          (2, 5, "O(1)+O(1)+O(2)"),
       ]),
     ["windows", "--n", "6"],
     ["bott", "--k", "2", "--n", "5", "--weight", "0,0|2,0,0"],  # acyclic
