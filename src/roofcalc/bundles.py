@@ -79,13 +79,11 @@ def zero(k: int, n: int) -> BundleExpr:
     return BundleExpr(k, n, ())
 
 
-def irreducible(k: int, n: int, upper: Weight, lower: Weight, mult: int = 1) -> BundleExpr:
+def irreducible(k: int, n: int, upper: Weight, lower: Weight) -> BundleExpr:
     w = DoubleWeight(tuple(upper), tuple(lower))
     if w.ambient != (k, n):
         raise AmbientMismatchError(f"{w} does not live on G({k},{n})")
-    if mult < 0:
-        raise ValueError(f"multiplicity {mult} < 1 for {_normalise(w)}")
-    return _expr(k, n, {w: mult})
+    return _expr(k, n, {w: 1})
 
 
 def line(k: int, n: int, t: int) -> BundleExpr:

@@ -20,26 +20,32 @@ sign (-1)^(within-block inversions), or zero if that has a repeat.  Since
 rho_G - rho_L is constant on each block, Bott's theorem then acts on the
 same sequence seq = lam + nu + rho_G, sorted within blocks.
 
-One walk, `_sequences`, yields every such seq without a repeated entry,
-and `bott` (W trivial), `tensor_cohomology` and `euler_characteristic` read
-it.  The repeat test is one AND of two bitmasks.  Entries i < j of
-seq = s + nu, with s = lam + rho_G, collide exactly when s_i - s_j =
+One walk, `_sequences`, yields every such seq without a repeated entry, and
+`bott` (W trivial), `tensor_cohomology` and `euler_characteristic` read it.
+W may be graded, W = (W_0, W_1, ...), as the Koszul layers wedge^s F* are;
+a `Character` holds every layer under one mask layout, so each term's gaps
+are marked once.  The repeat test is one AND of two bitmasks.  Entries
+i < j of seq = s + nu, with s = lam + rho_G, collide exactly when s_i - s_j =
 nu_j - nu_i.  A `Character` is prepared once, where it is built: each
 active pair (i, j) gives each distinct value of nu_j - nu_i over the
 weights a bit of its own, and each weight's mask holds its value's bit for
-every pair.  Masks thus grow with the number of weights, never with the size
-of their entries.  Per term the walk sets, once, the bit of each gap
+every pair.  Masks thus grow with the number of weights, never with the
+size of their entries.  Per term the walk sets, once, the bit of each gap
 s_i - s_j that some weight takes, and keeps nu only when its mask misses
-all of them.  The active pairs are every
-cross-block pair and each same-block pair whose two character columns
-differ: if the columns are identical, nu_j - nu_i = 0, and s is strictly
-decreasing within each block, so that pair never collides.
+all of them.  The active pairs are every cross-block pair and each
+same-block pair whose two character columns differ: if the columns are
+identical, nu_j - nu_i = 0, and s is strictly decreasing within each block,
+so that pair never collides.
 
 The Vandermonde prod_{i<j} (seq_i - seq_j) carries the Klimyk sign times
-(-1)^degree, degree being the cross-block inversions of seq, so
-`tensor_cohomology` buckets (-1)^degree times it by degree (terms that
-cancel are the same L-irreducible, in the same degree, so the totals are
-exact) and `euler_characteristic` just sums it.
+(-1)^degree, degree being the cross-block inversions of seq.
+`euler_characteristic` sums it times (-1)^s c, which is chi(E (x) sum_s
+(-1)^s W_s), as the sum is linear.  `tensor_cohomology` buckets (-1)^degree
+c times it by (s, degree): terms that cancel are the same L-irreducible, in
+the same layer and degree, so each bucket is one dimension times
+prod (j - i), and `_weyl_quotient` divides it exactly.  (Buckets by degree
+alone would, with the signs (-1)^s c, subtract the dimensions of different
+layers.)  The totals are keyed by the antidiagonal m = degree - s.
 """
 
 from __future__ import annotations
@@ -80,20 +86,22 @@ def _weyl_quotient(num: int, n: int) -> int:
 
 
 class Character:
-    """A torus character of GL(k) x GL(n-k), prepared for `_sequences`.
+    """A torus character of GL(k) x GL(n-k), in layers, prepared for `_sequences`.
 
-    Built from a dict mapping each weight (upper block, then lower block) to
-    its multiplicity, which may be negative.  `pairs` lists (i, j, bits) for
-    each active pair, bits mapping each value of nu_j - nu_i over the weights
-    to a bit of its own; `weights` lists (nu, c, mask), mask holding the bit
-    of nu_j - nu_i of every pair (see the module docstring).
+    Built from a list of layers (a plain character is one layer), layers[s]
+    mapping each weight (upper block, then lower block) to its multiplicity,
+    which may be negative.  `pairs` lists (i, j, bits) for each active pair,
+    bits mapping each value of nu_j - nu_i over all weights to a bit of its
+    own; `weights` lists (nu, s, (-1)^s c, mask), mask holding the bit of
+    nu_j - nu_i of every pair (see the module docstring).
     """
 
     __slots__ = ("n", "pairs", "weights")
 
-    def __init__(self, multiplicities: dict[Weight, int], k: int, n: int):
+    def __init__(self, layers: list[dict[Weight, int]], k: int, n: int):
         self.n = n
-        columns = list(zip(*multiplicities)) or [()] * n
+        union = dict.fromkeys(nu for layer in layers for nu in layer)
+        columns = list(zip(*union)) or [()] * n
         pairs = []
         width = 0
         for i, j in combinations(range(n), 2):
@@ -104,24 +112,25 @@ class Character:
                 pairs.append((i, j, bits))
         self.pairs = tuple(pairs)
         self.weights = tuple(
-            (nu, c, sum(bits[nu[j] - nu[i]] for i, j, bits in pairs))
-            for nu, c in multiplicities.items()
+            (nu, s, -c if s & 1 else c, sum(bits[nu[j] - nu[i]] for i, j, bits in pairs))
+            for s, layer in enumerate(layers)
+            for nu, c in layer.items()
         )
 
 
 @cache
 def _trivial(k: int, n: int) -> Character:
-    return Character({(0,) * n: 1}, k, n)
+    return Character([{(0,) * n: 1}], k, n)
 
 
 def _sequences(
     terms: Iterable[tuple[DoubleWeight, int]], character: Character
-) -> Iterator[tuple[int, Weight]]:
-    """(mult * c, seq) for each term (lam, mult) and weight nu of multiplicity
-    c in `character`, with seq = lam + nu + rho, skipping every seq with a
-    repeated entry (it has no cohomology).  The gaps of lam + rho are
-    marked once per term, and a weight is skipped when its collision mask
-    meets them, before its seq is built."""
+) -> Iterator[tuple[int, int, Weight]]:
+    """(mult * (-1)^s c, s, seq) for each term (lam, mult) and weight nu of
+    multiplicity c in layer s of `character`, with seq = lam + nu + rho,
+    skipping every seq with a repeated entry (it has no cohomology).  The
+    gaps of lam + rho are marked once per term, and a weight is skipped when
+    its collision mask meets them, before its seq is built."""
     r = rho(character.n)
     pairs, weights = character.pairs, character.weights
     for w, mult in terms:
@@ -129,9 +138,9 @@ def _sequences(
         gaps = 0
         for i, j, bits in pairs:
             gaps |= bits.get(shifted[i] - shifted[j], 0)
-        for nu, c, mask in weights:
+        for nu, s, c, mask in weights:
             if not mask & gaps:
-                yield mult * c, tuple(map(add, shifted, nu))
+                yield mult * c, s, tuple(map(add, shifted, nu))
 
 
 def _degree(seq: Weight, k: int) -> int:
@@ -147,7 +156,7 @@ def _vandermonde(seq: Weight) -> int:
 def bott(w: DoubleWeight) -> BottResult:
     """All cohomology of the irreducible homogeneous bundle labelled by w."""
     n = w.n
-    for _, seq in _sequences(((w, 1),), _trivial(w.k, n)):
+    for _, _, seq in _sequences(((w, 1),), _trivial(w.k, n)):
         # both blocks are dominant, so all inversions are cross-block ones
         weight = tuple(map(sub, sorted(seq, reverse=True), rho(n)))
         dim = _weyl_quotient(abs(_vandermonde(seq)), n)
@@ -176,34 +185,35 @@ def gl_dimension(mu: Weight) -> int:
 
 
 def tensor_cohomology(expr: "BundleExpr", character: Character) -> dict[int, int]:
-    """Per-degree dimensions of H^*(G(k,n), E (x) W), by Klimyk and Bott.
+    """Totals of H^*(G(k,n), E (x) W_s) on antidiagonals, by Klimyk and Bott.
 
-    E is `expr`; W is a representation of GL(k) x GL(n-k) given by its
-    torus `character`, prepared as a `Character`.  Degrees with zero total
-    are left out.  See the module docstring for why
-    the signed per-degree sums are exact.
+    E is `expr`; the layers W_s of `character` are representations of
+    GL(k) x GL(n-k).  Entry m sums dim H^{m+s}(E (x) W_s) over s; for one
+    layer, it is the dimension in degree m.  Zero totals are left out.  See
+    the module docstring for why the signed sums are exact.
     """
     k, n = expr.ambient
-    buckets: dict[int, int] = {}
-    for c, seq in _sequences(expr.terms, character):
-        degree = _degree(seq, k)
+    buckets: dict[tuple[int, int], int] = {}
+    for c, s, seq in _sequences(expr.terms, character):
+        key = (s, _degree(seq, k))
         num = _vandermonde(seq)
-        buckets[degree] = buckets.get(degree, 0) + (-c if degree & 1 else c) * num
-    out = {}
-    for degree, num in sorted(buckets.items()):
+        buckets[key] = buckets.get(key, 0) + (-c if (key[1] - s) & 1 else c) * num
+    out: dict[int, int] = {}
+    for (s, degree), num in sorted(buckets.items()):
         dim = _weyl_quotient(num, n)
         if dim:
-            out[degree] = dim
+            out[degree - s] = out.get(degree - s, 0) + dim
     return out
 
 
 def euler_characteristic(expr: "BundleExpr", character: Character) -> int:
-    """chi(G(k,n), E (x) W) with E = `expr` and W given by its `character`,
-    as in `tensor_cohomology`; W may be virtual (negative multiplicities).
+    """chi(G(k,n), E (x) W) with E = `expr` and W = sum_s (-1)^s W_s over the
+    layers of `character`, as in `tensor_cohomology`; W may be virtual
+    (negative multiplicities).
 
     The sum of the Vandermondes of the walk; see the module docstring.
     """
     walk = _sequences(expr.terms, character)
-    num = sum(c * _vandermonde(seq) for c, seq in walk)
+    num = sum(c * _vandermonde(seq) for c, _, seq in walk)
     chi = _weyl_quotient(abs(num), character.n)
     return chi if num >= 0 else -chi

@@ -7,8 +7,9 @@ the same Koszul stage: `_conormal_rows` yields, for each degree j, the terms
 Sym^{j-t} F* (x) Omega^t_G of wedge^j of the conormal sequence, building
 each Sym^m F* and Omega^t once, and `bundles.wedge_characters` gives the
 torus characters of the wedge^s F* that resolve their restrictions to X.
-Each character the kernels read is prepared once per spec, as a
-`bwb.Character` with its collision masks.
+`_koszul_character` prepares those once per spec, as the layers s of one
+`bwb.Character` with one collision-mask layout, and the degree check, the
+Euler kernel and the chase all read that one character.
 
   1. Lefschetz route, when every summand of F is ample or dim X = 0 (a
      point set has the single entry h^{0,0} = chi(O_X)).  Sommese's
@@ -20,21 +21,24 @@ Each character the kernels read is prepared once per spec, as a
      chi_p is the alternating sum over t of chi(X, (Sym^{p-t} F* (x)
      Omega^t_G)|_X); each of those comes from the Koszul complex as
      chi(G, base (x) lambda_{-1} F*), with lambda_{-1} F* = sum_s (-1)^s
-     wedge^s F* merged into one virtual character, summed by the signed
-     Vandermonde kernel `bwb.euler_characteristic`.  No per-degree totals,
+     wedge^s F*, summed by the signed Vandermonde kernel
+     `bwb.euler_characteristic` over the layers of the Koszul character (the
+     sum is linear, so the layers need no merging).  No per-degree totals,
      no linear system.
   2. Chase route, for every other F with dim X > 0 (e.g. U*, Q or
      U* + O(1) on G(2,5)).
      Every term (Sym^{p-t} F* (x) Omega^t_G)|_X of the exterior power of
      the conormal sequence is resolved by the Koszul complex of wedge powers
-     of F* (`_koszul_totals`); the hypercohomology spectral sequence is
-     solved antidiagonal-wise (differentials raise total degree by one and
-     vanish outside [0, dim X]).  Only the per-degree totals of H^*(G, wedge^s F* (x)
-     Sym^{p-t} F* (x) Omega^t_G) enter, so wedge^s F* is never multiplied
-     out: its torus character goes straight into `bwb.tensor_cohomology`,
-     which sums Klimyk's signed weights by Bott's degree.  Terms of
-     opposite sign there are the same irreducible summand, in the same
-     degree, so they cancel within one total and every total stays exact.
+     of F*; the hypercohomology spectral sequence is solved
+     antidiagonal-wise (differentials raise total degree by one and vanish
+     outside [0, dim X]).  Only the antidiagonal totals, the sums over s of
+     dim H^{m+s}(G, wedge^s F* (x) Sym^{p-t} F* (x) Omega^t_G), enter, so
+     wedge^s F* is never multiplied out: one call of
+     `bwb.tensor_cohomology` per term walks every layer of the Koszul
+     character at once, sums Klimyk's signed weights by (s, Bott degree)
+     and keys the totals by m.  Terms of opposite sign in one (s, degree)
+     are the same irreducible summand, in the same degree, so they cancel
+     within it and every total stays exact.
      The conormal complex itself is then split into short exact sequences
      and the long exact sequences are chased.
 
@@ -77,16 +81,16 @@ from .errors import (
     RankError,
     WorkLimitError,
 )
-from .weights import Weight
 
 # Limit on n^2 (rank F + 1) (atoms of F), a coarse measure of the Koszul
-# stage's work: the wedge characters fold up to rank F + 1 powers per atom,
-# and each weight is prepared once into a collision mask with one bit for
-# each of up to n^2/2 position pairs (masks grow with the number of weights,
-# not with the size of the twist).  Per term the walk marks up to n^2/2
-# gaps; a weight whose mask meets them costs one AND, and a surviving weight
-# its sequence and a Vandermonde of n^2/2 factors.  The pair bundles up to
-# G(8,15) stay below 3000; 1200 copies of O(1) on P^1299 is at 2.4e12.
+# stage's work: the wedge characters fold up to rank F + 1 powers per atom
+# into the layers of one character, and each weight of each layer is
+# prepared once into a collision mask with one bit for each of up to n^2/2
+# position pairs (masks grow with the number of weights, not with the size
+# of the twist).  Per term the walk marks up to n^2/2 gaps once, for all
+# layers; a weight whose mask meets them costs one AND, and a surviving
+# weight its sequence and a Vandermonde of n^2/2 factors.  The pair bundles
+# up to G(8,15) stay below 3000; 1200 copies of O(1) on P^1299 is at 2.4e12.
 MAX_KOSZUL_WORK = 10**8
 
 
@@ -273,23 +277,6 @@ def ambient_diamond(k: int, n: int) -> HodgeDiamond:
     return out
 
 
-def _wedge_dicts(spec: ZeroLocusSpec) -> list[dict[Weight, int]]:
-    """`bundles.wedge_characters` of F*, once the input passes the work limit."""
-    f = spec.bundle
-    work = spec.n**2 * (bundles.rank(f) + 1) * sum(m for _, m in f.terms)
-    if work > MAX_KOSZUL_WORK:
-        raise WorkLimitError(
-            f"Koszul stage too large: n^2 (rank F + 1) (atoms of F) = {work} "
-            f"exceeds {MAX_KOSZUL_WORK}"
-        )
-    return bundles.wedge_characters(bundles.dual(f))
-
-
-def _wedge_characters(spec: ZeroLocusSpec) -> list[Character]:
-    """The torus characters of wedge^s F*, s = 0..rank F, prepared for the walk."""
-    return [Character(c, spec.k, spec.n) for c in _wedge_dicts(spec)]
-
-
 def _conormal_rows(spec: ZeroLocusSpec, top: int):
     """Rows j = 0..top of the exterior powers of the conormal sequence:
     row j lists Sym^{j-t} F* (x) Omega^t_G for t = 0..j, before restriction
@@ -304,14 +291,17 @@ def _conormal_rows(spec: ZeroLocusSpec, top: int):
 
 
 def _koszul_character(spec: ZeroLocusSpec) -> Character:
-    """The virtual torus character of lambda_{-1} F* = sum_s (-1)^s wedge^s F*,
-    prepared for the walk; it may cancel to nothing."""
-    koszul: dict[Weight, int] = {}
-    for s, character in enumerate(_wedge_dicts(spec)):
-        sign = -1 if s & 1 else 1
-        for nu, c in character.items():
-            koszul[nu] = koszul.get(nu, 0) + sign * c
-    return Character({nu: c for nu, c in koszul.items() if c}, spec.k, spec.n)
+    """The torus characters of wedge^s F*, s = 0..rank F, as the layers of
+    one `Character`, once the input passes the work limit.  Its signed sum
+    is lambda_{-1} F*, which the Euler kernel reads."""
+    f = spec.bundle
+    work = spec.n**2 * (bundles.rank(f) + 1) * sum(m for _, m in f.terms)
+    if work > MAX_KOSZUL_WORK:
+        raise WorkLimitError(
+            f"Koszul stage too large: n^2 (rank F + 1) (atoms of F) = {work} "
+            f"exceeds {MAX_KOSZUL_WORK}"
+        )
+    return Character(bundles.wedge_characters(bundles.dual(f)), spec.k, spec.n)
 
 
 def _euler_columns(spec: ZeroLocusSpec, koszul: Character, top: int) -> list[int]:
@@ -328,27 +318,13 @@ def _euler_columns(spec: ZeroLocusSpec, koszul: Character, top: int) -> list[int
 def _degree(spec: ZeroLocusSpec, koszul: Character) -> int:
     """deg X = c_r(F) H^d, the d-th finite difference of m -> chi(X, O(m)):
     sum_{m=0..d} (-1)^{d-m} C(d,m) chi(X, O(m)), each by the Euler kernel
-    on `koszul`, the character of lambda_{-1} F*."""
+    on `koszul`, whose layers wedge^s F* sum to lambda_{-1} F*."""
     d = spec.dim
     return sum(
         (-1) ** (d - m) * comb(d, m)
         * euler_characteristic(bundles.line(spec.k, spec.n, m), koszul)
         for m in range(d + 1)
     )
-
-
-def _koszul_totals(
-    base: BundleExpr, characters: list[Character]
-) -> tuple[dict[int, int], int]:
-    """Antidiagonal totals and chi of the Koszul resolution of base|_X, where
-    characters[s] is the torus character of wedge^s F*."""
-    totals: dict[int, int] = {}
-    chi = 0
-    for s, character in enumerate(characters):
-        for degree, dim in tensor_cohomology(base, character).items():
-            totals[degree - s] = totals.get(degree - s, 0) + dim
-            chi += (-1) ** (s + degree) * dim
-    return totals, chi
 
 
 def _intersect(a: tuple[int, int], b: tuple[int, int], where: str) -> tuple[int, int]:
@@ -437,11 +413,11 @@ def _lefschetz_diamond(spec: ZeroLocusSpec, koszul: Character) -> HodgeDiamond:
     return out
 
 
-def _chase_diamond(spec: ZeroLocusSpec) -> HodgeDiamond:
+def _chase_diamond(spec: ZeroLocusSpec, koszul: Character) -> HodgeDiamond:
     """Diamond of the zero locus by the Koszul/conormal chase and the
-    symmetry fixpoint; entries it cannot force stay intervals."""
+    symmetry fixpoint; entries it cannot force stay intervals.  `koszul`
+    holds the layers wedge^s F* of the Koszul resolution."""
     d = spec.dim
-    characters = _wedge_characters(spec)
     grid: list[list[tuple[int, int]]] = []
     chis: list[int] = []
     for j, row in enumerate(_conormal_rows(spec, d)):
@@ -450,9 +426,11 @@ def _chase_diamond(spec: ZeroLocusSpec) -> HodgeDiamond:
         vectors = []
         chi = 0
         for t, base in enumerate(row):
-            totals, c = _koszul_totals(base, characters)
+            totals = tensor_cohomology(base, koszul)
             flow = spectral_flow(system, totals, low=0, high=d)
             vectors.append([flow.get(q, Form.of(0)) for q in range(d + 1)])
+            # m may be negative, where (-1) ** m is a float
+            c = sum(-h if m & 1 else h for m, h in totals.items())
             chi += (-1) ** (j - t) * c
         forms = les_chain(system, vectors[0], vectors[1:], top=d)
         system.propagate()
@@ -488,7 +466,7 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
         )
     if ample or spec.dim == 0:
         return _lefschetz_diamond(spec, koszul)
-    return _chase_diamond(spec)
+    return _chase_diamond(spec, koszul)
 
 
 def point_count(spec: ZeroLocusSpec) -> int:

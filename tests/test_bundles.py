@@ -299,7 +299,7 @@ class TestCotangentPower:
             (-1) ** (t + d) * h
             for t in range(k * (n - k) + 1)
             for d, h in tensor_cohomology(
-                bundles.cotangent_power(k, n, t), Character({(0,) * n: 1}, k, n)
+                bundles.cotangent_power(k, n, t), Character([{(0,) * n: 1}], k, n)
             ).items()
         )
         assert total == comb(n, k)
@@ -356,7 +356,7 @@ class TestAgainstProjectiveSpaceFormula:
             omega_p = bundles.cotangent_power(1, n + 1, p)
             for t in range(-6, 7):
                 totals = tensor_cohomology(
-                    bundles.twist(omega_p, t), Character({(0,) * (n + 1): 1}, 1, n + 1)
+                    bundles.twist(omega_p, t), Character([{(0,) * (n + 1): 1}], 1, n + 1)
                 )
                 assert totals == projective_space_omega_cohomology(
                     n, p, t

@@ -21,9 +21,14 @@ from roofcalc.weights import DoubleWeight
 from oracles import count_ssyt, partitions_up_to
 
 
+def irreducible_times(k, n, upper, lower, mult):
+    """mult copies of the irreducible bundle labelled (upper|lower)."""
+    return bundles.direct_sum(*[bundles.irreducible(k, n, upper, lower)] * mult)
+
+
 def trivial(k, n):
     """The trivial character of GL(k) x GL(n-k), prepared for the walk."""
-    return Character({(0,) * n: 1}, k, n)
+    return Character([{(0,) * n: 1}], k, n)
 
 
 class TestBott:
@@ -160,7 +165,7 @@ class TestEulerCharacteristic:
             k = rng.randint(1, n - 1)
             expr = bundles.direct_sum(
                 *(
-                    bundles.irreducible(
+                    irreducible_times(
                         k,
                         n,
                         sorted((rng.randint(-3, 3) for _ in range(k)), reverse=True),
@@ -181,11 +186,22 @@ class TestEulerCharacteristic:
                 c * (-1) ** degree * dim
                 for c, wedge in zip(coefficients, wedges)
                 for degree, dim in tensor_cohomology(
-                    expr, Character(wedge, k, n)
+                    expr, Character([wedge], k, n)
                 ).items()
             )
-            prepared = Character(character, k, n)
+            prepared = Character([character], k, n)
             assert euler_characteristic(expr, prepared) == want
+            # the same sum from the graded character, layer s weighted (-1)^s,
+            # with no weights merged across layers
+            graded = Character(
+                [
+                    {nu: (-1) ** s * c * m for nu, m in wedge.items()}
+                    for s, (c, wedge) in enumerate(zip(coefficients, wedges))
+                ],
+                k,
+                n,
+            )
+            assert euler_characteristic(expr, graded) == want
             # the unfiltered sum: every sequence, repeats included, whose
             # Vandermonde is then 0
             num = sum(
@@ -206,17 +222,19 @@ class TestEulerCharacteristic:
         assert euler_characteristic(bundles.line(1, 4, -2), trivial(1, 4)) == 0
 
 
-def reference_walk(terms, n, character):
-    """The walk before collision masks: every (term, nu), filtered by a set."""
+def reference_walk(terms, n, layers):
+    """The walk before collision masks: every (term, layer, nu), filtered by
+    a set."""
     for w, mult in terms:
-        for nu, c in character.items():
-            seq = tuple(a + b + r for a, b, r in zip(w.concat(), nu, rho(n)))
-            if len(set(seq)) == n:
-                yield mult * c, seq
+        for s, layer in enumerate(layers):
+            for nu, c in layer.items():
+                seq = tuple(a + b + r for a, b, r in zip(w.concat(), nu, rho(n)))
+                if len(set(seq)) == n:
+                    yield mult * (-1) ** s * c, s, seq
 
 
 class TestMaskedWalk:
-    """`bwb._sequences` keeps exactly the (c, seq) that the set test keeps."""
+    """`bwb._sequences` keeps exactly the (c, s, seq) that the set test keeps."""
 
     AMBIENTS = [(k, n) for n in range(2, 9) for k in range(1, n)]
 
@@ -234,18 +252,19 @@ class TestMaskedWalk:
         ]
 
     @staticmethod
-    def assert_same_walk(terms, k, n, character):
-        got = Counter(_sequences(terms, Character(character, k, n)))
-        assert got == Counter(reference_walk(terms, n, character)), (k, n, character)
+    def assert_same_walk(terms, k, n, layers):
+        got = Counter(_sequences(terms, Character(layers, k, n)))
+        assert got == Counter(reference_walk(terms, n, layers)), (k, n, layers)
 
     def test_empty_and_trivial_characters(self):
         rng = random.Random(14)
         for k, n in self.AMBIENTS:
             terms = self.random_terms(rng, k, n)
-            assert list(_sequences(terms, Character({}, k, n))) == []
-            self.assert_same_walk(terms, k, n, {(0,) * n: 1})
+            assert list(_sequences(terms, Character([], k, n))) == []
+            assert list(_sequences(terms, Character([{}], k, n))) == []
+            self.assert_same_walk(terms, k, n, [{(0,) * n: 1}])
             # identical columns: only the cross-block pairs can collide
-            assert len(Character({(0,) * n: 1}, k, n).pairs) == k * (n - k)
+            assert len(Character([{(0,) * n: 1}], k, n).pairs) == k * (n - k)
 
     def test_virtual_characters(self):
         rng = random.Random(15)
@@ -255,22 +274,27 @@ class TestMaskedWalk:
                     tuple(rng.randint(-3, 3) for _ in range(n)): rng.choice([-2, -1, 1, 3])
                     for _ in range(rng.randint(1, 12))
                 }
-                self.assert_same_walk(self.random_terms(rng, k, n), k, n, character)
+                self.assert_same_walk(self.random_terms(rng, k, n), k, n, [character])
 
     def test_wedge_characters_of_atom_sums(self):
         from roofcalc.parser import parse_bundle
 
         rng = random.Random(16)
+        shared = 0
         for text in ["UD+UD+UD", "UD+Q", "QD*O(2)", "U*O(1)+O(1)", "Q+Q"]:
             for k, n in rng.sample(self.AMBIENTS, 8):
                 wedges = bundles.wedge_characters(parse_bundle(text, k, n))
                 koszul = {}
                 for s, wedge in enumerate(wedges):
-                    self.assert_same_walk(self.random_terms(rng, k, n), k, n, wedge)
+                    self.assert_same_walk(self.random_terms(rng, k, n), k, n, [wedge])
                     for nu, c in wedge.items():
                         koszul[nu] = koszul.get(nu, 0) + (-1) ** s * c
                 koszul = {nu: c for nu, c in koszul.items() if c}
-                self.assert_same_walk(self.random_terms(rng, k, n), k, n, koszul)
+                self.assert_same_walk(self.random_terms(rng, k, n), k, n, [koszul])
+                # all layers under one layout, weights shared by two layers included
+                self.assert_same_walk(self.random_terms(rng, k, n), k, n, wedges)
+                shared += len(set().union(*wedges)) < sum(map(len, wedges))
+        assert shared > 0
 
     def test_same_block_columns_in_lockstep(self):
         # nu_j - nu_i is a nonzero constant c for a same-block pair (i, j):
@@ -291,7 +315,7 @@ class TestMaskedWalk:
                     nu[j] = nu[i] + step
                     character[tuple(nu)] = rng.choice([-1, 1, 2])
                 terms = self.random_terms(rng, k, n)
-                self.assert_same_walk(terms, k, n, character)
+                self.assert_same_walk(terms, k, n, [character])
                 for w, _ in terms:
                     s = [a + r for a, r in zip(w.concat(), rho(n))]
                     caught += s[i] - s[j] == step

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from roofcalc import bundles, bwb
-from roofcalc.bwb import bott
+from roofcalc.bwb import bott, tensor_cohomology
 from roofcalc.chase import LinearSystem
 from roofcalc.errors import AmbiguityError, InjectivityViolationError, RankError
 from roofcalc.hodge import (
@@ -14,8 +14,6 @@ from roofcalc.hodge import (
     _conormal_rows,
     _degree,
     _koszul_character,
-    _koszul_totals,
-    _wedge_characters,
     ambient_diamond,
     check_pair_theorem,
     hodge_numbers,
@@ -122,7 +120,8 @@ class TestDegree:
 def koszul_data_lr(spec, base):
     """The Koszul totals by Littlewood-Richardson: expand each
     wedge^s F* (x) base into irreducibles and run Bott on every one.  The
-    reference for `_koszul_totals`, which never expands the tensor."""
+    reference for `tensor_cohomology` on the Koszul character, which never
+    expands the tensor."""
     f_dual = bundles.dual(spec.bundle)
     totals = {}
     chi = 0
@@ -161,7 +160,7 @@ class TestKoszulKernel:
         def recording_walk(terms, character):
             terms = tuple(terms)
             k = terms[0][0].k
-            for c, seq in walk(terms, character):
+            for c, s, seq in walk(terms, character):
                 upper, lower = seq[:k], seq[k:]
                 if list(upper) != sorted(upper, reverse=True) or list(lower) != sorted(
                     lower, reverse=True
@@ -169,7 +168,7 @@ class TestKoszulKernel:
                     seen["reordered"] += 1
                     # the Vandermonde's sign is (-1)^(within-block + cross-block inversions)
                     seen["odd"] += (bwb._vandermonde(seq) < 0) != (bwb._degree(seq, k) & 1)
-                yield c, seq
+                yield c, s, seq
 
         monkeypatch.setattr(bwb, "_sequences", recording_walk)
         rng = random.Random(20261018)
@@ -183,14 +182,20 @@ class TestKoszulKernel:
                 except RankError:
                     continue
             for spec in specs[:2]:
-                characters = _wedge_characters(spec)
+                koszul = _koszul_character(spec)
+                layers = Counter(nu for nu, _, _, _ in koszul.weights)
+                seen["shared"] += any(count > 1 for count in layers.values())
                 for j, row in enumerate(_conormal_rows(spec, spec.dim)):
                     for t, base in enumerate(row):
-                        assert _koszul_totals(base, characters) == koszul_data_lr(
-                            spec, base
-                        ), (text, spec.k, spec.n, j, t)
+                        totals = tensor_cohomology(base, koszul)
+                        chi = sum(-h if m & 1 else h for m, h in totals.items())
+                        assert (totals, chi) == koszul_data_lr(spec, base), (
+                            text, spec.k, spec.n, j, t
+                        )
                         checked += 1
         assert checked > 100
+        # some weight lies in two layers wedge^s F*
+        assert seen["shared"] > 0
         # the sign path: terms whose blocks need reordering, some an odd number of times
         assert seen["reordered"] > 0 and seen["odd"] > 0
 
@@ -201,7 +206,7 @@ class TestKoszulKernel:
         spec = ZeroLocusSpec(k, n, bundles.line(k, n, t))
         koszul = _koszul_character(spec)
         width = len(koszul.pairs) * len(koszul.weights)
-        assert all(mask < 1 << width for _, _, mask in koszul.weights)
+        assert all(mask < 1 << width for _, _, _, mask in koszul.weights)
         d = hodge_numbers(spec)
         # h^{0,dim} = h^0(K_X) = h^0(O(t - n)) on G(k,n), as O(-n) is acyclic
         assert d.h(0, d.dim) == bwb.gl_dimension((t - n,) * k + (0,) * (n - k))
@@ -232,6 +237,21 @@ class TestConormalRows:
         assert 0 < calls["sym_power"] <= top + 1
         assert 0 < calls["cotangent_power"] <= top + 1
 
+    def test_wedge_characters_folded_once(self, monkeypatch):
+        # the degree check and the chase read one Koszul character
+        calls = []
+        fold = bundles.wedge_characters
+
+        def counted(a):
+            calls.append(a)
+            return fold(a)
+
+        monkeypatch.setattr(bundles, "wedge_characters", counted)
+        spec = ZeroLocusSpec(3, 7, parse_bundle("UD+O(1)", 3, 7))
+        assert not bundles.is_ample(spec.bundle)  # the chase route
+        hodge_numbers(spec)
+        assert len(calls) == 1
+
 
 class TestLefschetzRoute:
     # ample F on every G(k,n) with n <= 6, the pair bundles Q*(2) and U(2) included
@@ -249,7 +269,7 @@ class TestLefschetzRoute:
                     if spec.dim == 0:
                         continue
                     assert bundles.is_ample(spec.bundle), (text, k, n)
-                    chased = _chase_diamond(spec)
+                    chased = _chase_diamond(spec, _koszul_character(spec))
                     if not chased.fully_exact():
                         left_open.append((text, k, n))
                         continue
