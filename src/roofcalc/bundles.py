@@ -25,7 +25,7 @@ from .errors import (
     RankError,
 )
 from .lr import lr_double_product
-from .weights import DoubleWeight, Weight, negate_reverse
+from .weights import DoubleWeight, Weight, enumerate_box, negate_reverse
 
 
 def _normalise(w: DoubleWeight) -> DoubleWeight:
@@ -237,25 +237,24 @@ def _atom_list(a: BundleExpr) -> list[tuple[str, int]]:
     return atoms
 
 
-def _graded_power(a: BundleExpr, m: int, label) -> BundleExpr:
-    """Expand a power of a direct sum of atoms with the binomial rule; the
-    degree-j power of one atom is its Schur functor S_{label(j)}."""
+def _graded_power(a: BundleExpr, m: int, label) -> list[BundleExpr]:
+    """Powers of degree 0..m of a direct sum of atoms, by the binomial rule;
+    the degree-j power of one atom is its Schur functor S_{label(j)}.  One
+    fold over the atoms builds every degree up to m at once."""
     if m < 0:
         raise RankError(f"power must be >= 0, got {m}")
     k, n = a.ambient
     if m == 0:
-        return line(k, n, 0)
+        return [line(k, n, 0)]
     atoms = _atom_list(a)
     if not atoms:
-        return zero(k, n)
+        return [line(k, n, 0)] + [zero(k, n)] * m
 
     @cache
     def factor(atom: tuple[str, int], j: int) -> BundleExpr:
         w = _atom_power(atom[0], atom[1], label(j), k, n)
         return zero(k, n) if w is None else _expr(k, n, {w: 1})
 
-    if len(atoms) == 1:
-        return factor(atoms[0], m)
     # powers[b]: the degree-b power of the atoms folded in so far, b <= m
     powers = [factor(atoms[0], b) for b in range(m + 1)]
     for atom in atoms[1:]:
@@ -272,17 +271,22 @@ def _graded_power(a: BundleExpr, m: int, label) -> BundleExpr:
             )
             for b in range(m + 1)
         ]
-    return powers[m]
+    return powers
+
+
+def sym_powers(a: BundleExpr, m: int) -> list[BundleExpr]:
+    """Sym^0 .. Sym^m of an atom twist or a direct sum of atom twists."""
+    return _graded_power(a, m, lambda j: (j,))
 
 
 def sym_power(a: BundleExpr, m: int) -> BundleExpr:
     """Sym^m of an atom twist or a direct sum of atom twists."""
-    return _graded_power(a, m, lambda j: (j,))
+    return sym_powers(a, m)[m]
 
 
 def wedge_power(a: BundleExpr, m: int) -> BundleExpr:
     """wedge^m of an atom twist or a direct sum of atom twists."""
-    return _graded_power(a, m, lambda j: (1,) * j)
+    return _graded_power(a, m, lambda j: (1,) * j)[m]
 
 
 def _block_orbit(block: Weight) -> list[Weight]:
@@ -335,36 +339,19 @@ def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for e in lam if e > j) for j in range(lam[0]))
 
 
-def _box_partitions(size: int, rows: int, cap: int):
-    """Partitions of `size` with at most `rows` parts, each at most `cap`."""
-
-    def rec(remaining: int, maxpart: int, acc: tuple[int, ...]):
-        if remaining == 0:
-            yield acc
-            return
-        if len(acc) == rows:
-            return
-        for p in range(min(maxpart, remaining), 0, -1):
-            yield from rec(remaining - p, p, acc + (p,))
-
-    yield from rec(size, cap, ())
-
-
 def cotangent_power(k: int, n: int, t: int) -> BundleExpr:
     """wedge^t of the cotangent bundle of G(k,n), by the Cauchy formula.
 
     Omega^1 = U (x) Q*, so Omega^t is the sum of S_mu U (x) S_mu' Q* over
     partitions mu of t inside the k x (n-k) box.
     """
-    empty = zero(k, n)  # checks 1 <= k < n
-    if t < 0 or t > k * (n - k):
-        return empty
+    zero(k, n)  # checks 1 <= k < n before the box is enumerated
     out: dict[DoubleWeight, int] = {}
-    for mu in _box_partitions(t, k, n - k):
-        upper = negate_reverse(mu + (0,) * (k - len(mu)))
-        conj = _conjugate(mu)
-        lower = conj + (0,) * (n - k - len(conj))
-        out[DoubleWeight._trusted(upper, lower)] = 1
+    for mu in enumerate_box(k, n - k):
+        if sum(mu) == t:
+            conj = _conjugate(mu)
+            lower = conj + (0,) * (n - k - len(conj))
+            out[DoubleWeight._trusted(negate_reverse(mu), lower)] = 1
     return _expr(k, n, out)
 
 

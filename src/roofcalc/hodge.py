@@ -4,8 +4,9 @@ For X = Z(s) with s a general section of a globally generated, completely
 reducible bundle F of rank r, h^{p,q}(X) = h^q(X, Omega^p_X) is computed by
 one of two routes, chosen by `bundles.is_ample(F)` and dim X.  Both read
 the same Koszul stage: `_conormal_rows` yields, for each degree j, the terms
-Sym^{j-t} F* (x) Omega^t_G of wedge^j of the conormal sequence, building
-each Sym^m F* and Omega^t once, and `bundles.wedge_characters` gives the
+Sym^{j-t} F* (x) Omega^t_G of wedge^j of the conormal sequence; one
+binomial fold of F* (`bundles.sym_powers`) gives Sym^0..top F*, each
+Omega^t is built once, and `bundles.wedge_characters` gives the
 torus characters of the wedge^s F* that resolve their restrictions to X.
 `_koszul_character` prepares those once per spec, as the layers s of one
 `bwb.Character` with one collision-mask layout, and the degree check, the
@@ -50,8 +51,9 @@ a nonempty smooth projective variety; they pin down the columns above the
 middle that dimension bookkeeping alone leaves open).  Entries that still
 cannot be forced are reported as intervals and flagged inexact; no rank is
 guessed.  Euler characteristics of columns are alternating sums, hence
-always exact.  Both routes end with the same Euler-column and symmetry
-checks.
+always exact.  Each route returns only its grid of intervals and its Euler
+columns; `hodge_numbers` builds the diamond from them and runs the
+Euler-column and symmetry checks, once, for both.
 
 Emptiness is decided, not assumed.  For F not ample, deg X = c_r(F) H^d
 is computed first as the d-th finite difference of m -> chi(X, O(m)), m =
@@ -70,7 +72,7 @@ from math import comb
 
 from . import bundles
 from .bundles import BundleExpr
-from .bwb import Character, euler_characteristic, tensor_cohomology
+from .bwb import Character, euler_characteristic, gl_dimension, tensor_cohomology
 from .chase import Form, LinearSystem, les_chain, spectral_flow
 from .errors import (
     AmbiguityError,
@@ -82,15 +84,19 @@ from .errors import (
     WorkLimitError,
 )
 
-# Limit on n^2 (rank F + 1) (atoms of F), a coarse measure of the Koszul
-# stage's work: the wedge characters fold up to rank F + 1 powers per atom
-# into the layers of one character, and each weight of each layer is
-# prepared once into a collision mask with one bit for each of up to n^2/2
-# position pairs (masks grow with the number of weights, not with the size
-# of the twist).  Per term the walk marks up to n^2/2 gaps once, for all
-# layers; a weight whose mask meets them costs one AND, and a surviving
-# weight its sequence and a Vandermonde of n^2/2 factors.  The pair bundles
-# up to G(8,15) stay below 3000; 1200 copies of O(1) on P^1299 is at 2.4e12.
+# Limit on n^2 prod (m+1)^(rank A) over the summands m*A of F, a measure of
+# the Koszul character's size.  Each copy of an atom A adds a 0/1 vector on
+# A's block to a weight of lambda_{-1} F*, and A's twist is fixed by the size
+# of that vector, so A^{+m} contributes one vector in {0..m}^(rank A) and the
+# product bounds the character's records (one per weight of each layer).
+# Each record is prepared once into a collision mask with one bit for each
+# of up to n^2/2 position pairs (masks grow with the number of weights, not
+# with the size of the twist); per term the walk marks up to n^2/2 gaps
+# once, a record whose mask meets them costs one AND, and a surviving one
+# its sequence and a Vandermonde of n^2/2 factors.  The measure does not
+# count the conormal terms.  Q*(2) on P^18 (the pair at (1,19)) is at 9.5e7,
+# the pair bundles up to G(8,15) at 57600, and 1200 copies of O(1) on
+# P^1299 at 2.0e9.
 MAX_KOSZUL_WORK = 10**8
 
 
@@ -163,13 +169,7 @@ class HodgeDiamond:
     def check_euler_columns(self) -> None:
         """The alternating sum of each column must be able to reach its chi."""
         for p, chi in self.euler_columns.items():
-            lo = hi = 0
-            for q in range(self.dim + 1):
-                a, b = self.interval(p, q)
-                if q % 2 == 0:
-                    lo, hi = lo + a, hi + b
-                else:
-                    lo, hi = lo - b, hi - a
+            lo, hi = _column_range([self.interval(p, q) for q in range(self.dim + 1)])
             if not (lo <= chi <= hi):
                 raise ArithmeticError(
                     f"Euler column {p}: chi={chi} outside chase range [{lo},{hi}]"
@@ -212,6 +212,24 @@ class HodgeDiamond:
             "eulerColumns": {str(p): str(v) for p, v in sorted(self.euler_columns.items())},
             "meta": self.meta,
         }
+
+
+# intervals (lo, hi) of h^{p,q}, indexed [p][q]
+Grid = list[list[tuple[int, int]]]
+
+
+def _column_range(column: list[tuple[int, int]], skip: int = -1) -> tuple[int, int]:
+    """Range of sum_q (-1)^q h^{p,q} over a column of intervals, leaving out
+    row `skip`."""
+    lo = hi = 0
+    for q, (a, b) in enumerate(column):
+        if q == skip:
+            continue
+        if q % 2 == 0:
+            lo, hi = lo + a, hi + b
+        else:
+            lo, hi = lo - b, hi - a
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -280,12 +298,11 @@ def ambient_diamond(k: int, n: int) -> HodgeDiamond:
 def _conormal_rows(spec: ZeroLocusSpec, top: int):
     """Rows j = 0..top of the exterior powers of the conormal sequence:
     row j lists Sym^{j-t} F* (x) Omega^t_G for t = 0..j, before restriction
-    to X.  Each Sym^m F* and Omega^t is built once, when its row comes up."""
-    f_dual = bundles.dual(spec.bundle)
-    syms: list[BundleExpr] = []
+    to X.  One fold of F* gives Sym^0..top F*; each Omega^t is built once,
+    when its row comes up."""
+    syms = bundles.sym_powers(bundles.dual(spec.bundle), top)
     omegas: list[BundleExpr] = []
     for j in range(top + 1):
-        syms.append(bundles.sym_power(f_dual, j))
         omegas.append(bundles.cotangent_power(spec.k, spec.n, j))
         yield [bundles.tensor(syms[j - t], omegas[t]) for t in range(j + 1)]
 
@@ -295,12 +312,15 @@ def _koszul_character(spec: ZeroLocusSpec) -> Character:
     one `Character`, once the input passes the work limit.  Its signed sum
     is lambda_{-1} F*, which the Euler kernel reads."""
     f = spec.bundle
-    work = spec.n**2 * (bundles.rank(f) + 1) * sum(m for _, m in f.terms)
-    if work > MAX_KOSZUL_WORK:
-        raise WorkLimitError(
-            f"Koszul stage too large: n^2 (rank F + 1) (atoms of F) = {work} "
-            f"exceeds {MAX_KOSZUL_WORK}"
-        )
+    work = spec.n**2
+    for w, m in f.terms:
+        # stop at the first factor past the limit: the product can be 2^dim G
+        work *= (m + 1) ** (gl_dimension(w.upper) * gl_dimension(w.lower))
+        if work > MAX_KOSZUL_WORK:
+            raise WorkLimitError(
+                "Koszul stage too large: n^2 prod (m+1)^(rank A) over the "
+                f"summands m*A of F exceeds {MAX_KOSZUL_WORK}"
+            )
     return Character(bundles.wedge_characters(bundles.dual(f)), spec.k, spec.n)
 
 
@@ -336,7 +356,7 @@ def _intersect(a: tuple[int, int], b: tuple[int, int], where: str) -> tuple[int,
     return lo, hi
 
 
-def _symmetrise(grid: list[list[tuple[int, int]]], chis: list[int]) -> None:
+def _symmetrise(grid: Grid, chis: list[int]) -> None:
     """Interval fixpoint over the diamond: Hodge symmetry h^{p,q} = h^{q,p},
     Serre duality h^{p,q} = h^{d-p,d-q}, ample-class positivity h^{p,p} >= 1,
     and the exact column Euler sums.  All are theorems for a nonempty smooth
@@ -362,63 +382,47 @@ def _symmetrise(grid: list[list[tuple[int, int]]], chis: list[int]) -> None:
         for p in range(d + 1):
             for q0 in range(d + 1):
                 # (-1)^{q0} h_{p,q0} = chi_p - sum_{q != q0} (-1)^q h_{p,q}
-                lo = hi = chis[p]
-                for q in range(d + 1):
-                    if q == q0:
-                        continue
-                    a, b = grid[p][q]
-                    if q % 2 == 0:
-                        lo, hi = lo - b, hi - a
-                    else:
-                        lo, hi = lo + a, hi + b
-                bound = (lo, hi) if q0 % 2 == 0 else (-hi, -lo)
+                lo, hi = _column_range(grid[p], q0)
+                chi = chis[p]
+                bound = (chi - hi, chi - lo) if q0 % 2 == 0 else (lo - chi, hi - chi)
                 refine(p, q0, (max(bound[0], 0), bound[1]))
         if not changed:
             return
 
 
-def _meta(spec: ZeroLocusSpec) -> dict:
-    return {
-        "ambient": f"G({spec.k},{spec.n})",
-        "bundle": str(spec.bundle),
-        "assumes": "general section, smooth zero locus",
-    }
-
-
-def _lefschetz_diamond(spec: ZeroLocusSpec, koszul: Character) -> HodgeDiamond:
-    """Diamond of the zero locus of an ample F: ambient entries off the
-    middle row, middle entries from the Euler columns p <= d/2."""
+def _lefschetz_grid(spec: ZeroLocusSpec, koszul: Character) -> tuple[Grid, list[int]]:
+    """Entries and Euler columns of the zero locus of an ample F: ambient
+    entries off the middle row, middle entries from the Euler columns
+    p <= d/2."""
     d = spec.dim
     diagonal = ambient_diamond(spec.k, spec.n).diagonal()
     half = _euler_columns(spec, koszul, d // 2)
     chis = half + [(-1) ** d * half[d - p] for p in range(len(half), d + 1)]
-    out = HodgeDiamond(d, meta=_meta(spec))
+    grid = [[(0, 0)] * (d + 1) for _ in range(d + 1)]
     for p in range(d + 1):
         # (-1)^{d-p} h^{p,d-p} = chi_p - (-1)^p h^{p,p}, where h^{p,p} is the
         # column's one entry off the middle row
         middle = chis[p]
         if 2 * p != d:
             below = diagonal[min(p, d - p)]
-            out.set_entry(p, p, below)
+            grid[p][p] = (below, below)
             middle -= (-1) ** p * below
         middle *= (-1) ** (d - p)
         if middle < 0:
             raise InconsistentDataError(
                 "Lefschetz middle row", f"h^{{{p},{d - p}}} = {middle} < 0"
             )
-        out.set_entry(p, d - p, middle)
-        out.euler_columns[p] = chis[p]
-    out.check_euler_columns()
-    out.check_symmetries()
-    return out
+        grid[p][d - p] = (middle, middle)
+    return grid, chis
 
 
-def _chase_diamond(spec: ZeroLocusSpec, koszul: Character) -> HodgeDiamond:
-    """Diamond of the zero locus by the Koszul/conormal chase and the
-    symmetry fixpoint; entries it cannot force stay intervals.  `koszul`
-    holds the layers wedge^s F* of the Koszul resolution."""
+def _chase_grid(spec: ZeroLocusSpec, koszul: Character) -> tuple[Grid, list[int]]:
+    """Entries and Euler columns of the zero locus by the Koszul/conormal
+    chase and the symmetry fixpoint; entries it cannot force stay
+    intervals.  `koszul` holds the layers wedge^s F* of the Koszul
+    resolution."""
     d = spec.dim
-    grid: list[list[tuple[int, int]]] = []
+    grid: Grid = []
     chis: list[int] = []
     for j, row in enumerate(_conormal_rows(spec, d)):
         # one system per column keeps its rank correlations undiluted
@@ -437,16 +441,7 @@ def _chase_diamond(spec: ZeroLocusSpec, koszul: Character) -> HodgeDiamond:
         grid.append([(max(lo, 0), hi) for lo, hi in map(system.bounds, forms)])
         chis.append(chi)
     _symmetrise(grid, chis)
-
-    out = HodgeDiamond(d, meta=_meta(spec))
-    for p in range(d + 1):
-        for q in range(d + 1):
-            lo, hi = grid[p][q]
-            out.set_entry(p, q, lo, hi)
-        out.euler_columns[p] = chis[p]
-    out.check_euler_columns()
-    out.check_symmetries()
-    return out
+    return grid, chis
 
 
 def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
@@ -456,7 +451,9 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
     are exact whenever the chase together with Hodge and Serre symmetry
     forces them; everything else is reported as an interval.  A point set
     (dim X = 0) takes the Lefschetz route too.  For F not ample, an empty X
-    (degree 0) raises EmptyZeroLocusError; ample F is never empty."""
+    (degree 0) raises EmptyZeroLocusError; ample F is never empty.  Either
+    route's diamond is checked here, once, against its Euler columns and
+    the symmetries."""
     ample = bundles.is_ample(spec.bundle)
     koszul = _koszul_character(spec)
     if not ample and _degree(spec, koszul) == 0:
@@ -464,9 +461,23 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
             "zero locus is empty (degree 0): c_r(F) = 0, so a general section "
             f"of F vanishes nowhere on G({spec.k},{spec.n})"
         )
-    if ample or spec.dim == 0:
-        return _lefschetz_diamond(spec, koszul)
-    return _chase_diamond(spec, koszul)
+    route = _lefschetz_grid if ample or spec.dim == 0 else _chase_grid
+    grid, chis = route(spec, koszul)
+    out = HodgeDiamond(
+        spec.dim,
+        meta={
+            "ambient": f"G({spec.k},{spec.n})",
+            "bundle": str(spec.bundle),
+            "assumes": "general section, smooth zero locus",
+        },
+    )
+    for p, row in enumerate(grid):
+        for q, (lo, hi) in enumerate(row):
+            out.set_entry(p, q, lo, hi)
+        out.euler_columns[p] = chis[p]
+    out.check_euler_columns()
+    out.check_symmetries()
+    return out
 
 
 def point_count(spec: ZeroLocusSpec) -> int:

@@ -34,15 +34,6 @@ class MarkedDynkin:
     edges: tuple[tuple[int, int, int, int | None], ...]
     marked: frozenset[int] = frozenset()
 
-    def neighbours(self, u: int) -> list[int]:
-        out = []
-        for a, b, _, _ in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
-
     def with_marks(self, marks) -> "MarkedDynkin":
         marks = frozenset(marks)
         if not marks <= set(self.nodes):
@@ -155,7 +146,10 @@ def is_projective_space_fiber(d: MarkedDynkin) -> int | None:
     r = len(d.nodes)
     if r == 1:
         return 1
-    degs = {u: len(d.neighbours(u)) for u in d.nodes}
+    degs = dict.fromkeys(d.nodes, 0)
+    for a, b, _, _ in d.edges:
+        degs[a] += 1
+        degs[b] += 1
     if any(deg > 2 for deg in degs.values()):
         return None  # branch node: types D/E have no projective-space marks
     ends = [u for u, deg in degs.items() if deg == 1]

@@ -3,11 +3,17 @@ values from checked ones trusts them."""
 
 import re
 import time
+from math import prod
 
 import pytest
 
 from roofcalc import bundles, bwb, lr, weights
-from roofcalc.errors import DominanceError, PlethysmRequiredError, RankError
+from roofcalc.errors import (
+    DominanceError,
+    PlethysmRequiredError,
+    RankError,
+    WorkLimitError,
+)
 from roofcalc.hodge import ZeroLocusSpec, _koszul_character, pair_specs
 from roofcalc.lr import lr_double_product
 from roofcalc.parser import parse_bundle
@@ -116,12 +122,42 @@ class TestWorkLimit:
         assert code == 3
         assert line.startswith("precondition violated: Koszul stage too large")
 
+    @pytest.mark.parametrize("n, passes", [(19, True), (20, False), (200, False)])
+    def test_limit_checked_before_the_character_is_built(self, monkeypatch, n, passes):
+        # Q*(2) on P^(n-1) measures n^2 2^(n-1): 9.5e7 at n = 19, 2.1e8 at
+        # n = 20; lambda_{-1} of its dual has 2^(n-1) weights
+        class Built(Exception):
+            pass
+
+        def build(a):
+            raise Built
+
+        monkeypatch.setattr(bundles, "wedge_characters", build)
+        spec, _ = pair_specs(1, n)
+        with pytest.raises(Built if passes else WorkLimitError):
+            _koszul_character(spec)
+
     def test_paper_and_benchmark_inputs_stay_below(self):
         specs = [spec for k in range(1, 8) for spec in pair_specs(k, 2 * k + 1)]
         specs += pair_specs(4, 10) + pair_specs(2, 6)
         specs += [ZeroLocusSpec(1, n, bundles.line(1, n, 3)) for n in (20, 22, 24)]
+        specs += [  # repeated and mixed atoms
+            ZeroLocusSpec(k, n, parse_bundle(text, k, n))
+            for k, n, text in [
+                (3, 9, "UD+UD+UD"),
+                (2, 5, "O(1)+O(1)+O(2)"),
+                (3, 7, "U*O(1)+O(2)"),
+                (2, 6, "QD*O(1)+QD*O(1)"),
+                (3, 7, "UD+UD*O(1)+O(1)"),
+            ]
+        ]
         for spec in specs:
-            assert _koszul_character(spec).weights
+            # the measure's product bounds the character's records
+            bound = prod(
+                (m + 1) ** (bwb.gl_dimension(w.upper) * bwb.gl_dimension(w.lower))
+                for w, m in spec.bundle.terms
+            )
+            assert 0 < len(_koszul_character(spec).weights) <= bound, spec
 
     def test_ambient_checked_before_the_text(self, capsys):
         for k, n in [(0, 1), (-1, 3), (3, 3)]:

@@ -10,10 +10,11 @@ from roofcalc.errors import AmbiguityError, InjectivityViolationError, RankError
 from roofcalc.hodge import (
     HodgeDiamond,
     ZeroLocusSpec,
-    _chase_diamond,
+    _chase_grid,
     _conormal_rows,
     _degree,
     _koszul_character,
+    _lefschetz_grid,
     ambient_diamond,
     check_pair_theorem,
     hodge_numbers,
@@ -23,6 +24,7 @@ from roofcalc.hodge import (
     v_cohomology,
 )
 from roofcalc.parser import parse_bundle
+from roofcalc.weights import enumerate_box
 
 from oracles import brute_force_box
 
@@ -57,11 +59,9 @@ class TestAmbientDiamond:
                 if n <= 8:
                     sizes = Counter(sum(w) for w in brute_force_box(k, n - k))
                     want = [sizes[p] for p in range(d + 1)]
-                else:  # too many tuples to filter; enumerate the partitions
-                    want = [
-                        sum(1 for _ in bundles._box_partitions(p, k, n - k))
-                        for p in range(d + 1)
-                    ]
+                else:  # too many tuples to filter; enumerate the box
+                    sizes = Counter(sum(w) for w in enumerate_box(k, n - k))
+                    want = [sizes[p] for p in range(d + 1)]
                 assert ambient_diamond(k, n).diagonal() == want, (k, n)
 
 
@@ -222,19 +222,21 @@ class TestConormalRows:
             (4, 9, "QD*O(2)", 7),
             # not ample: chase route, every column p <= d = 8
             (3, 7, "UD+O(1)", 8),
+            # three atoms: one fold gives every Sym^m F*, m <= d = 9
+            (3, 9, "UD+UD+UD", 9),
         ],
     )
     def test_each_power_built_once(self, monkeypatch, k, n, text, top):
         spec = ZeroLocusSpec(k, n, parse_bundle(text, k, n))
         calls = Counter()
-        for name in ("sym_power", "cotangent_power"):
+        for name in ("sym_powers", "cotangent_power"):
             def counted(*args, _fn=getattr(bundles, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
 
             monkeypatch.setattr(bundles, name, counted)
         hodge_numbers(spec)
-        assert 0 < calls["sym_power"] <= top + 1
+        assert calls["sym_powers"] == 1
         assert 0 < calls["cotangent_power"] <= top + 1
 
     def test_wedge_characters_folded_once(self, monkeypatch):
@@ -269,13 +271,12 @@ class TestLefschetzRoute:
                     if spec.dim == 0:
                         continue
                     assert bundles.is_ample(spec.bundle), (text, k, n)
-                    chased = _chase_diamond(spec, _koszul_character(spec))
-                    if not chased.fully_exact():
+                    koszul = _koszul_character(spec)
+                    chased = _chase_grid(spec, koszul)
+                    if any(lo != hi for row in chased[0] for lo, hi in row):
                         left_open.append((text, k, n))
                         continue
-                    direct = hodge_numbers(spec)
-                    assert direct.entries == chased.entries, (text, k, n)
-                    assert direct.euler_columns == chased.euler_columns, (text, k, n)
+                    assert _lefschetz_grid(spec, koszul) == chased, (text, k, n)
                     compared += 1
         assert compared == 69
         assert left_open == [("O(1)+O(1)", 3, 6)]
