@@ -24,7 +24,7 @@ from .errors import (
     PlethysmRequiredError,
     RankError,
 )
-from .lr import lr_double_product
+from .lr import _lr_terms
 from .weights import DoubleWeight, Weight, enumerate_box, negate_reverse
 
 
@@ -139,15 +139,34 @@ def direct_sum(*exprs: BundleExpr) -> BundleExpr:
 
 
 def tensor(a: BundleExpr, b: BundleExpr) -> BundleExpr:
-    """Bilinear extension of the blockwise Littlewood-Richardson product."""
+    """Bilinear extension of the blockwise Littlewood-Richardson product.
+
+    The blocks multiply separately (`lr._lr_terms`), and each product term
+    is normalised and merged as a pair of tuples; one `DoubleWeight` is made
+    per output term, in `_expr`'s order."""
     if a.ambient != b.ambient:
         raise AmbientMismatchError(f"tensor across {a.ambient} and {b.ambient}")
-    out: dict[DoubleWeight, int] = {}
+    k, q = a.k, a.n - a.k
+    out: dict[tuple[Weight, Weight], int] = {}
     for wa, ma in a.terms:
         for wb, mb in b.terms:
-            for w, c in lr_double_product(wa, wb).items():
-                out[w] = out.get(w, 0) + ma * mb * c
-    return _expr(a.k, a.n, out)
+            uppers = _lr_terms(wa.upper, wb.upper, k)
+            m = ma * mb
+            for lo, ml in _lr_terms(wa.lower, wb.lower, q):
+                c = lo[-1]  # fold the lower block's last entry upward
+                if c:
+                    lo = tuple(e - c for e in lo)
+                for up, mu in uppers:
+                    key = (tuple(e - c for e in up) if c else up, lo)
+                    out[key] = out.get(key, 0) + m * mu * ml
+    return BundleExpr(
+        a.k,
+        a.n,
+        tuple(
+            (DoubleWeight._trusted(up, lo), m)
+            for (up, lo), m in sorted(out.items(), reverse=True)
+        ),
+    )
 
 
 def twist(a: BundleExpr, t: int) -> BundleExpr:

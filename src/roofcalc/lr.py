@@ -1,19 +1,35 @@
 """Littlewood-Richardson products of Schur functors.
 
-The product is computed by the classical rule: coefficients count skew
-semistandard tableaux with given content whose reverse reading word is a
-ballot sequence.  Tableaux are built value by value as interlaced horizontal
-strips; the ballot condition becomes the prefix inequality
+Products with a Pieri factor take the Pieri rule (Macdonald, Symmetric
+Functions and Hall Polynomials, I (5.16)-(5.17)), where every term has
+multiplicity 1:
+
+    one row (m)          ->  add a horizontal strip of m boxes;
+    one column (1^m)     ->  add a vertical strip of m boxes;
+    (m^(r-1), 0)         ->  det^m (x) Sym^m of the dual, i.e. every mu with
+                             a_i >= mu_i >= a_(i+1) and |a| - |mu| = m,
+                             then shifted by m.
+
+Sym and wedge powers of one atom are such factors, so these cover every
+product of `pair` and of the window checks.  Every other product (a general
+`lr` or `schur` input, a parsed product such as S[2,1]QD*S[2,1]QD, products
+inside Sym of a sum of atoms) takes the classical rule, which the tests also
+keep as the strip rules' reference: coefficients count skew semistandard
+tableaux with given content whose reverse reading word is a ballot sequence.
+Tableaux are built value by value as interlaced horizontal strips; the
+ballot condition becomes the prefix inequality
 
     #(v placed in rows 1..j)  <=  #(v-1 placed in rows 1..j-1)
 
 checked while distributing each value.  Rows beyond the requested rank are
-pruned, which is exactly the GL(r) truncation (columns taller than r vanish).
+pruned, which is exactly the GL(r) truncation (columns taller than r vanish);
+the strip rules place boxes in the first `rank` rows only, which is the same
+truncation.
 
-Negative entries are handled by the uniform shift S_{lam + c*1} = S_lam (x) det^c.
-The one cache sits on `_lr_terms`, the unchecked core behind both
-`lr_product` and `lr_double_product`, so a repeated product costs a lookup
-with no shifting.
+Each factor is first shifted to end in 0, by S_{lam + c*1} = S_lam (x) det^c,
+so a twist of a Pieri factor takes its strip rule too.  The one cache sits on
+`_lr_terms`, the unchecked core behind `lr_product`, `lr_double_product` and
+`bundles.tensor`, so a repeated product costs a lookup with no shifting.
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ from functools import lru_cache
 from operator import add
 
 from .errors import AmbientMismatchError, RankError
-from .weights import DoubleWeight, Weight, check_dominant
+from .weights import DoubleWeight, Weight, check_dominant, negate_reverse
 
 
 @dataclass(frozen=True)
@@ -106,22 +122,90 @@ def _lr_partitions(inner: Weight, content: Weight, rank: int) -> tuple[tuple[Wei
     return tuple(sorted(results.items(), reverse=True))
 
 
+def _compositions(caps: list[int], m: int) -> list[tuple[int, ...]]:
+    """Every d with 0 <= d_i <= caps[i] and sum m."""
+    room = [0] * (len(caps) + 1)  # room[i]: the most that fits in caps[i:]
+    for i in range(len(caps) - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    parts: list[tuple[tuple[int, ...], int]] = [((), m)]
+    for cap, rest in zip(caps, room[1:]):
+        parts = [
+            (d + (x,), left - x)
+            for d, left in parts
+            for x in range(max(0, left - rest), min(cap, left) + 1)
+        ]
+    return [d for d, _ in parts]
+
+
+def _horizontal_strips(a: Weight, m: int) -> list[Weight]:
+    """a plus a horizontal strip of m boxes, in len(a) rows: row i grows by
+    at most a_(i-1) - a_i, the first row without bound."""
+    rows = [0] + [i for i in range(1, len(a)) if a[i - 1] > a[i]]
+    caps = [m] + [a[i - 1] - a[i] for i in rows[1:]]
+    out = []
+    for d in _compositions(caps, m):
+        nu = list(a)
+        for i, x in zip(rows, d):
+            nu[i] += x
+        out.append(tuple(nu))
+    return out
+
+
+def _vertical_strips(a: Weight, m: int) -> list[Weight]:
+    """a plus a vertical strip of m boxes, in len(a) rows: within each run
+    of equal rows of a, the boxes go to the top rows of the run."""
+    starts = [0] + [i for i in range(1, len(a)) if a[i - 1] > a[i]]
+    ends = starts[1:] + [len(a)]
+    out = []
+    for d in _compositions([e - s for s, e in zip(starts, ends)], m):
+        nu = list(a)
+        for s, x in zip(starts, d):
+            for i in range(s, s + x):
+                nu[i] += 1
+        out.append(tuple(nu))
+    return out
+
+
+def _pieri_terms(a: Weight, b: Weight) -> list[Weight] | None:
+    """The terms of s_a * s_b when b is a Pieri factor, else None; a and b
+    are partitions padded to the rank."""
+    if len(b) == 1 or b[1] == 0:
+        return _horizontal_strips(a, b[0])
+    if b[0] == 1:
+        return _vertical_strips(a, sum(b))
+    if b[-1] == 0 and b[0] == b[-2]:
+        # S_(m^(r-1),0) = det^m (x) Sym^m of the dual: add a horizontal
+        # strip to the dual of a, dualise back and shift by m
+        m = b[0]
+        return [
+            tuple(m - e for e in reversed(nu))
+            for nu in _horizontal_strips(negate_reverse(a), m)
+        ]
+    return None
+
+
 @lru_cache(maxsize=None)
 def _lr_terms(lam: Weight, mu: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
-    """`lr_product`'s terms, unchecked and cached: negative entries are
-    shifted away, expanded and shifted back, which keeps the terms
-    lex-descending."""
-    ca = -min(lam[-1], 0)
-    cb = -min(mu[-1], 0)
+    """`lr_product`'s terms, unchecked and cached: both factors are shifted
+    to end in 0, expanded and shifted back, which keeps the terms
+    lex-descending.  A Pieri factor on either side, up to that shift, takes
+    its strip rule; any other product takes the tableau rule."""
+    ca = -lam[-1]
+    cb = -mu[-1]
     a = tuple(e + ca for e in lam)
     b = tuple(e + cb for e in mu)
-    # recursion is over the content partition; pick the smaller one
-    if (sum(b), b) > (sum(a), a):
-        a, b = b, a
     shift = ca + cb
-    return tuple(
-        (tuple(e - shift for e in nu), m) for nu, m in _lr_partitions(a, b, rank)
-    )
+    strips = _pieri_terms(a, b)
+    if strips is None:
+        strips = _pieri_terms(b, a)
+    if strips is not None:
+        terms = [(nu, 1) for nu in sorted(strips, reverse=True)]
+    else:
+        # recursion is over the content partition; pick the smaller one
+        if (sum(b), b) > (sum(a), a):
+            a, b = b, a
+        terms = _lr_partitions(a, b, rank)
+    return tuple((tuple(e - shift for e in nu), m) for nu, m in terms)
 
 
 def lr_product(lam: Weight, mu: Weight, rank: int) -> SchurSum:

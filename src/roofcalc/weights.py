@@ -79,8 +79,11 @@ class DoubleWeight:
         return self.upper + self.lower
 
     def is_fully_ordered(self) -> bool:
-        """True when the total sequence (upper, lower) is non-increasing."""
-        return is_dominant(self.concat())
+        """True when the total sequence (upper, lower) is non-increasing.
+
+        Both blocks are non-increasing, so only the step across the bar
+        needs checking: upper[-1] >= lower[0]."""
+        return self.upper[-1] >= self.lower[0]
 
     def shift(self, c: int) -> "DoubleWeight":
         """Add c to every entry of both blocks (same bundle up to a twist of

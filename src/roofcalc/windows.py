@@ -120,7 +120,9 @@ def _survivors(
     survivors: list[tuple[int, int, Weight]] = []
     for m in range(m_max + 1):
         ordered = True
-        for w, _ in bundles.tensor(pair_part, sym(m)).terms:
+        # Sym^0 is O, so degree 0 is the pair product itself
+        product = bundles.tensor(pair_part, sym(m)) if m else pair_part
+        for w, _ in product.terms:
             if w.is_fully_ordered():
                 continue
             ordered = False

@@ -42,6 +42,8 @@ ARGVS = [
           (2, 5, "O(1)+O(1)+O(2)"),
       ]),
     ["windows", "--n", "6"],
+    ["windows", "--n", "9"],
+    ["windows", "--n", "30", "--m-max", "0", "--side", "minus"],
     ["bott", "--k", "2", "--n", "5", "--weight", "0,0|2,0,0"],  # acyclic
     ["bott", "--k", "2", "--n", "5", "--weight", "0,-5|0,0,0"],  # H^3
     ["lr", "--rank", "3", "--a", "2,1,0", "--b", "1,1,0"],

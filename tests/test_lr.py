@@ -1,4 +1,7 @@
+import io
 import json
+from contextlib import redirect_stdout
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from roofcalc.bwb import gl_dimension
 from roofcalc.cli import main
 from roofcalc.errors import AmbientMismatchError, RankError
+from roofcalc import lr
 from roofcalc.lr import lr_double_product, lr_product
 from roofcalc.weights import DoubleWeight
 
@@ -95,6 +99,79 @@ class TestLrProduct:
                         c * gl_dimension(nu) for nu, c in lr_product(a, b, rank)
                     )
                     assert total == gl_dimension(a) * gl_dimension(b)
+
+
+def dominant(rank, low, high):
+    """Every non-increasing weight of length `rank` with entries in [low, high]."""
+    return [
+        tuple(reversed(c))
+        for c in combinations_with_replacement(range(low, high + 1), rank)
+    ]
+
+
+def pieri_factors(rank, top):
+    """Rows (m), columns (1^m) and (m^(rank-1), 0) for m <= top."""
+    factors = set()
+    for m in range(top + 1):
+        factors.add(pad((m,), rank))
+        factors.add(pad((m,) * (rank - 1), rank))
+        if m <= rank:
+            factors.add(pad((1,) * m, rank))
+    return sorted(factors)
+
+
+def tableau_rule(lam, mu, rank):
+    """The tableau rule on the partitions shifted to end in 0, shifted back."""
+    ca, cb = -lam[-1], -mu[-1]
+    a = tuple(e + ca for e in lam)
+    b = tuple(e + cb for e in mu)
+    if (sum(b), b) > (sum(a), a):
+        a, b = b, a
+    return tuple(
+        (tuple(e - ca - cb for e in nu), m) for nu, m in lr._lr_partitions(a, b, rank)
+    )
+
+
+class TestStripRules:
+    """Products with a Pieri factor take the strip rules; the tableau rule
+    and the Schur-polynomial oracle are their references."""
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_match_the_tableau_rule(self, rank):
+        terms = lr._lr_terms.__wrapped__  # uncached, so the sweep fills no cache
+        for factor in pieri_factors(rank, 4):
+            for lam in dominant(rank, -2, 4):
+                want = tableau_rule(lam, factor, rank)
+                assert all(m == 1 for _, m in want)
+                for c in (-2, 0, 1):
+                    # S_lam (x) S_(factor + c) is S_lam (x) S_factor (x) det^c
+                    shifted = tuple(e + c for e in factor)
+                    want_c = tuple((tuple(e + c for e in nu), m) for nu, m in want)
+                    assert terms(lam, shifted, rank) == want_c, (lam, shifted)
+                    assert terms(shifted, lam, rank) == want_c, (shifted, lam)
+
+    @pytest.mark.parametrize("rank", range(1, 4))
+    def test_match_the_schur_polynomial_oracle(self, rank):
+        for factor in pieri_factors(rank, 3):
+            for lam in dominant(rank, 0, 2):
+                want = schur_product_oracle(lam, factor, rank)
+                assert lr._lr_terms.__wrapped__(lam, factor, rank) == tuple(
+                    sorted(want.items(), reverse=True)
+                ), (lam, factor)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pair", "--k", "4", "--n", "9"], ["windows", "--n", "9"]],
+        ids=" ".join,
+    )
+    def test_hot_paths_never_reach_the_tableau_rule(self, monkeypatch, argv):
+        def tableau_rule_called(*args):
+            raise AssertionError(f"tableau rule reached with {args}")
+
+        monkeypatch.setattr(lr, "_lr_partitions", tableau_rule_called)
+        lr._lr_terms.cache_clear()  # a cached product would hide the rule it took
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
 
 
 class TestDeepInputs:

@@ -11,6 +11,7 @@ from roofcalc.weights import (
     bar_move,
     dual_schur_q,
     enumerate_box,
+    is_dominant,
     render_diagram,
 )
 
@@ -94,6 +95,32 @@ class TestBarMove:
         assert sorted(moved.concat()) == sorted(w.concat())
         assert moved.concat() == w.concat()
         assert moved.is_fully_ordered()
+
+
+DOMINANT_BLOCK = st.lists(
+    st.integers(min_value=-3, max_value=3), min_size=1, max_size=5
+).map(lambda xs: tuple(sorted(xs, reverse=True)))
+
+
+class TestIsFullyOrdered:
+    @given(DOMINANT_BLOCK, DOMINANT_BLOCK)
+    def test_matches_the_total_sequence(self, upper, lower):
+        # blocks of length 1 cover k = 1 and n - k = 1
+        w = DoubleWeight(upper, lower)
+        assert w.is_fully_ordered() == is_dominant(w.concat())
+
+    @pytest.mark.parametrize(
+        "upper,lower,ordered",
+        [
+            ((1,), (1, 0, 0), True),  # k = 1
+            ((0,), (1, 0, 0), False),
+            ((2, 1, 1), (1,), True),  # n - k = 1
+            ((2, 1, 0), (1,), False),
+            ((0,), (0,), True),  # G(1,2)
+        ],
+    )
+    def test_edge_ranks(self, upper, lower, ordered):
+        assert DoubleWeight(upper, lower).is_fully_ordered() is ordered
 
 
 class TestDualSchurQ:

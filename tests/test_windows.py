@@ -316,4 +316,6 @@ class TestSharedExpansion:
         assert report.checked_pairs == pairs
         assert len(products) < pairs
         assert expanded < len(products) * (m_max + 1)
-        assert tensor_calls == pairs + expanded
+        # one tensor per pair, one per expanded degree m >= 1 (degree 0 is
+        # the pair product itself)
+        assert tensor_calls == pairs + expanded - len(products)
