@@ -40,6 +40,7 @@ ARGVS = [
           (1, 6, "QD*O(2)"),
           (2, 4, "UD+UD"),
           (2, 5, "O(1)+O(1)+O(2)"),
+          (3, 7, "U*O(1)+O(2)"),  # 9 interval entries
       ]),
     ["windows", "--n", "6"],
     ["windows", "--n", "9"],
@@ -52,6 +53,7 @@ ARGVS = [
 
 TEXT_ARGVS = [
     ["hodge", "--k", "2", "--n", "6", "--bundle", "QD*O(2)", "--diamond"],
+    ["hodge", "--k", "3", "--n", "7", "--bundle", "U*O(1)+O(2)", "--diamond"],
     ["verify", "--suite", "paper"],
 ]
 
