@@ -52,8 +52,9 @@ middle that dimension bookkeeping alone leaves open).  Entries that still
 cannot be forced are reported as intervals and flagged inexact; no rank is
 guessed.  Euler characteristics of columns are alternating sums, hence
 always exact.  Each route returns only its grid of intervals and its Euler
-columns; `hodge_numbers` builds the diamond from them and runs the
-Euler-column and symmetry checks, once, for both.
+columns; that grid becomes the diamond's one storage format, as is, and
+`hodge_numbers` runs the Euler-column and symmetry checks on it, once, for
+both.
 
 Emptiness is decided, not assumed.  For F not ample, deg X = c_r(F) H^d
 is computed first as the d-th finite difference of m -> chi(X, O(m)), m =
@@ -100,37 +101,40 @@ from .errors import (
 MAX_KOSZUL_WORK = 10**8
 
 
-class HodgeDiamond:
-    """Matrix of h^{p,q} with per-entry exactness and exact Euler columns."""
+# intervals (lo, hi) of h^{p,q}, indexed [p][q]
+Grid = list[list[tuple[int, int]]]
 
-    def __init__(self, dim: int, meta: dict | None = None):
-        self.dim = dim
-        self.entries: dict[tuple[int, int], tuple[int, int]] = {}
-        self.euler_columns: dict[int, int] = {}
+
+class HodgeDiamond:
+    """Diamond of a variety of dimension len(grid) - 1, with per-entry
+    exactness and exact Euler columns.
+
+    `grid[p][q]` is the interval (lo, hi) of h^{p,q}, exact when lo == hi,
+    and `euler_columns[p]` is chi_p = chi(Omega^p).  The grid is the one the
+    route and `_symmetrise` wrote, and it is the diamond's only storage:
+    every check, the renderings and the E-polynomial read its rows."""
+
+    def __init__(self, grid: Grid, chis: list[int], meta: dict | None = None):
+        self.grid = grid
+        self.euler_columns = chis
+        self.dim = len(grid) - 1
         self.meta = dict(meta or {})
 
-    def set_entry(self, p: int, q: int, lo: int, hi: int | None = None) -> None:
-        hi = lo if hi is None else hi
-        if lo == hi == 0:
-            self.entries.pop((p, q), None)
-        else:
-            self.entries[(p, q)] = (lo, hi)
-
     def interval(self, p: int, q: int) -> tuple[int, int]:
-        return self.entries.get((p, q), (0, 0))
+        return self.grid[p][q]
 
     def is_exact(self, p: int, q: int) -> bool:
-        lo, hi = self.interval(p, q)
+        lo, hi = self.grid[p][q]
         return lo == hi
 
     def h(self, p: int, q: int) -> int:
-        lo, hi = self.interval(p, q)
+        lo, hi = self.grid[p][q]
         if lo != hi:
             raise AmbiguityError(f"h^{{{p},{q}}} only known in [{lo},{hi}]")
         return lo
 
     def fully_exact(self) -> bool:
-        return all(lo == hi for lo, hi in self.entries.values())
+        return all(lo == hi for row in self.grid for lo, hi in row)
 
     def middle_row(self) -> list[int]:
         d = self.dim
@@ -143,33 +147,28 @@ class HodgeDiamond:
         return [self.h(p, p) for p in range(self.dim + 1)]
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** p * chi for p, chi in self.euler_columns.items())
+        return sum((-1) ** p * chi for p, chi in enumerate(self.euler_columns))
 
     def matrix(self) -> list[list[int]]:
         return [[self.h(p, q) for q in range(self.dim + 1)] for p in range(self.dim + 1)]
 
     def check_symmetries(self) -> None:
         """Hodge symmetry and Serre duality on all exact entries."""
-        d = self.dim
-        for p in range(d + 1):
-            for q in range(d + 1):
-                if self.is_exact(p, q) and self.is_exact(q, p):
-                    if self.h(p, q) != self.h(q, p):
+        g, d = self.grid, self.dim
+        for p, row in enumerate(g):
+            for q, (lo, hi) in enumerate(row):
+                if lo != hi:
+                    continue
+                for name, (a, b) in (("Hodge", g[q][p]), ("Serre", g[d - p][d - q])):
+                    if a == b != lo:
                         raise ArithmeticError(
-                            f"Hodge symmetry fails at ({p},{q}): "
-                            f"{self.h(p, q)} != {self.h(q, p)}"
-                        )
-                if self.is_exact(p, q) and self.is_exact(d - p, d - q):
-                    if self.h(p, q) != self.h(d - p, d - q):
-                        raise ArithmeticError(
-                            f"Serre symmetry fails at ({p},{q}): "
-                            f"{self.h(p, q)} != {self.h(d - p, d - q)}"
+                            f"{name} symmetry fails at ({p},{q}): {lo} != {a}"
                         )
 
     def check_euler_columns(self) -> None:
         """The alternating sum of each column must be able to reach its chi."""
-        for p, chi in self.euler_columns.items():
-            lo, hi = _column_range([self.interval(p, q) for q in range(self.dim + 1)])
+        for p, chi in enumerate(self.euler_columns):
+            lo, hi = _column_range(self.grid[p])
             if not (lo <= chi <= hi):
                 raise ArithmeticError(
                     f"Euler column {p}: chi={chi} outside chase range [{lo},{hi}]"
@@ -182,7 +181,7 @@ class HodgeDiamond:
         for r in range(2 * d + 1):
             row = []
             for p in range(min(r, d), max(0, r - d) - 1, -1):
-                lo, hi = self.interval(p, r - p)
+                lo, hi = self.grid[p][r - p]
                 row.append(str(lo) if lo == hi else f"[{lo}..{hi}]")
             rows.append(row)
         width = max(len(c) for row in rows for c in row) + 1
@@ -193,29 +192,16 @@ class HodgeDiamond:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        d = self.dim
-        h = []
-        exact = []
-        for p in range(d + 1):
-            hrow = []
-            erow = []
-            for q in range(d + 1):
-                lo, hi = self.interval(p, q)
-                hrow.append(str(lo) if lo == hi else {"lo": str(lo), "hi": str(hi)})
-                erow.append(lo == hi)
-            h.append(hrow)
-            exact.append(erow)
         return {
-            "dim": d,
-            "h": h,
-            "exact": exact,
-            "eulerColumns": {str(p): str(v) for p, v in sorted(self.euler_columns.items())},
+            "dim": self.dim,
+            "h": [
+                [str(lo) if lo == hi else {"lo": str(lo), "hi": str(hi)} for lo, hi in row]
+                for row in self.grid
+            ],
+            "exact": [[lo == hi for lo, hi in row] for row in self.grid],
+            "eulerColumns": {str(p): str(v) for p, v in enumerate(self.euler_columns)},
             "meta": self.meta,
         }
-
-
-# intervals (lo, hi) of h^{p,q}, indexed [p][q]
-Grid = list[list[tuple[int, int]]]
 
 
 def _column_range(column: list[tuple[int, int]], skip: int = -1) -> tuple[int, int]:
@@ -287,12 +273,12 @@ def ambient_diamond(k: int, n: int) -> HodgeDiamond:
     the coefficients of the Gaussian binomial [n choose k]_q."""
     if not (1 <= k < n):
         raise RankError(f"need 1 <= k < n, got ({k},{n})")
-    d = k * (n - k)
-    out = HodgeDiamond(d, meta={"variety": f"G({k},{n})"})
-    for p, c in enumerate(_gaussian_binomial(k, n)):
-        out.set_entry(p, p, c)
-        out.euler_columns[p] = (-1) ** p * c
-    return out
+    coeffs = _gaussian_binomial(k, n)
+    grid = [[(0, 0)] * len(coeffs) for _ in coeffs]
+    for p, c in enumerate(coeffs):
+        grid[p][p] = (c, c)
+    chis = [(-1) ** p * c for p, c in enumerate(coeffs)]
+    return HodgeDiamond(grid, chis, meta={"variety": f"G({k},{n})"})
 
 
 def _conormal_rows(spec: ZeroLocusSpec, top: int):
@@ -395,7 +381,7 @@ def _lefschetz_grid(spec: ZeroLocusSpec, koszul: Character) -> tuple[Grid, list[
     entries off the middle row, middle entries from the Euler columns
     p <= d/2."""
     d = spec.dim
-    diagonal = ambient_diamond(spec.k, spec.n).diagonal()
+    diagonal = _gaussian_binomial(spec.k, spec.n)
     half = _euler_columns(spec, koszul, d // 2)
     chis = half + [(-1) ** d * half[d - p] for p in range(len(half), d + 1)]
     grid = [[(0, 0)] * (d + 1) for _ in range(d + 1)]
@@ -464,17 +450,14 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
     route = _lefschetz_grid if ample or spec.dim == 0 else _chase_grid
     grid, chis = route(spec, koszul)
     out = HodgeDiamond(
-        spec.dim,
+        grid,
+        chis,
         meta={
             "ambient": f"G({spec.k},{spec.n})",
             "bundle": str(spec.bundle),
             "assumes": "general section, smooth zero locus",
         },
     )
-    for p, row in enumerate(grid):
-        for q, (lo, hi) in enumerate(row):
-            out.set_entry(p, q, lo, hi)
-        out.euler_columns[p] = chis[p]
     out.check_euler_columns()
     out.check_symmetries()
     return out
@@ -574,11 +557,8 @@ def check_pair_theorem(k: int, n: int) -> PairReport:
     report = PairReport(k=k, n=n, invariants=inv, diamond1=d1m, diamond2=d2m)
     fail = report.failures.append
 
-    if (inv.d2 - inv.d1) % 2 != 0:
-        fail(f"dimension gap d2-d1={inv.d2 - inv.d1} is odd; no index shift")
-        return report
-    s = (inv.d2 - inv.d1) // 2
-    report.shift = s
+    # d2 - d1 = 2(n-2k-1): the shift of the v-rows is the co-level
+    s = report.shift = n - 2 * k - 1
 
     g1 = ambient_diamond(k, n)
     g2 = ambient_diamond(k + 1, n)
@@ -598,16 +578,16 @@ def check_pair_theorem(k: int, n: int) -> PairReport:
         if (p < s or p > inv.d2 - s) and report.v2[p] != 0:
             fail(f"v-cohomology of Y2 nonzero at p={p} outside the shifted band")
 
-    # co-level: middle row of Y2 vanishes below p = n-2k-1 and not at it
-    colevel = n - 2 * k - 1
-    for p in range(min(colevel, inv.d2 + 1)):
+    # co-level: middle row of Y2 vanishes below p = s and not at it
+    for p in range(min(s, inv.d2 + 1)):
         if d2m.h(p, inv.d2 - p) != 0:
             fail(f"co-level violated: h^{{{p},{inv.d2 - p}}}(Y2) != 0")
-    if colevel <= inv.d2 and d2m.h(colevel, inv.d2 - colevel) == 0:
-        fail(f"h^{{{colevel},{inv.d2 - colevel}}}(Y2) = 0 at the co-level")
+    if s <= inv.d2 and d2m.h(s, inv.d2 - s) == 0:
+        fail(f"h^{{{s},{inv.d2 - s}}}(Y2) = 0 at the co-level")
 
     for dm in (d1m, d2m):
-        for (p, q), (lo, hi) in dm.entries.items():
-            if p + q != dm.dim and p != q and (lo, hi) != (0, 0):
-                fail(f"off-middle non-diagonal entry at ({p},{q}): {lo}..{hi}")
+        for p, row in enumerate(dm.grid):
+            for q, (lo, hi) in enumerate(row):
+                if p + q != dm.dim and p != q and (lo, hi) != (0, 0):
+                    fail(f"off-middle non-diagonal entry at ({p},{q}): {lo}..{hi}")
     return report

@@ -94,10 +94,11 @@ def epoly_of_diamond(d: HodgeDiamond) -> EPoly:
     """E-polynomial of a smooth projective variety from its exact diamond."""
     if not d.fully_exact():
         raise AmbiguityError("diamond has inexact entries; no E-polynomial")
-    out: dict[tuple[int, int], int] = {}
-    for (p, q), (lo, _) in d.entries.items():
-        out[(p, q)] = out.get((p, q), 0) + (-1) ** (p + q) * lo
-    return EPoly.from_dict(out)
+    return EPoly.from_dict({
+        (p, q): (-1) ** (p + q) * lo
+        for p, row in enumerate(d.grid)
+        for q, (lo, _) in enumerate(row)
+    })
 
 
 def verify_lemma_leq(

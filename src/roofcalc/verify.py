@@ -42,17 +42,13 @@ def _expect(name: str, got, want) -> CheckResult:
 
 def _diagonal_only(d: HodgeDiamond, diagonal: list[int], middle: list[int]) -> str | None:
     """Check a diamond is exactly: given diagonal, given middle row, zeros."""
-    for p in range(d.dim + 1):
-        for q in range(d.dim + 1):
-            if not d.is_exact(p, q):
-                return f"h^{{{p},{q}}} inexact {d.interval(p, q)}"
-            expected = 0
-            if p + q == d.dim:
-                expected = middle[p]
-            if p == q and p + q != d.dim:
-                expected = diagonal[p]
-            if d.h(p, q) != expected:
-                return f"h^{{{p},{q}}} = {d.h(p, q)}, want {expected}"
+    for p, row in enumerate(d.grid):
+        for q, (lo, hi) in enumerate(row):
+            if lo != hi:
+                return f"h^{{{p},{q}}} inexact {(lo, hi)}"
+            expected = middle[p] if p + q == d.dim else diagonal[p] if p == q else 0
+            if lo != expected:
+                return f"h^{{{p},{q}}} = {lo}, want {expected}"
     return None
 
 

@@ -33,6 +33,15 @@ def hyperplane(n):
     return ZeroLocusSpec(1, n + 1, bundles.line(1, n + 1, 1))
 
 
+def hand_diamond(dim, entries, chis=None):
+    """Diamond of dimension `dim`: the intervals `entries[(p, q)]`, zero
+    elsewhere, with Euler columns `chis` (zero by default)."""
+    grid = [[(0, 0)] * (dim + 1) for _ in range(dim + 1)]
+    for (p, q), iv in entries.items():
+        grid[p][q] = iv
+    return HodgeDiamond(grid, chis or [0] * (dim + 1))
+
+
 class TestAmbientDiamond:
     def test_projective_space(self):
         d = ambient_diamond(1, 6)
@@ -50,7 +59,9 @@ class TestAmbientDiamond:
 
     def test_off_diagonal_zero(self):
         d = ambient_diamond(2, 5)
-        assert all(p == q for (p, q) in d.entries)
+        assert all(
+            iv == (0, 0) for p, row in enumerate(d.grid) for q, iv in enumerate(row) if p != q
+        )
 
     def test_diagonal_counts_box_partitions(self):
         for n in range(2, 16):
@@ -315,7 +326,8 @@ class TestLefschetzRoute:
         assert d.fully_exact()
         assert d.diagonal() == diagonal
         assert d.middle_row() == middle
-        assert len(d.entries) == len(diagonal) + 2  # nothing else is nonzero
+        # nothing else is nonzero
+        assert sum(iv != (0, 0) for row in d.grid for iv in row) == len(diagonal) + 2
 
 
 class TestDiamondInvariants:
@@ -350,6 +362,26 @@ class TestDiamondInvariants:
             for q in range(d.dim + 1)
         )
         assert total == d.euler_characteristic()
+
+    def test_hodge_asymmetry_raises(self):
+        d = hand_diamond(1, {(0, 0): (1, 1), (0, 1): (1, 1), (1, 1): (1, 1)})
+        with pytest.raises(ArithmeticError, match="Hodge symmetry"):
+            d.check_symmetries()
+
+    def test_serre_asymmetry_raises(self):
+        d = hand_diamond(2, {(0, 0): (1, 1), (2, 2): (2, 2)})
+        with pytest.raises(ArithmeticError, match="Serre symmetry"):
+            d.check_symmetries()
+
+    @pytest.mark.parametrize("h22", [(1, 3), (0, 3)])
+    def test_symmetries_skip_inexact_pairs(self, h22):
+        hand_diamond(2, {(0, 0): (1, 1), (2, 2): h22}).check_symmetries()
+
+    def test_unreachable_euler_column_raises(self):
+        # column 0 sums to a value in [1, 2]; chi_0 = 5 is out of reach
+        d = hand_diamond(1, {(0, 0): (1, 2), (1, 1): (1, 1)}, chis=[5, 0])
+        with pytest.raises(ArithmeticError, match="Euler column 0"):
+            d.check_euler_columns()
 
 
 class TestClassicalHypersurfaces:
@@ -448,15 +480,13 @@ class TestVCohomology:
         assert row == [0, 0, 0, 0]
 
     def test_injectivity_violation(self):
-        y = HodgeDiamond(4)
-        y.set_entry(2, 2, 1)  # below h^{2,2}(G(2,4)) = 2
+        y = hand_diamond(4, {(2, 2): (1, 1)})  # below h^{2,2}(G(2,4)) = 2
         g = ambient_diamond(2, 4)
         with pytest.raises(InjectivityViolationError):
             v_cohomology(y, g)
 
     def test_ambiguity_error(self):
-        y = HodgeDiamond(2)
-        y.set_entry(1, 1, 1, 5)
+        y = hand_diamond(2, {(1, 1): (1, 5)})
         with pytest.raises(AmbiguityError):
             v_cohomology(y, ambient_diamond(1, 3))
 

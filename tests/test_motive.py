@@ -60,7 +60,7 @@ class TestVerifyLemma:
 
     def test_broken_identity_detected(self):
         # empty zero loci with ambient terms that cannot cancel
-        empty = HodgeDiamond(0)
+        empty = HodgeDiamond([[(0, 0)]], [0])
         ok, residual = verify_lemma_leq(1, 5, empty, empty)
         assert not ok
         assert residual.evaluate_one() == comb(5, 2) * 1 - comb(5, 1) * 3
@@ -71,8 +71,7 @@ class TestVerifyLemma:
         assert residual.uv_swap() == residual
 
     def test_rejects_inexact(self):
-        fuzzy = HodgeDiamond(2)
-        fuzzy.set_entry(1, 1, 1, 3)
+        fuzzy = HodgeDiamond([[(0, 0)] * 3, [(0, 0), (1, 3), (0, 0)], [(0, 0)] * 3], [0] * 3)
         with pytest.raises(AmbiguityError):
             verify_lemma_leq(1, 5, fuzzy, fuzzy)
 
