@@ -20,6 +20,12 @@ Two model builders sit on top of the core system:
 
 All coefficients stay in {-1, 0, 1}; arithmetic is exact.
 
+Every variable gets a closed integer box when it is created: a rank is at
+most the dimension of either side of its map, and both builders know those
+dimensions.  Propagation only shrinks boxes, and a sweep that changes
+anything shrinks their total width by at least one, so `propagate` ends by
+finite descent, at the fixpoint or at an empty box.
+
 Propagation is linear per sweep: each inequality f >= 0 with m terms is
 walked twice, once to sum its upper bound over the boxes and once to tighten
 each variable v from "f without v's term", which is that sum less v's own
@@ -32,7 +38,7 @@ re-summing the other m - 1 terms for every v, at O(m) instead of O(m^2).
 
 from __future__ import annotations
 
-from .errors import AmbiguityError, InconsistentDataError
+from .errors import InconsistentDataError
 
 
 class Form:
@@ -79,23 +85,23 @@ class Form:
         return " ".join(parts + [f"{self.const:+d}"])
 
 
-_UNBOUNDED = None
-
-# Sweeps of bound propagation before `propagate` gives up on convergence.
-MAX_SWEEPS = 2000
-
-
 class LinearSystem:
-    """Variables with integer boxes, substitutions, and >=0 constraints."""
+    """Variables with closed integer boxes, substitutions, and >=0 constraints."""
 
     def __init__(self):
-        self.boxes: list[list[int | None]] = []
+        self.boxes: list[list[int]] = []
         self.subs: dict[int, Form] = {}
         self.ineqs: list[Form] = []
 
-    def new_var(self, lo: int = 0, hi: int | None = _UNBOUNDED) -> int:
+    def new_var(self, lo: int, hi: int) -> int:
+        """A fresh variable with the box lo <= v <= hi."""
+        v = len(self.boxes)
+        if lo > hi:
+            raise InconsistentDataError(
+                "chase", f"inconsistent chase: empty box for v{v}"
+            )
         self.boxes.append([lo, hi])
-        return len(self.boxes) - 1
+        return v
 
     # -- substitution machinery ------------------------------------------
 
@@ -144,29 +150,22 @@ class LinearSystem:
         # fold the variable's old box into inequalities on the substitution
         lo, hi = self.boxes[v]
         sub = self.subs[v]
-        if lo is not None:
-            self.add_ge0(sub - lo)
-        if hi is not None:
-            self.add_ge0(Form.of(hi) - sub)
+        self.add_ge0(sub - lo)
+        self.add_ge0(Form.of(hi) - sub)
 
     def add_ge0(self, form: Form) -> None:
         self.ineqs.append(form)
 
     # -- bound propagation -------------------------------------------------
 
-    def _form_bounds(self, f: Form) -> tuple[int | None, int | None]:
-        lo: int | None = f.const
-        hi: int | None = f.const
+    def _form_bounds(self, f: Form) -> tuple[int, int]:
+        lo = hi = f.const
         for v, c in f.coeffs.items():
             blo, bhi = self.boxes[v]
             if c > 0:
-                term_lo = None if blo is None else c * blo
-                term_hi = None if bhi is None else c * bhi
+                lo, hi = lo + c * blo, hi + c * bhi
             else:
-                term_lo = None if bhi is None else c * bhi
-                term_hi = None if blo is None else c * blo
-            lo = None if (lo is None or term_lo is None) else lo + term_lo
-            hi = None if (hi is None or term_hi is None) else hi + term_hi
+                lo, hi = lo + c * bhi, hi + c * blo
         return lo, hi
 
     def propagate(self) -> None:
@@ -178,65 +177,52 @@ class LinearSystem:
                     "chase", f"inconsistent chase: {f.const} >= 0"
                 )
         boxes = self.boxes
-        for _ in range(MAX_SWEEPS):
+        while True:
             changed = False
             for f in reduced:
-                # upper bound of f over the boxes, skipping unbounded terms
+                # upper bound of f over the boxes
                 hi = f.const
-                n_open = 0
                 for v, c in f.coeffs.items():
-                    end = boxes[v][1 if c > 0 else 0]
-                    if end is None:
-                        n_open += 1
-                        open_term = (v, c)
-                    else:
-                        hi += c * end
-                if n_open > 1:
-                    continue
-                for v, c in (open_term,) if n_open else f.coeffs.items():
+                    hi += c * boxes[v][1 if c > 0 else 0]
+                for v, c in f.coeffs.items():
                     box = boxes[v]
-                    # upper bound of f - c*v: hi less v's own term, or hi
-                    # itself when v's term is the one left out of it
-                    ohi = hi if n_open else hi - c * box[1 if c > 0 else 0]
+                    # upper bound of f - c*v: hi less v's own term
+                    ohi = hi - c * box[1 if c > 0 else 0]
                     # c*v >= -other_true >= -ohi
                     if c > 0:
                         new_lo = -(ohi // c)  # ceil(-ohi / c)
-                        if box[0] is None or new_lo > box[0]:
+                        if new_lo > box[0]:
                             box[0] = new_lo
                             changed = True
                     else:
                         new_hi = ohi // (-c)  # floor(ohi / -c)
-                        if box[1] is None or new_hi < box[1]:
+                        if new_hi < box[1]:
                             box[1] = new_hi
                             changed = True
-                    if box[0] is not None and box[1] is not None and box[0] > box[1]:
+                    if box[0] > box[1]:
                         raise InconsistentDataError(
                             "chase", f"inconsistent chase: empty box for v{v}"
                         )
             if not changed:
                 return
-        raise InconsistentDataError("chase", "chase propagation did not converge")
 
     def bounds(self, form: Form) -> tuple[int, int]:
-        lo, hi = self._form_bounds(self.reduce(form))
-        if lo is None or hi is None:
-            raise AmbiguityError("quantity is unbounded in the chase")
-        return lo, hi
+        return self._form_bounds(self.reduce(form))
 
 
 def spectral_flow(
     system: LinearSystem,
     totals: dict[int, int],
     *,
-    low: int,
     high: int,
 ) -> dict[int, Form]:
     """Limit of a first-quadrant-style spectral sequence, antidiagonal-wise.
 
     `totals[m]` is the page-one total on antidiagonal m.  All differentials
     map m -> m+1 and kill equal dimensions on both sides; `flow[m]` is their
-    total rank.  The limit must vanish outside [low, high].  Returns forms
-    for the surviving totals h_m with the vanishing imposed.
+    total rank, boxed in [0, min(totals[m], totals[m+1])].  The limit must
+    vanish outside the cohomology degrees [0, high].  Returns forms for the
+    surviving totals h_m with the vanishing imposed.
     """
     if not totals:
         return {}
@@ -245,7 +231,7 @@ def spectral_flow(
 
     # a differential m -> m+1 can only have rank if both sides are nonzero
     flows = {
-        m: Form.var(system.new_var(0, _UNBOUNDED))
+        m: Form.var(system.new_var(0, min(totals[m], totals[m + 1])))
         for m in range(m_min, m_max)
         if totals.get(m, 0) and totals.get(m + 1, 0)
     }
@@ -256,7 +242,7 @@ def spectral_flow(
     out: dict[int, Form] = {}
     for m in range(m_min, m_max + 1):
         h = Form.of(totals.get(m, 0)) - flow(m - 1) - flow(m)
-        if low <= m <= high:
+        if 0 <= m <= high:
             system.add_ge0(h)
             out[m] = h
         else:
@@ -274,7 +260,8 @@ def les_chain(
     """Chase K_0 = first through 0 -> K_{i-1} -> M_i -> K_i -> 0.
 
     All objects live on a space of dimension `top`; vectors are indexed by
-    degree 0..top.  Returns the forms of the final cokernel K_L.
+    degree 0..top.  The connecting rank x_q into degree q of M_i is boxed in
+    [0, upper bound of M_i^q].  Returns the forms of the final cokernel K_L.
     """
     degrees = top + 1
     k_prev = list(first)
@@ -283,7 +270,10 @@ def les_chain(
         return vec[q] if 0 <= q < len(vec) else Form.of(0)
 
     for mid in middles:
-        xs = [Form.var(system.new_var(0, _UNBOUNDED)) for _ in range(degrees)]
+        xs = [
+            Form.var(system.new_var(0, system.bounds(at(mid, q))[1]))
+            for q in range(degrees)
+        ]
         # H^0(K_{i-1}) -> H^0(M_i) is injective
         system.add_eq(xs[0] - at(k_prev, 0))
         for q in range(degrees):

@@ -347,9 +347,10 @@ def _symmetrise(grid: Grid, chis: list[int]) -> None:
     Serre duality h^{p,q} = h^{d-p,d-q}, ample-class positivity h^{p,p} >= 1,
     and the exact column Euler sums.  All are theorems for a nonempty smooth
     projective variety; they pin down exactly the entries that dimension
-    bookkeeping leaves open."""
+    bookkeeping leaves open.  Every interval is finite and a round that
+    changes anything narrows one, so the rounds end."""
     d = len(grid) - 1
-    for _ in range(4 * (d + 2)):
+    while True:
         changed = False
 
         def refine(p: int, q: int, new: tuple[int, int]) -> None:
@@ -417,7 +418,7 @@ def _chase_grid(spec: ZeroLocusSpec, koszul: Character) -> tuple[Grid, list[int]
         chi = 0
         for t, base in enumerate(row):
             totals = tensor_cohomology(base, koszul)
-            flow = spectral_flow(system, totals, low=0, high=d)
+            flow = spectral_flow(system, totals, high=d)
             vectors.append([flow.get(q, Form.of(0)) for q in range(d + 1)])
             # m may be negative, where (-1) ** m is a float
             c = sum(-h if m & 1 else h for m, h in totals.items())

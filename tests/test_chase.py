@@ -30,8 +30,8 @@ class TestLinearSystem:
 
     def test_propagation_tightens(self):
         s = LinearSystem()
-        x = Form.var(s.new_var(0, None))
-        y = Form.var(s.new_var(0, None))
+        x = Form.var(s.new_var(0, 100))
+        y = Form.var(s.new_var(0, 100))
         s.add_ge0(Form.of(5) - x - y)  # x + y <= 5
         s.propagate()
         assert s.bounds(x) == (0, 5)
@@ -39,7 +39,7 @@ class TestLinearSystem:
 
     def test_forced_zero(self):
         s = LinearSystem()
-        x = Form.var(s.new_var(0, None))
+        x = Form.var(s.new_var(0, 100))
         s.add_ge0(-x)
         s.propagate()
         assert s.bounds(x) == (0, 0)
@@ -48,20 +48,20 @@ class TestLinearSystem:
 class TestSpectralFlow:
     def test_no_cancellation(self):
         s = LinearSystem()
-        out = spectral_flow(s, {0: 1, 4: 15}, low=0, high=4)
+        out = spectral_flow(s, {0: 1, 4: 15}, high=4)
         assert bounds_of(s, [out[m] for m in (0, 4)]) == [(1, 1), (15, 15)]
 
     def test_boundary_forces_chain(self):
         # totals beyond the window must cancel downward step by step
         s = LinearSystem()
-        out = spectral_flow(s, {4: 100, 5: 30, 6: 10}, low=0, high=4)
+        out = spectral_flow(s, {4: 100, 5: 30, 6: 10}, high=4)
         s.propagate()
         # f5 = 10, f4 = 30 - 10 = 20, h4 = 100 - 20
         assert s.bounds(out[4]) == (80, 80)
 
     def test_interior_ambiguity_stays(self):
         s = LinearSystem()
-        out = spectral_flow(s, {2: 5, 3: 3}, low=0, high=4)
+        out = spectral_flow(s, {2: 5, 3: 3}, high=4)
         s.propagate()
         lo2, hi2 = s.bounds(out[2])
         lo3, hi3 = s.bounds(out[3])
@@ -70,7 +70,7 @@ class TestSpectralFlow:
 
     def test_negative_window_clamps(self):
         s = LinearSystem()
-        out = spectral_flow(s, {-1: 7, 0: 7}, low=0, high=4)
+        out = spectral_flow(s, {-1: 7, 0: 7}, high=4)
         s.propagate()
         assert s.bounds(out[0]) == (0, 0)
 
@@ -165,7 +165,7 @@ class TestSoundnessAgainstRandomTruth:
                 m: truth[m] + flows.get(m - 1, 0) + flows.get(m, 0) for m in window
             }
             s = LinearSystem()
-            out = spectral_flow(s, dict(totals), low=0, high=high)
+            out = spectral_flow(s, dict(totals), high=high)
             s.propagate()
             for m, h in out.items():
                 lo, hi = s.bounds(h)
@@ -206,15 +206,15 @@ def reference_propagate(system, max_sweeps=2000):
 
 
 def random_system(seed):
-    """Boxes with open ends, +-1 forms, some equalities; often infeasible."""
+    """Boxes with wide ends (-50, 50), +-1 forms, some equalities; often
+    infeasible."""
     rng = random.Random(seed)
     s = LinearSystem()
     nvars = rng.randint(1, 7)
     for _ in range(nvars):
-        lo = rng.choice([None, 0, 0, rng.randint(-3, 5)])
-        hi = rng.choice([None, None, rng.randint(0, 9)])
-        if lo is not None and hi is not None:
-            hi = max(lo, hi)
+        lo = rng.choice([-50, 0, 0, rng.randint(-3, 5)])
+        hi = rng.choice([50, 50, rng.randint(0, 9)])
+        hi = max(lo, hi)
         s.new_var(lo, hi)
 
     def random_form():
@@ -264,3 +264,22 @@ def test_chase_inconsistency_names_its_stage():
         s.propagate()
     assert err.value.stage == "chase"
     assert str(err.value) == "inconsistent chase: empty box for v0"
+
+
+def test_new_var_rejects_an_empty_box():
+    s = LinearSystem()
+    with pytest.raises(InconsistentDataError) as err:
+        s.new_var(3, 2)
+    assert err.value.stage == "chase"
+    assert str(err.value) == "inconsistent chase: empty box for v0"
+
+
+def test_infeasible_cycle_empties_a_box():
+    # x >= y + 1 and y >= x + 1 push both lower ends up until one box empties
+    s = LinearSystem()
+    x = Form.var(s.new_var(0, 10**5))
+    y = Form.var(s.new_var(0, 10**5))
+    s.add_ge0(x - y - 1)
+    s.add_ge0(y - x - 1)
+    with pytest.raises(InconsistentDataError, match="empty box"):
+        s.propagate()

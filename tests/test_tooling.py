@@ -31,6 +31,14 @@ def test_tracer_patch_points_exist():
     assert verify.SUITES["paper"]
 
 
+def test_tracer_chase_counters_exist():
+    # the tracer sizes every propagated system by these three attributes
+    system = chase.LinearSystem()
+    assert isinstance(system.boxes, list)
+    assert isinstance(system.ineqs, list)
+    assert isinstance(system.subs, dict)
+
+
 def test_public_names_resolve():
     for name in roofcalc.__all__:
         assert hasattr(roofcalc, name), name
