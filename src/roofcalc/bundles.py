@@ -2,9 +2,12 @@
 
 An expression is a non-negative integer combination of irreducible summands
 labelled by double weights.  Line bundles are folded into the upper block
-(det of the dual subbundle is O(1)), and every term is normalised so that the
-last entry of the lower block is zero; the two conventions
-S_d Q* = S_{d-c}Q* (x) O(-c) then never produce duplicate keys.
+(det of the dual subbundle is O(1)).  Every expression is built by `_expr`,
+the one canonical form: each lower block is shifted to end in 0 (the two
+conventions S_d Q* = S_{d-c}Q* (x) O(-c) then never give two keys for one
+bundle), equal terms are merged and the terms sorted in descending order.
+The operations below hand `_expr` plain ((upper, lower), multiplicity)
+items; only `_expr` makes their `DoubleWeight`s.
 
 Sym and wedge powers are only defined for twists of the five atoms
 U, U*, Q, Q*, O(t) and direct sums of those; anything else raises
@@ -13,6 +16,7 @@ PlethysmRequiredError rather than silently computing a wrong plethysm.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -24,14 +28,8 @@ from .errors import (
     PlethysmRequiredError,
     RankError,
 )
-from .lr import _lr_terms
+from .lr import _blockwise
 from .weights import DoubleWeight, Weight, enumerate_box, negate_reverse
-
-
-def _normalise(w: DoubleWeight) -> DoubleWeight:
-    """Shift so the lower block ends in 0 (fold the residual twist upward)."""
-    c = w.lower[-1]
-    return w.shift(-c) if c else w
 
 
 @dataclass(frozen=True)
@@ -60,17 +58,22 @@ class BundleExpr:
         )
 
 
-def _expr(k: int, n: int, terms: dict[DoubleWeight, int]) -> BundleExpr:
-    merged: dict[DoubleWeight, int] = {}
-    for w, m in terms.items():
-        if m == 0:
-            continue
-        wn = _normalise(w)
-        merged[wn] = merged.get(wn, 0) + m
-    ordered = tuple(
-        sorted(merged.items(), key=lambda t: (t[0].upper, t[0].lower), reverse=True)
-    )
-    return BundleExpr(k, n, ordered)
+def _expr(
+    k: int, n: int, items: Iterable[tuple[tuple[Weight, Weight], int]]
+) -> BundleExpr:
+    """The canonical form of ((upper, lower), multiplicity) items: shift each
+    lower block to end in 0 and fold the leftover twist into the upper
+    block, merge equal terms, drop zero multiplicities and sort descending
+    by (upper, lower)."""
+    merged: dict[tuple[Weight, Weight], int] = {}
+    for key, m in items:
+        c = key[1][-1]
+        if c:
+            key = tuple(tuple(e - c for e in block) for block in key)
+        merged[key] = merged.get(key, 0) + m
+    ordered = sorted(merged.items(), reverse=True)
+    terms = tuple((DoubleWeight._trusted(*w), m) for w, m in ordered if m)
+    return BundleExpr(k, n, terms)
 
 
 def zero(k: int, n: int) -> BundleExpr:
@@ -83,7 +86,7 @@ def irreducible(k: int, n: int, upper: Weight, lower: Weight) -> BundleExpr:
     w = DoubleWeight(tuple(upper), tuple(lower))
     if w.ambient != (k, n):
         raise AmbientMismatchError(f"{w} does not live on G({k},{n})")
-    return _expr(k, n, {w: 1})
+    return _expr(k, n, [((w.upper, w.lower), 1)])
 
 
 def line(k: int, n: int, t: int) -> BundleExpr:
@@ -129,64 +132,31 @@ def direct_sum(*exprs: BundleExpr) -> BundleExpr:
     if not exprs:
         raise ValueError("empty direct sum")
     k, n = exprs[0].ambient
-    out: dict[DoubleWeight, int] = {}
-    for e in exprs:
-        if e.ambient != (k, n):
-            raise AmbientMismatchError("direct sum across different ambients")
-        for w, m in e.terms:
-            out[w] = out.get(w, 0) + m
-    return _expr(k, n, out)
+    if any(e.ambient != (k, n) for e in exprs):
+        raise AmbientMismatchError("direct sum across different ambients")
+    return _expr(k, n, (((w.upper, w.lower), m) for e in exprs for w, m in e.terms))
 
 
 def tensor(a: BundleExpr, b: BundleExpr) -> BundleExpr:
-    """Bilinear extension of the blockwise Littlewood-Richardson product.
-
-    The blocks multiply separately (`lr._lr_terms`), and each product term
-    is normalised and merged as a pair of tuples; one `DoubleWeight` is made
-    per output term, in `_expr`'s order."""
+    """Bilinear extension of the blockwise Littlewood-Richardson product
+    (`lr._blockwise`), put in canonical form by `_expr`."""
     if a.ambient != b.ambient:
         raise AmbientMismatchError(f"tensor across {a.ambient} and {b.ambient}")
-    k, q = a.k, a.n - a.k
-    out: dict[tuple[Weight, Weight], int] = {}
-    for wa, ma in a.terms:
-        for wb, mb in b.terms:
-            uppers = _lr_terms(wa.upper, wb.upper, k)
-            m = ma * mb
-            for lo, ml in _lr_terms(wa.lower, wb.lower, q):
-                c = lo[-1]  # fold the lower block's last entry upward
-                if c:
-                    lo = tuple(e - c for e in lo)
-                for up, mu in uppers:
-                    key = (tuple(e - c for e in up) if c else up, lo)
-                    out[key] = out.get(key, 0) + m * mu * ml
-    return BundleExpr(
-        a.k,
-        a.n,
-        tuple(
-            (DoubleWeight._trusted(up, lo), m)
-            for (up, lo), m in sorted(out.items(), reverse=True)
-        ),
-    )
+    return _expr(a.k, a.n, _blockwise(a.terms, b.terms, a.k, a.n - a.k))
 
 
 def twist(a: BundleExpr, t: int) -> BundleExpr:
     """a (x) O(t): O(t) is det^t of U*, so t is added to every upper block."""
     if t == 0:
         return a
-    out = {
-        DoubleWeight._trusted(tuple(e + t for e in w.upper), w.lower): m
-        for w, m in a.terms
-    }
-    return _expr(a.k, a.n, out)
+    items = (((tuple(e + t for e in w.upper), w.lower), m) for w, m in a.terms)
+    return _expr(a.k, a.n, items)
 
 
 def dual(a: BundleExpr) -> BundleExpr:
     """Termwise dual: negate and reverse each block."""
-    out = {
-        DoubleWeight._trusted(negate_reverse(w.upper), negate_reverse(w.lower)): m
-        for w, m in a.terms
-    }
-    return _expr(a.k, a.n, out)
+    items = (((negate_reverse(w.upper), negate_reverse(w.lower)), m) for w, m in a.terms)
+    return _expr(a.k, a.n, items)
 
 
 # -- atoms and their Sym/wedge powers ---------------------------------------
@@ -259,38 +229,43 @@ def _atom_list(a: BundleExpr) -> list[tuple[str, int]]:
 def _graded_power(a: BundleExpr, m: int, label) -> list[BundleExpr]:
     """Powers of degree 0..m of a direct sum of atoms, by the binomial rule;
     the degree-j power of one atom is its Schur functor S_{label(j)}.  One
-    fold over the atoms builds every degree up to m at once."""
+    fold over the atoms builds every degree up to m at once; it stops at the
+    top nonzero degree (for wedge, the summed atom ranks), and the degrees
+    above it are zero."""
     if m < 0:
         raise RankError(f"power must be >= 0, got {m}")
     k, n = a.ambient
     if m == 0:
         return [line(k, n, 0)]
     atoms = _atom_list(a)
-    if not atoms:
-        return [line(k, n, 0)] + [zero(k, n)] * m
 
     @cache
-    def factor(atom: tuple[str, int], j: int) -> BundleExpr:
-        w = _atom_power(atom[0], atom[1], label(j), k, n)
-        return zero(k, n) if w is None else _expr(k, n, {w: 1})
+    def heads(atom: tuple[str, int]) -> list[BundleExpr]:
+        """The atom's nonzero powers, from degree 0 up to degree m at most."""
+        out = []
+        for j in range(m + 1):
+            w = _atom_power(atom[0], atom[1], label(j), k, n)
+            if w is None:  # so is every power of higher degree
+                break
+            out.append(_expr(k, n, [((w.upper, w.lower), 1)]))
+        return out
 
-    # powers[b]: the degree-b power of the atoms folded in so far, b <= m
-    powers = [factor(atoms[0], b) for b in range(m + 1)]
+    # powers[b]: the degree-b power of the atoms folded in so far, all nonzero
+    powers = heads(atoms[0]) if atoms else [line(k, n, 0)]
     for atom in atoms[1:]:
-        heads = [factor(atom, j) for j in range(m + 1)]
-        # the degree-0 power of an atom is O, so j = 0 contributes powers[b]
+        head = heads(atom)
+        last = len(powers) - 1
         powers = [
             direct_sum(
-                powers[b],
+                *powers[b : b + 1],  # j = 0: the degree-0 power of an atom is O
                 *(
-                    tensor(heads[j], powers[b - j])
-                    for j in range(1, b + 1)
-                    if not (heads[j].is_zero() or powers[b - j].is_zero())
+                    tensor(head[j], powers[b - j])
+                    for j in range(max(1, b - last), min(b, len(head) - 1) + 1)
                 ),
             )
-            for b in range(m + 1)
+            for b in range(min(m, last + len(head) - 1) + 1)
         ]
-    return powers
+    return powers + [zero(k, n)] * (m + 1 - len(powers))
 
 
 def sym_powers(a: BundleExpr, m: int) -> list[BundleExpr]:
@@ -365,13 +340,10 @@ def cotangent_power(k: int, n: int, t: int) -> BundleExpr:
     partitions mu of t inside the k x (n-k) box.
     """
     zero(k, n)  # checks 1 <= k < n before the box is enumerated
-    out: dict[DoubleWeight, int] = {}
-    for mu in enumerate_box(k, n - k):
-        if sum(mu) == t:
-            conj = _conjugate(mu)
-            lower = conj + (0,) * (n - k - len(conj))
-            out[DoubleWeight._trusted(negate_reverse(mu), lower)] = 1
-    return _expr(k, n, out)
+    pad = (0,) * (n - k)
+    box = [mu for mu in enumerate_box(k, n - k) if sum(mu) == t]
+    items = [((negate_reverse(mu), (_conjugate(mu) + pad)[: n - k]), 1) for mu in box]
+    return _expr(k, n, items)
 
 
 def rank(a: BundleExpr) -> int:

@@ -120,9 +120,6 @@ class HodgeDiamond:
         self.dim = len(grid) - 1
         self.meta = dict(meta or {})
 
-    def interval(self, p: int, q: int) -> tuple[int, int]:
-        return self.grid[p][q]
-
     def is_exact(self, p: int, q: int) -> bool:
         lo, hi = self.grid[p][q]
         return lo == hi

@@ -28,8 +28,11 @@ truncation.
 
 Each factor is first shifted to end in 0, by S_{lam + c*1} = S_lam (x) det^c,
 so a twist of a Pieri factor takes its strip rule too.  The one cache sits on
-`_lr_terms`, the unchecked core behind `lr_product`, `lr_double_product` and
-`bundles.tensor`, so a repeated product costs a lookup with no shifting.
+`_lr_terms`, the unchecked core behind `lr_product` and `_blockwise`, so a
+repeated product costs a lookup with no shifting.  `_blockwise` is the one
+loop of the product on G(k,n), blocks multiplied separately: it feeds both
+`lr_double_product` and `bundles.tensor`, which puts its items in canonical
+form.
 """
 
 from __future__ import annotations
@@ -222,6 +225,21 @@ def lr_product(lam: Weight, mu: Weight, rank: int) -> SchurSum:
     return SchurSum(rank=rank, terms=_lr_terms(lam, mu, rank))
 
 
+def _blockwise(a_terms, b_terms, k: int, q: int):
+    """The blockwise product of two sums of double weights on G(k, k+q), as
+    ((upper, lower), multiplicity) items, unmerged and unshifted: the blocks
+    above and below the bar multiply separately (`_lr_terms`), and each pair
+    of block terms gives one item."""
+    for wa, ma in a_terms:
+        for wb, mb in b_terms:
+            uppers = _lr_terms(wa.upper, wb.upper, k)
+            m = ma * mb
+            for lo, ml in _lr_terms(wa.lower, wb.lower, q):
+                mlo = m * ml
+                for up, mu in uppers:
+                    yield (up, lo), mlo * mu
+
+
 def lr_double_product(a: DoubleWeight, b: DoubleWeight) -> dict[DoubleWeight, int]:
     """Blockwise product of two double weights on the same G(k,n).
 
@@ -231,9 +249,7 @@ def lr_double_product(a: DoubleWeight, b: DoubleWeight) -> dict[DoubleWeight, in
     k, q = len(a.upper), len(a.lower)
     if len(b.upper) != k or len(b.lower) != q:
         raise AmbientMismatchError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
-    lower = _lr_terms(a.lower, b.lower, q)
     return {
-        DoubleWeight._trusted(up, lo): mu * ml
-        for up, mu in _lr_terms(a.upper, b.upper, k)
-        for lo, ml in lower
+        DoubleWeight._trusted(up, lo): m
+        for (up, lo), m in _blockwise(((a, 1),), ((b, 1),), k, q)
     }

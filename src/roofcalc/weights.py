@@ -7,8 +7,9 @@ separate normalisation step.
 
 Validation happens once, at the boundary: public constructors such as
 `DoubleWeight(...)` check their input.  Weights derived from checked ones
-(shifts, duals, LR output, atom powers, bar moves) are dominant by
-construction; they come from the private `DoubleWeight._trusted` unchecked.
+(the canonical terms of `bundles._expr`, LR output, atom powers, bar moves)
+are dominant by construction; they come from the private
+`DoubleWeight._trusted` unchecked.
 """
 
 from __future__ import annotations
@@ -84,13 +85,6 @@ class DoubleWeight:
         Both blocks are non-increasing, so only the step across the bar
         needs checking: upper[-1] >= lower[0]."""
         return self.upper[-1] >= self.lower[0]
-
-    def shift(self, c: int) -> "DoubleWeight":
-        """Add c to every entry of both blocks (same bundle up to a twist of
-        the equivariant structure; cohomology dimensions are unchanged)."""
-        return DoubleWeight._trusted(
-            tuple(e + c for e in self.upper), tuple(e + c for e in self.lower)
-        )
 
     def __str__(self) -> str:
         up = ",".join(str(e) for e in self.upper)

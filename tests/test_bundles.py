@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from roofcalc import bundles
 from roofcalc.bwb import Character, tensor_cohomology
 from roofcalc.errors import AmbientMismatchError, PlethysmRequiredError
-from roofcalc.weights import DoubleWeight
+from roofcalc.weights import DoubleWeight, is_dominant
 
 from roofcalc.parser import parse_bundle
 
@@ -224,6 +225,29 @@ class TestSymWedge:
         got = bundles.wedge_power(bundles.direct_sum(*[o1] * 1200), 1)
         assert got.terms == ((o1.terms[0][0], 1200),)
 
+    def test_wedge_past_the_rank_builds_nothing(self, monkeypatch):
+        # each atom's column labels stop at the first one past its rank, so
+        # the work does not grow with the degree asked for
+        lengths = []
+        atom_power = bundles._atom_power
+
+        def counting(kind, t, label, k, n):
+            lengths.append(len(label))
+            return atom_power(kind, t, label, k, n)
+
+        monkeypatch.setattr(bundles, "_atom_power", counting)
+        ud = bundles.tautological_dual(2, 5)
+        assert bundles.wedge_power(ud, 1000).is_zero()
+        assert lengths == [0, 1, 2, 3]
+        lengths.clear()
+        e = bundles.direct_sum(ud, bundles.quotient(2, 5))
+        powers = bundles._graded_power(e, 1000, lambda j: (1,) * j)
+        assert sorted(lengths) == [0, 0, 1, 1, 2, 2, 3, 3, 4]
+        assert len(powers) == 1001
+        assert powers[5] == bundles.line(2, 5, 2)  # det U* (x) det Q = O(1) (x) O(1)
+        assert all(p.is_zero() for p in powers[6:])
+        assert bundles.wedge_power(e, 6).is_zero()
+
     def test_plethysm_required(self):
         with pytest.raises(PlethysmRequiredError):
             bundles.sym_power(bundles.schur(2, 6, "QD", (2, 1)), 2)
@@ -336,6 +360,62 @@ class TestAmple:
         # a sum is ample exactly when every summand is
         assert bundles.is_ample(bundles.direct_sum(*ample))
         assert not bundles.is_ample(bundles.direct_sum(ample[0], generated_only[0]))
+
+
+def random_atom_sum(rng, k, n):
+    """A sum of one to three atoms on G(k,n), each twisted by O(-2..2)."""
+    atoms = [
+        bundles.tautological,
+        bundles.tautological_dual,
+        bundles.quotient,
+        bundles.quotient_dual,
+        lambda k, n: bundles.line(k, n, 0),
+    ]
+    return bundles.direct_sum(
+        *(
+            bundles.twist(rng.choice(atoms)(k, n), rng.randint(-2, 2))
+            for _ in range(rng.randint(1, 3))
+        )
+    )
+
+
+def assert_canonical(e, k, n):
+    assert e.ambient == (k, n)
+    for w, m in e.terms:
+        assert w.ambient == (k, n)
+        assert is_dominant(w.upper) and is_dominant(w.lower), w
+        assert w.lower[-1] == 0, w
+        assert isinstance(m, int) and m >= 1, (w, m)
+    keys = [(w.upper, w.lower) for w, _ in e.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:])), keys
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_operation_returns_canonical_terms(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        a, b = random_atom_sum(rng, k, n), random_atom_sum(rng, k, n)
+        sym = bundles.sym_powers(a, 3)
+        wedges = [bundles.wedge_power(b, j) for j in range(bundles.rank(b) + 2)]
+        omegas = [bundles.cotangent_power(k, n, j) for j in range(k * (n - k) + 2)]
+        # products of Sym, wedge and cotangent powers take the tableau rule too
+        factors = [(a, b), (sym[2], wedges[2]), (omegas[1], sym[3]), (bundles.dual(b), a)]
+        products = [bundles.tensor(x, y) for x, y in factors]
+        outputs = [
+            *products,
+            bundles.twist(a, rng.randint(-3, 3)),
+            bundles.dual(a),
+            bundles.direct_sum(a, b, a),
+            *sym,
+            *wedges,
+            *omegas,
+        ]
+        for e in outputs:
+            assert_canonical(e, k, n)
+        for (x, y), product in zip(factors, products):
+            assert bundles.rank(product) == bundles.rank(x) * bundles.rank(y)
 
 
 class TestRank:

@@ -172,37 +172,34 @@ class TestSoundnessAgainstRandomTruth:
                 assert lo <= truth.get(m, 0) <= hi, (totals, truth, m)
 
 
-def reference_propagate(system, max_sweeps=2000):
+def reference_propagate(system):
     """The quadratic sweep: re-sum "f without v" for every (f, v) pair."""
     reduced = [system.reduce(f) for f in system.ineqs]
     reduced = [f for f in reduced if f.coeffs or f.const < 0]
     for f in reduced:
         if f.is_const() and f.const < 0:
             raise ArithmeticError(f"inconsistent chase: {f.const} >= 0")
-    for _ in range(max_sweeps):
+    while True:
         changed = False
         for f in reduced:
             for v, c in f.coeffs.items():
                 other = Form({u: k for u, k in f.coeffs.items() if u != v}, f.const)
                 _, ohi = system._form_bounds(other)
-                if ohi is None:
-                    continue
                 box = system.boxes[v]
                 if c > 0:
                     new_lo = -(ohi // c)
-                    if box[0] is None or new_lo > box[0]:
+                    if new_lo > box[0]:
                         box[0] = new_lo
                         changed = True
                 else:
                     new_hi = ohi // (-c)
-                    if box[1] is None or new_hi < box[1]:
+                    if new_hi < box[1]:
                         box[1] = new_hi
                         changed = True
-                if box[0] is not None and box[1] is not None and box[0] > box[1]:
+                if box[0] > box[1]:
                     raise ArithmeticError(f"inconsistent chase: empty box for v{v}")
         if not changed:
             return
-    raise ArithmeticError("chase propagation did not converge")
 
 
 def random_system(seed):

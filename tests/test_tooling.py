@@ -3,12 +3,14 @@ every name it binds, and every public name, defined."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import roofcalc
 from roofcalc import chase, verify
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -37,6 +39,38 @@ def test_tracer_chase_counters_exist():
     assert isinstance(system.boxes, list)
     assert isinstance(system.ineqs, list)
     assert isinstance(system.subs, dict)
+
+
+def test_per_layer_metrics_are_measured():
+    # a declared metric the traced run does not report marks that whole run
+    # "metrics not measured", so every name must be one it produces
+    tracer = load_tracer()
+    kinds = {f"{mod}.{fn_name}": kind for mod, fn_name, kind in tracer.TARGETS}
+    kinds["chase.propagate"] = "span"
+    checks = {check.__name__ for check in verify.SUITES["paper"]}
+    extra = tracer.Tracer().extra
+    run = (ROOT / "perfbench" / "run.py").read_text()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert declared
+    for metric in declared:
+        name = metric["name"]
+        if name in extra:
+            continue
+        if name == "trace.overhead_s":  # set by run.py itself
+            assert f'"{name}"' in run
+            continue
+        prefix, stat = name.rsplit(".", 1)
+        if prefix.startswith("verify."):
+            assert prefix.removeprefix("verify.") in checks, name
+            assert stat in ("calls", "s"), name
+            continue
+        assert prefix in kinds, name
+        stats = {"calls"}
+        if kinds[prefix] == "span":
+            stats.add("self_s")
+        if prefix in tracer.DISTINCT:
+            stats.add("distinct")
+        assert stat in stats, name
 
 
 def test_public_names_resolve():
