@@ -3,9 +3,11 @@
 `golden_outputs.json` maps each argv (joined by spaces) to the sha256 of
 `cli.main`'s output for it: for the JSON commands in `ARGVS`, the report
 with `timing` removed and re-serialised with sorted keys; for the text
-modes in `TEXT_ARGVS`, the raw stdout.  The digests are regression pins taken from the code itself, not
-oracles: they say that an output did not change, not that it is right.
-A change that is meant to alter an output regenerates them with
+modes in `TEXT_ARGVS`, the raw stdout.  One more pin, `SWEEP_PIN`, holds
+`sweep.digest()`: every diamond or error of the non-ample sweep, which
+takes the Koszul/conormal chase and the symmetry fixpoint.  The digests
+are regression pins taken from the code itself, not oracles: they say
+that an output did not change, not that it is right.  A change that is meant to alter an output regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import sweep
 from roofcalc.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -58,6 +61,9 @@ TEXT_ARGVS = [
 ]
 
 
+SWEEP_PIN = f"sweep: hodge of the non-ample inputs, 3 <= n <= {sweep.N_MAX}"
+
+
 def stdout_of(argv: list[str]) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -81,9 +87,15 @@ def test_output_unchanged(argv):
     assert digest(argv) == pinned[" ".join(argv)]
 
 
+def test_non_ample_sweep_unchanged():
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sweep.digest() == pinned[SWEEP_PIN]
+
+
 def test_every_pin_is_checked():
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert sorted(pinned) == sorted(" ".join(argv) for argv in ARGVS + TEXT_ARGVS)
+    checked = [" ".join(argv) for argv in ARGVS + TEXT_ARGVS] + [SWEEP_PIN]
+    assert sorted(pinned) == sorted(checked)
 
 
 @pytest.mark.parametrize("argv", [ARGVS[-4], ARGVS[-2], TEXT_ARGVS[0]], ids=" ".join)
@@ -95,5 +107,6 @@ def test_out_file_holds_the_printed_bytes(argv, tmp_path):
 
 if __name__ == "__main__":
     pins = {" ".join(argv): digest(argv) for argv in ARGVS + TEXT_ARGVS}
+    pins[SWEEP_PIN] = sweep.digest()
     GOLDEN.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     sys.exit(0)
