@@ -89,7 +89,8 @@ class EmptyZeroLocusError(RoofcalcError, ValueError):
 class InconsistentDataError(RoofcalcError, ArithmeticError):
     """Dimension data that admit no solution at one stage of a computation.
 
-    The chase, the Lefschetz middle row and the Hodge fixpoint apply
+    The chase (its conormal columns and the Hodge symmetry fixpoint, which
+    share one constraint engine) and the Lefschetz middle row apply
     theorems about a smooth zero locus of a general section.  Emptiness is
     decided before any of them (by degree for F not ample; ample F is never
     empty, by Fulton-Lazarsfeld), so what can contradict them is a special

@@ -46,15 +46,17 @@ Euler kernel and the chase all read that one character.
 On the chase route all unknown connecting ranks stay symbolic in one linear
 system per column, so forced cancellations propagate exactly; afterwards
 Hodge symmetry, Serre duality, ample-class positivity and the exact column
-Euler sums are iterated to a fixpoint over the whole table (all theorems for
-a nonempty smooth projective variety; they pin down the columns above the
-middle that dimension bookkeeping alone leaves open).  Entries that still
-cannot be forced are reported as intervals and flagged inexact; no rank is
-guessed.  Euler characteristics of columns are alternating sums, hence
-always exact.  Each route returns only its grid of intervals and its Euler
-columns; that grid becomes the diamond's one storage format, as is, and
-`hodge_numbers` runs the Euler-column and symmetry checks on it, once, for
-both.
+Euler sums (all theorems for a nonempty smooth projective variety; they pin
+down the columns above the middle that dimension bookkeeping alone leaves
+open) become constraints of one more `LinearSystem`, one variable per entry,
+and the same `propagate` runs them to a fixpoint over the whole table (the
+columns' systems stay apart from it: propagating on their rank forms would
+lose the per-entry intervals).  Entries that still cannot be forced are
+reported as intervals and flagged inexact; no rank is guessed.  Euler
+characteristics of columns are alternating sums, hence always exact.  Each
+route returns only its grid of intervals and its Euler columns; that grid
+becomes the diamond's one storage format, as is, and `hodge_numbers` runs
+the Euler-column and symmetry checks on it, once, for both.
 
 Emptiness is decided, not assumed.  For F not ample, deg X = c_r(F) H^d
 is computed first as the d-th finite difference of m -> chi(X, O(m)), m =
@@ -201,13 +203,10 @@ class HodgeDiamond:
         }
 
 
-def _column_range(column: list[tuple[int, int]], skip: int = -1) -> tuple[int, int]:
-    """Range of sum_q (-1)^q h^{p,q} over a column of intervals, leaving out
-    row `skip`."""
+def _column_range(column: list[tuple[int, int]]) -> tuple[int, int]:
+    """Range of sum_q (-1)^q h^{p,q} over a column of intervals."""
     lo = hi = 0
     for q, (a, b) in enumerate(column):
-        if q == skip:
-            continue
         if q % 2 == 0:
             lo, hi = lo + a, hi + b
         else:
@@ -330,54 +329,40 @@ def _degree(spec: ZeroLocusSpec, koszul: Character) -> int:
     )
 
 
-def _intersect(a: tuple[int, int], b: tuple[int, int], where: str) -> tuple[int, int]:
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    if lo > hi:
-        raise InconsistentDataError(
-            "Hodge symmetry fixpoint", f"inconsistent Hodge data at {where}: {a} vs {b}"
-        )
-    return lo, hi
-
-
 def _symmetrise(grid: Grid, chis: list[int]) -> None:
-    """Interval fixpoint over the diamond: Hodge symmetry h^{p,q} = h^{q,p},
-    Serre duality h^{p,q} = h^{d-p,d-q}, ample-class positivity h^{p,p} >= 1,
-    and the exact column Euler sums.  All are theorems for a nonempty smooth
-    projective variety; they pin down exactly the entries that dimension
-    bookkeeping leaves open.  Every interval is finite and a round that
-    changes anything narrows one, so the rounds end."""
+    """Narrow the diamond's intervals to the fixpoint of four theorems for a
+    nonempty smooth projective variety: Hodge symmetry h^{p,q} = h^{q,p},
+    Serre duality h^{p,q} = h^{d-p,d-q}, positivity (h^{p,q} >= 0, and
+    h^{p,p} >= 1 by the ample class) and the exact column Euler sums
+    sum_q (-1)^q h^{p,q} = chi_p.  They pin down exactly the entries that
+    dimension bookkeeping leaves open.  Each entry is one variable of a
+    `LinearSystem`, boxed by its interval, and `propagate` runs the theorems
+    as >= 0 constraints to the fixpoint or raises InconsistentDataError."""
     d = len(grid) - 1
-    while True:
-        changed = False
-
-        def refine(p: int, q: int, new: tuple[int, int]) -> None:
-            nonlocal changed
-            merged = _intersect(grid[p][q], new, f"h^{{{p},{q}}}")
-            if merged != grid[p][q]:
-                grid[p][q] = merged
-                changed = True
-
-        for p in range(d + 1):
-            refine(p, p, (1, grid[p][p][1]))
-        for p in range(d + 1):
-            for q in range(d + 1):
-                refine(p, q, grid[q][p])
-                refine(p, q, grid[d - p][d - q])
-        for p in range(d + 1):
-            for q0 in range(d + 1):
-                # (-1)^{q0} h_{p,q0} = chi_p - sum_{q != q0} (-1)^q h_{p,q}
-                lo, hi = _column_range(grid[p], q0)
-                chi = chis[p]
-                bound = (chi - hi, chi - lo) if q0 % 2 == 0 else (lo - chi, hi - chi)
-                refine(p, q0, (max(bound[0], 0), bound[1]))
-        if not changed:
-            return
+    system = LinearSystem()
+    ids = [
+        [system.new_var(max(lo, int(p == q)), hi) for q, (lo, hi) in enumerate(row)]
+        for p, row in enumerate(grid)
+    ]
+    # each symmetry as two inequalities, not a substitution, which would
+    # give the middle column's Euler sum coefficients +-2 and round them
+    for p in range(d + 1):
+        for q in range(d + 1):
+            h = Form.var(ids[p][q])
+            system.add_ge0(h - Form.var(ids[q][p]))
+            system.add_ge0(h - Form.var(ids[d - p][d - q]))
+        column = Form({v: (-1) ** q for q, v in enumerate(ids[p])}, -chis[p])
+        system.add_ge0(column)
+        system.add_ge0(-column)
+    system.propagate()
+    for row, vs in zip(grid, ids):
+        row[:] = [tuple(system.boxes[v]) for v in vs]
 
 
 def _lefschetz_grid(spec: ZeroLocusSpec, koszul: Character) -> tuple[Grid, list[int]]:
-    """Entries and Euler columns of the zero locus of an ample F: ambient
-    entries off the middle row, middle entries from the Euler columns
-    p <= d/2."""
+    """Entries and Euler columns of the zero locus of an ample F, or of a
+    point set: ambient entries off the middle row, middle entries from the
+    Euler columns p <= d/2."""
     d = spec.dim
     diagonal = _gaussian_binomial(spec.k, spec.n)
     half = _euler_columns(spec, koszul, d // 2)
@@ -402,9 +387,10 @@ def _lefschetz_grid(spec: ZeroLocusSpec, koszul: Character) -> tuple[Grid, list[
 
 def _chase_grid(spec: ZeroLocusSpec, koszul: Character) -> tuple[Grid, list[int]]:
     """Entries and Euler columns of the zero locus by the Koszul/conormal
-    chase and the symmetry fixpoint; entries it cannot force stay
-    intervals.  `koszul` holds the layers wedge^s F* of the Koszul
-    resolution."""
+    chase, one `LinearSystem` per column, then the symmetry fixpoint
+    `_symmetrise`, which also raises every lower end to 0; entries they
+    cannot force stay intervals.  `koszul` holds the layers wedge^s F* of
+    the Koszul resolution."""
     d = spec.dim
     grid: Grid = []
     chis: list[int] = []
@@ -422,7 +408,7 @@ def _chase_grid(spec: ZeroLocusSpec, koszul: Character) -> tuple[Grid, list[int]
             chi += (-1) ** (j - t) * c
         forms = les_chain(system, vectors[0], vectors[1:], top=d)
         system.propagate()
-        grid.append([(max(lo, 0), hi) for lo, hi in map(system.bounds, forms)])
+        grid.append(list(map(system.bounds, forms)))
         chis.append(chi)
     _symmetrise(grid, chis)
     return grid, chis

@@ -6,7 +6,13 @@ import pytest
 from roofcalc import bundles, bwb
 from roofcalc.bwb import bott, tensor_cohomology
 from roofcalc.chase import LinearSystem
-from roofcalc.errors import AmbiguityError, InjectivityViolationError, RankError
+from roofcalc.errors import (
+    AmbiguityError,
+    InconsistentDataError,
+    InjectivityViolationError,
+    RankError,
+    RoofcalcError,
+)
 from roofcalc.hodge import (
     HodgeDiamond,
     ZeroLocusSpec,
@@ -15,6 +21,7 @@ from roofcalc.hodge import (
     _degree,
     _koszul_character,
     _lefschetz_grid,
+    _symmetrise,
     ambient_diamond,
     check_pair_theorem,
     hodge_numbers,
@@ -26,6 +33,7 @@ from roofcalc.hodge import (
 from roofcalc.parser import parse_bundle
 from roofcalc.weights import enumerate_box
 
+import sweep
 from oracles import brute_force_box
 
 
@@ -305,7 +313,8 @@ class TestLefschetzRoute:
         spec = ZeroLocusSpec(2, 5, parse_bundle(text, 2, 5))
         assert not bundles.is_ample(spec.bundle)
         assert hodge_numbers(spec).fully_exact()
-        assert len(calls) == spec.dim + 1  # one system per column
+        # one system per column, then one for the symmetry fixpoint
+        assert len(calls) == spec.dim + 2
 
     @pytest.mark.parametrize("text", ["O(1)", "UD*O(1)", "QD*O(2)", "UD*O(1)+QD*O(2)"])
     def test_ample_skips_the_chase(self, text, monkeypatch):
@@ -382,6 +391,129 @@ class TestDiamondInvariants:
         d = hand_diamond(1, {(0, 0): (1, 2), (1, 1): (1, 1)}, chis=[5, 0])
         with pytest.raises(ArithmeticError, match="Euler column 0"):
             d.check_euler_columns()
+
+
+def reference_symmetrise(grid, chis):
+    """The hand-written fixpoint `_symmetrise` replaced: rounds of interval
+    intersections for positivity, Hodge and Serre symmetry and the Euler
+    columns until a round changes nothing."""
+    d = len(grid) - 1
+
+    def column_range(column, skip):
+        lo = hi = 0
+        for q, (a, b) in enumerate(column):
+            if q == skip:
+                continue
+            lo, hi = (lo + a, hi + b) if q % 2 == 0 else (lo - b, hi - a)
+        return lo, hi
+
+    while True:
+        changed = False
+
+        def refine(p, q, new):
+            nonlocal changed
+            merged = max(grid[p][q][0], new[0]), min(grid[p][q][1], new[1])
+            if merged[0] > merged[1]:
+                raise ArithmeticError(f"inconsistent Hodge data at h^{{{p},{q}}}")
+            if merged != grid[p][q]:
+                grid[p][q] = merged
+                changed = True
+
+        for p in range(d + 1):
+            refine(p, p, (1, grid[p][p][1]))
+        for p in range(d + 1):
+            for q in range(d + 1):
+                refine(p, q, grid[q][p])
+                refine(p, q, grid[d - p][d - q])
+        for p in range(d + 1):
+            for q0 in range(d + 1):
+                # (-1)^{q0} h_{p,q0} = chi_p - sum_{q != q0} (-1)^q h_{p,q}
+                lo, hi = column_range(grid[p], q0)
+                chi = chis[p]
+                bound = (chi - hi, chi - lo) if q0 % 2 == 0 else (lo - chi, hi - chi)
+                refine(p, q0, (max(bound[0], 0), bound[1]))
+        if not changed:
+            return
+
+
+def random_diamond(rng):
+    """A random integer diamond with Hodge and Serre symmetry and
+    h^{p,p} >= 1, and its exact Euler columns."""
+    d = rng.randint(1, 6)
+    h = [[None] * (d + 1) for _ in range(d + 1)]
+    for p in range(d + 1):
+        for q in range(d + 1):
+            if h[p][q] is None:
+                v = rng.randint(int(p == q), 4)
+                for a, b in ((p, q), (q, p), (d - p, d - q), (d - q, d - p)):
+                    h[a][b] = v
+    return h, [sum((-1) ** q * v for q, v in enumerate(row)) for row in h]
+
+
+class TestSymmetryFixpoint:
+    @staticmethod
+    def outcome(fixpoint, grid, chis):
+        grid = [list(row) for row in grid]
+        try:
+            fixpoint(grid, chis)
+        except ArithmeticError:
+            return "raised", None
+        return "grid", grid
+
+    def test_matches_reference(self):
+        kinds = Counter()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            h, chis = random_diamond(rng)
+            # widened around each entry; a chase interval can start below 0
+            grid = [
+                [(v - rng.choice([0, 0, 1, 3]), v + rng.choice([0, 0, 1, 3])) for v in row]
+                for row in h
+            ]
+            perturbed = seed % 5 == 0
+            if perturbed:
+                # chi_p off by one breaks Serre duality chi_{d-p} = (-1)^d chi_p
+                p = rng.choice([p for p in range(len(h)) if 2 * p != len(h) - 1])
+                chis[p] += rng.choice([-1, 1])
+            kind, got = self.outcome(_symmetrise, grid, chis)
+            assert (kind, got) == self.outcome(reference_symmetrise, grid, chis), seed
+            kinds[perturbed, kind] += 1
+            kinds["narrowed"] += kind == "grid" and got != grid
+            if not perturbed:
+                assert kind == "grid", seed
+                assert all(
+                    lo <= v <= hi for row, vs in zip(got, h) for (lo, hi), v in zip(row, vs)
+                ), seed
+        # most consistent diamonds narrow; most perturbed ones are caught,
+        # the rest only where intervals cannot see the contradiction
+        assert kinds["narrowed"] >= 1500 and kinds[True, "raised"] >= 350, kinds
+
+    def test_empty_box_raises(self):
+        with pytest.raises(InconsistentDataError, match="empty box"):
+            _symmetrise([[(0, 0)]], [0])  # h^{0,0} >= 1
+
+
+def test_grassmannian_duality():
+    """G(k,n) = G(n-k,n) swaps U* with Q and U with Q*: across the sweep,
+    F and its image F' have the same grid and Euler columns, or raise the
+    same error class.  The two sides reach the chase through different LR
+    shapes and collision-mask layouts."""
+    results = sweep.outcomes()
+    pairs = 0
+    for key, result in results.items():
+        k, n, _ = key
+        if not 2 <= k <= n - 2:
+            continue
+        image = results[sweep.dual_key(key)]
+        if isinstance(result, RoofcalcError):
+            assert type(image) is type(result), sweep.label(key)
+        else:
+            assert (image.grid, image.euler_columns) == (
+                result.grid,
+                result.euler_columns,
+            ), sweep.label(key)
+        pairs += 1
+    assert pairs == 328
 
 
 class TestClassicalHypersurfaces:
