@@ -17,7 +17,6 @@ PlethysmRequiredError rather than silently computing a wrong plethysm.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from operator import add
@@ -29,16 +28,17 @@ from .errors import (
     RankError,
 )
 from .lr import _blockwise
-from .weights import DoubleWeight, Weight, enumerate_box, negate_reverse
+from .weights import DoubleWeight, Value, Weight, enumerate_box, negate_reverse
 
 
-@dataclass(frozen=True)
-class BundleExpr:
+class BundleExpr(Value):
     """Canonical-form sum of irreducible homogeneous bundles on one G(k,n)."""
 
-    k: int
-    n: int
-    terms: tuple[tuple[DoubleWeight, int], ...]  # sorted, no dupes, mults >= 1
+    __slots__ = ("k", "n", "terms")
+
+    def __init__(self, k: int, n: int, terms: tuple[tuple[DoubleWeight, int], ...]):
+        self.k, self.n = k, n
+        self.terms = terms  # sorted, no dupes, mults >= 1
 
     @property
     def ambient(self) -> tuple[int, int]:

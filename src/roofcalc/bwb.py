@@ -50,27 +50,26 @@ layers.)  The totals are keyed by the antidiagonal m = degree - s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import combinations, product, repeat, starmap
 from math import factorial, prod
 from operator import add, lt, sub
-from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .weights import DoubleWeight, Weight, check_dominant
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .bundles import BundleExpr
+from .weights import DoubleWeight, Value, Weight, check_dominant
 
 
-@dataclass(frozen=True)
-class BottResult:
+class BottResult(Value):
     """Outcome of the algorithm: acyclic, or one degree with one irrep."""
 
-    acyclic: bool
-    degree: int | None = None
-    weight: Weight | None = None
-    dimension: int | None = None
+    __slots__ = ("acyclic", "degree", "weight", "dimension")
+
+    def __init__(
+        self, acyclic: bool, degree: int | None = None,
+        weight: Weight | None = None, dimension: int | None = None,
+    ):
+        self.acyclic, self.degree = acyclic, degree
+        self.weight, self.dimension = weight, dimension
 
 
 def rho(n: int) -> Weight:

@@ -69,7 +69,6 @@ section are recorded assumptions, not verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import comb
 
@@ -86,6 +85,7 @@ from .errors import (
     RankError,
     WorkLimitError,
 )
+from .weights import Value
 
 # Limit on n^2 prod (m+1)^(rank A) over the summands m*A of F, a measure of
 # the Koszul character's size.  Each copy of an atom A adds a 0/1 vector on
@@ -214,26 +214,22 @@ def _column_range(column: list[tuple[int, int]]) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class ZeroLocusSpec:
+class ZeroLocusSpec(Value):
     """Zero locus of a general section of a globally generated bundle."""
 
-    k: int
-    n: int
-    bundle: BundleExpr
+    __slots__ = ("k", "n", "bundle")
 
-    def __post_init__(self):
-        if self.bundle.ambient != (self.k, self.n):
-            raise RankError(
-                f"bundle on G{self.bundle.ambient}, spec says G({self.k},{self.n})"
-            )
-        if not bundles.is_globally_generated(self.bundle):
-            raise RankError(f"{self.bundle} is not globally generated")
+    def __init__(self, k: int, n: int, bundle: BundleExpr):
+        self.k, self.n, self.bundle = k, n, bundle
+        if bundle.ambient != (k, n):
+            raise RankError(f"bundle on G{bundle.ambient}, spec says G({k},{n})")
+        if not bundles.is_globally_generated(bundle):
+            raise RankError(f"{bundle} is not globally generated")
         if self.dim < 0:
             raise RankError(
-                f"rank {bundles.rank(self.bundle)} exceeds dim G = {self.ambient_dim}"
+                f"rank {bundles.rank(bundle)} exceeds dim G = {self.ambient_dim}"
             )
-        for w, _ in self.bundle.terms:
+        for w, _ in bundle.terms:
             if bundles._atom_of(w) is None:
                 raise PlethysmRequiredError(
                     "a zero locus needs a sum of twisted U, UD, Q, QD, O(t); "
@@ -477,15 +473,16 @@ def v_cohomology(y: HodgeDiamond, ambient: HodgeDiamond) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PairInvariants:
-    k: int
-    n: int
-    d1: int
-    d2: int
-    canonical_twist_1: int
-    canonical_twist_2: int
-    cy: bool
+class PairInvariants(Value):
+    __slots__ = ("k", "n", "d1", "d2", "canonical_twist_1", "canonical_twist_2", "cy")
+
+    def __init__(
+        self, k: int, n: int, d1: int, d2: int,
+        canonical_twist_1: int, canonical_twist_2: int, cy: bool,
+    ):
+        self.k, self.n, self.d1, self.d2, self.cy = k, n, d1, d2, cy
+        self.canonical_twist_1 = canonical_twist_1
+        self.canonical_twist_2 = canonical_twist_2
 
 
 def pair_invariants(k: int, n: int) -> PairInvariants:
@@ -514,17 +511,22 @@ def pair_specs(k: int, n: int) -> tuple[ZeroLocusSpec, ZeroLocusSpec]:
     return y1, y2
 
 
-@dataclass
 class PairReport:
-    k: int
-    n: int
-    invariants: PairInvariants
-    diamond1: HodgeDiamond
-    diamond2: HodgeDiamond
-    v1: list[int] = field(default_factory=list)
-    v2: list[int] = field(default_factory=list)
-    shift: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = (
+        "k", "n", "invariants", "diamond1", "diamond2", "v1", "v2", "shift", "failures"
+    )
+
+    def __init__(
+        self, k: int, n: int, invariants: PairInvariants,
+        diamond1: HodgeDiamond, diamond2: HodgeDiamond,
+        v1: list[int] | None = None, v2: list[int] | None = None,
+        shift: int = 0, failures: list[str] | None = None,
+    ):
+        self.k, self.n, self.invariants = k, n, invariants
+        self.diamond1, self.diamond2, self.shift = diamond1, diamond2, shift
+        self.v1 = [] if v1 is None else v1
+        self.v2 = [] if v2 is None else v2
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

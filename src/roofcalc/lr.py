@@ -37,20 +37,21 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
 from .errors import AmbientMismatchError, RankError
-from .weights import DoubleWeight, Weight, check_dominant, negate_reverse
+from .weights import DoubleWeight, Value, Weight, check_dominant, negate_reverse
 
 
-@dataclass(frozen=True)
-class SchurSum:
+class SchurSum(Value):
     """Multiset of GL(rank) Schur labels with positive multiplicities."""
 
-    rank: int
-    terms: tuple[tuple[Weight, int], ...]  # lex-descending by weight, no dupes
+    __slots__ = ("rank", "terms")
+
+    def __init__(self, rank: int, terms: tuple[tuple[Weight, int], ...]):
+        self.rank = rank
+        self.terms = terms  # lex-descending by weight, no dupes
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.terms)

@@ -7,17 +7,18 @@ numeric identities actually consume; the affine line maps to the monomial uv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AmbiguityError, ExcludedCaseError, RankError
 from .hodge import HodgeDiamond, ambient_diamond
+from .weights import Value
 
 
-@dataclass(frozen=True)
-class EPoly:
+class EPoly(Value):
     """Finitely supported integer coefficients in two variables u, v."""
 
-    coeffs: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[tuple[int, int], int], ...]):
+        self.coeffs = coeffs
 
     @staticmethod
     def from_dict(d: dict[tuple[int, int], int]) -> "EPoly":

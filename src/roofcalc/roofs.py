@@ -15,24 +15,27 @@ C-type rank-2 contractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import MalformedContractionError, RankError
+from .weights import Value
 
 
-@dataclass(frozen=True)
-class MarkedDynkin:
+class MarkedDynkin(Value):
     """Dynkin diagram (possibly a product of two type-A factors) with marks.
 
     edges: tuples (u, v, multiplicity, head) with u < v; head is the node the
     arrow points to (the short root) or None for a single bond.
     """
 
-    label: str
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int, int, int | None], ...]
-    marked: frozenset[int] = frozenset()
+    __slots__ = ("label", "nodes", "edges", "marked")
+
+    def __init__(
+        self, label: str, nodes: tuple[int, ...],
+        edges: tuple[tuple[int, int, int, int | None], ...], marked=frozenset(),
+    ):
+        self.label, self.nodes = label, nodes
+        self.edges, self.marked = edges, marked
 
     def with_marks(self, marks) -> "MarkedDynkin":
         marks = frozenset(marks)
@@ -175,19 +178,22 @@ def is_projective_space_fiber(d: MarkedDynkin) -> int | None:
     return 2 * r - 1 if m == far_end else None
 
 
-@dataclass(frozen=True)
-class RoofRecord:
+class RoofRecord(Value):
     """One Picard-rank-two diagram whose two contractions are P-bundles."""
 
-    group: str
-    family: str
-    type_label: str
-    roof: str
-    marks: tuple[int, int]
-    base1: str
-    base2: str
-    fiber_dim1: int
-    fiber_dim2: int
+    __slots__ = (
+        "group", "family", "type_label", "roof", "marks",
+        "base1", "base2", "fiber_dim1", "fiber_dim2",
+    )
+
+    def __init__(
+        self, group: str, family: str, type_label: str, roof: str,
+        marks: tuple[int, int], base1: str, base2: str,
+        fiber_dim1: int, fiber_dim2: int,
+    ):
+        self.group, self.family, self.type_label = group, family, type_label
+        self.roof, self.marks, self.base1, self.base2 = roof, marks, base1, base2
+        self.fiber_dim1, self.fiber_dim2 = fiber_dim1, fiber_dim2
 
     @property
     def equal_rank(self) -> bool:

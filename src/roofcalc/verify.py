@@ -11,9 +11,8 @@ and exit nonzero on any failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache
-from typing import Callable
 
 from .errors import ExcludedCaseError, UsageError
 from .hodge import HodgeDiamond, PairReport, check_pair_theorem
@@ -27,11 +26,11 @@ from .windows import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name, self.passed, self.detail = name, passed, detail
 
 
 def _expect(name: str, got, want) -> CheckResult:

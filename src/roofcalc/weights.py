@@ -10,16 +10,40 @@ Validation happens once, at the boundary: public constructors such as
 (the canonical terms of `bundles._expr`, LR output, atom powers, bar moves)
 are dominant by construction; they come from the private
 `DoubleWeight._trusted` unchecked.
+
+The package's value classes derive from `Value`: `__slots__` classes, equal
+when class and fields are, hashed as the tuple of their fields, and immutable
+by convention (no field is assigned after `__init__`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import DominanceError, NotGloballyGeneratedError, RankError
 
 Weight = tuple[int, ...]
+
+
+class Value:
+    """Equality, hash and repr read from the subclass's `__slots__`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
 def is_dominant(entries: Weight) -> bool:
@@ -41,8 +65,7 @@ def negate_reverse(entries: Weight) -> Weight:
     return tuple(-e for e in reversed(entries))
 
 
-@dataclass(frozen=True)
-class DoubleWeight:
+class DoubleWeight(Value):
     """Label (upper|lower) of an irreducible homogeneous bundle on G(k,n).
 
     The upper block (length k) labels the Schur functor applied to the dual
@@ -50,19 +73,27 @@ class DoubleWeight:
     the dual quotient bundle.  Both blocks are non-increasing.
     """
 
-    upper: Weight
-    lower: Weight
+    __slots__ = ("upper", "lower")
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", check_dominant(self.upper, "upper block"))
-        object.__setattr__(self, "lower", check_dominant(self.lower, "lower block"))
+    def __init__(self, upper: Weight, lower: Weight):
+        self.upper = check_dominant(upper, "upper block")
+        self.lower = check_dominant(lower, "lower block")
 
     @classmethod
     def _trusted(cls, upper: Weight, lower: Weight) -> "DoubleWeight":
         """Unchecked constructor for int tuples already non-increasing."""
         w = object.__new__(cls)
-        w.__dict__.update(upper=upper, lower=lower)
+        w.upper = upper
+        w.lower = lower
         return w
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.upper == other.upper and self.lower == other.lower
+
+    def __hash__(self) -> int:
+        return hash((self.upper, self.lower))
 
     @property
     def k(self) -> int:
@@ -92,13 +123,13 @@ class DoubleWeight:
         return f"({up}|{lo})"
 
 
-@dataclass(frozen=True)
-class BoxSet:
+class BoxSet(Value):
     """All weights of length `rows` with entries in [0, cap], cap at the top."""
 
-    rows: int
-    cap: int
-    members: tuple[Weight, ...]
+    __slots__ = ("rows", "cap", "members")
+
+    def __init__(self, rows: int, cap: int, members: tuple[Weight, ...]):
+        self.rows, self.cap, self.members = rows, cap, members
 
     def __len__(self) -> int:
         return len(self.members)

@@ -34,23 +34,22 @@ labels.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cache, partial
 
 from . import bundles
 from .bundles import BundleExpr
 from .bwb import bott
 from .errors import RankError
-from .weights import DoubleWeight, Weight, bar_move, enumerate_box
+from .weights import DoubleWeight, Value, Weight, bar_move, enumerate_box
 
 
-@dataclass(frozen=True)
-class Collection:
+class Collection(Value):
     """Ordered list of distinct double weights on one G(k,n)."""
 
-    k: int
-    n: int
-    members: tuple[DoubleWeight, ...]
+    __slots__ = ("k", "n", "members")
+
+    def __init__(self, k: int, n: int, members: tuple[DoubleWeight, ...]):
+        self.k, self.n, self.members = k, n, members
 
     def __iter__(self):
         return iter(self.members)
@@ -59,13 +58,12 @@ class Collection:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class VanishingFailure:
-    lam: Weight
-    lam_prime: Weight
-    m: int
-    degree: int
-    weight: Weight
+class VanishingFailure(Value):
+    __slots__ = ("lam", "lam_prime", "m", "degree", "weight")
+
+    def __init__(self, lam: Weight, lam_prime: Weight, m: int, degree: int, weight: Weight):
+        self.lam, self.lam_prime, self.m = lam, lam_prime, m
+        self.degree, self.weight = degree, weight
 
     def as_dict(self) -> dict:
         return {
@@ -77,14 +75,16 @@ class VanishingFailure:
         }
 
 
-@dataclass
 class VanishingReport:
-    side: str
-    n: int
-    m_max: int
-    checked_pairs: int = 0
-    failures: list[VanishingFailure] = field(default_factory=list)
-    tail_certified: bool = True  # every pair fully ordered by m = m_max
+    __slots__ = ("side", "n", "m_max", "checked_pairs", "failures", "tail_certified")
+
+    def __init__(
+        self, side: str, n: int, m_max: int, checked_pairs: int = 0,
+        failures: list[VanishingFailure] | None = None, tail_certified: bool = True,
+    ):
+        self.side, self.n, self.m_max, self.checked_pairs = side, n, m_max, checked_pairs
+        self.failures = [] if failures is None else failures
+        self.tail_certified = tail_certified  # every pair fully ordered by m = m_max
 
     @property
     def passed(self) -> bool:

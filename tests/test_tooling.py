@@ -4,6 +4,8 @@ every name it binds, and every public name, defined."""
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import roofcalc
@@ -76,3 +78,23 @@ def test_per_layer_metrics_are_measured():
 def test_public_names_resolve():
     for name in roofcalc.__all__:
         assert hasattr(roofcalc, name), name
+
+
+def test_cli_import_contract():
+    # every roofcalc call starts a fresh interpreter, so what `import
+    # roofcalc.cli` pulls in is paid on every call; the benchmark's tracer
+    # looks its modules up in sys.modules right after this import
+    modules = sorted({mod for mod, _, _ in load_tracer().TARGETS} | {"verify"})
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import roofcalc.cli; "
+        "print(' '.join(sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    for name in ("dataclasses", "inspect", "typing"):
+        assert name not in out, name
+    assert len(modules) == 12
+    for mod in modules:
+        assert f"roofcalc.{mod}" in out, mod
