@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -11,7 +12,7 @@ from roofcalc.cli import main
 from roofcalc.errors import AmbientMismatchError, RankError
 from roofcalc import lr
 from roofcalc.lr import lr_double_product, lr_product
-from roofcalc.weights import DoubleWeight
+from roofcalc.weights import DoubleWeight, enumerate_box
 
 from oracles import partitions_up_to, schur_product_oracle
 
@@ -172,6 +173,22 @@ class TestStripRules:
         lr._lr_terms.cache_clear()  # a cached product would hide the rule it took
         with redirect_stdout(io.StringIO()):
             assert main(argv) == 0
+
+
+class TestTableauGrid:
+    """The tableau rule on every pair of a few boxes, ranks 4 to 6 and
+    sizes up to 15, pinned by one digest; the oracle sweep above stops at
+    rank 3 and size 6."""
+
+    DIGEST = "4e8a848e7334fd386cb7a827edd28daced7421c74c8c40c5841d15061c2326be"
+
+    def test_grid_digest(self):
+        out = []
+        for rank, rows, width in ((4, 4, 3), (6, 3, 3), (3, 3, 5)):
+            box = [pad(w, rank) for w in enumerate_box(rows, width)]
+            out += [lr._lr_partitions(a, b, rank) for a in box for b in box]
+        assert len(out) == 4761
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == self.DIGEST
 
 
 class TestDeepInputs:
