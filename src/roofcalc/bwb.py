@@ -21,8 +21,9 @@ rho_G - rho_L is constant on each block, Bott's theorem then acts on the
 same sequence seq = lam + nu + rho_G, sorted within blocks.
 
 One walk, `_sequences`, yields every such seq without a repeated entry, and
-`bott` (W trivial), `tensor_cohomology` and `euler_characteristic` read it.
-W may be graded, W = (W_0, W_1, ...), as the Koszul layers wedge^s F* are;
+`tensor_cohomology` and `euler_characteristic` read it.  `bott` is the case
+W trivial, with the one seq lam + rho_G, so it tests that for a repeat
+directly.  W may be graded, W = (W_0, W_1, ...), as the Koszul layers wedge^s F* are;
 a `Character` holds every layer under one mask layout, so each term's gaps
 are marked once.  The repeat test is one AND of two bitmasks.  Entries
 i < j of seq = s + nu, with s = lam + rho_G, collide exactly when s_i - s_j =
@@ -51,7 +52,6 @@ layers.)  The totals are keyed by the antidiagonal m = degree - s.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import cache
 from itertools import combinations, product, repeat, starmap
 from math import factorial, prod
 from operator import add, lt, sub
@@ -117,11 +117,6 @@ class Character:
         )
 
 
-@cache
-def _trivial(k: int, n: int) -> Character:
-    return Character([{(0,) * n: 1}], k, n)
-
-
 def _sequences(
     terms: Iterable[tuple[DoubleWeight, int]], character: Character
 ) -> Iterator[tuple[int, int, Weight]]:
@@ -155,12 +150,13 @@ def _vandermonde(seq: Weight) -> int:
 def bott(w: DoubleWeight) -> BottResult:
     """All cohomology of the irreducible homogeneous bundle labelled by w."""
     n = w.n
-    for _, _, seq in _sequences(((w, 1),), _trivial(w.k, n)):
-        # both blocks are dominant, so all inversions are cross-block ones
-        weight = tuple(map(sub, sorted(seq, reverse=True), rho(n)))
-        dim = _weyl_quotient(abs(_vandermonde(seq)), n)
-        return BottResult(False, _degree(seq, w.k), weight, dim)
-    return BottResult(acyclic=True)
+    seq = tuple(map(add, w.concat(), rho(n)))
+    if len(set(seq)) < n:
+        return BottResult(acyclic=True)
+    # both blocks are dominant, so all inversions are cross-block ones
+    weight = tuple(map(sub, sorted(seq, reverse=True), rho(n)))
+    dim = _weyl_quotient(abs(_vandermonde(seq)), n)
+    return BottResult(False, _degree(seq, w.k), weight, dim)
 
 
 def gl_dimension(mu: Weight) -> int:

@@ -11,20 +11,21 @@ multiplicity 1:
                              then shifted by m.
 
 Sym and wedge powers of one atom are such factors, so these cover every
-product of `pair` and of the window checks.  Every other product (a general
+product of `pair` and of the `windows` subcommand; `verify --suite paper`
+reaches the tableau rule once, (2,1,0) (x) (2,1,0) in the box_cap=2
+negative control of its window check.  Every other product (a general
 `lr` or `schur` input, a parsed product such as S[2,1]QD*S[2,1]QD, products
 inside Sym of a sum of atoms) takes the classical rule, which the tests also
 keep as the strip rules' reference: coefficients count skew semistandard
 tableaux with given content whose reverse reading word is a ballot sequence.
-Tableaux are built value by value as interlaced horizontal strips; the
-ballot condition becomes the prefix inequality
+Tableaux are built value by value, each value v one horizontal strip, and
+the ballot condition becomes a bound on the strip's prefix sums,
 
-    #(v placed in rows 1..j)  <=  #(v-1 placed in rows 1..j-1)
+    #(v placed in rows 1..j)  <=  #(v-1 placed in rows 1..j-1),
 
-checked while distributing each value.  Rows beyond the requested rank are
-pruned, which is exactly the GL(r) truncation (columns taller than r vanish);
-the strip rules place boxes in the first `rank` rows only, which is the same
-truncation.
+so the tableau rule and the three strip rules share one enumerator,
+`_compositions`.  Every rule places boxes in the first `rank` rows only,
+which is exactly the GL(r) truncation (columns taller than r vanish).
 
 Each factor is first shifted to end in 0, by S_{lam + c*1} = S_lam (x) det^c,
 so a twist of a Pieri factor takes its strip rule too.  The one cache sits on
@@ -38,7 +39,8 @@ form.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from itertools import accumulate, repeat
+from operator import sub
 
 from .errors import AmbientMismatchError, RankError
 from .weights import DoubleWeight, Value, Weight, check_dominant, negate_reverse
@@ -63,91 +65,57 @@ class SchurSum(Value):
         return len(self.terms)
 
 
-def _strips(
-    shape: tuple[int, ...], prev: tuple[int, ...], v: int, size: int, rank: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every way to add a horizontal strip of `size` copies of value v to
-    `shape`, as (new shape, strip row counts); `prev` is value v-1's strip.
-
-    Row j of the strip is capped by the interlacing bound (old row j-1) and
-    by the ballot prefix bound against the previous value's row counts."""
-    rows = len(shape)
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def rec(j: int, remaining: int, acc: tuple[int, ...], prefix_v: int, prefix_prev: int) -> None:
-        if remaining == 0:
-            grow = len(acc) - rows
-            if grow > 0:
-                out.append((tuple(map(add, shape + (0,) * grow, acc)), acc))
-            else:
-                strip = acc + (0,) * -grow
-                out.append((tuple(map(add, shape, strip)), strip))
-            return
-        if j >= rank:
-            return
-        old_j = shape[j] if j < rows else 0
-        old_above = shape[j - 1] if 0 < j <= rows else (10**9 if j == 0 else 0)
-        cap = old_above - old_j  # interlacing: new row j <= old row j-1
-        if v > 0:
-            cap = min(cap, prefix_prev - prefix_v)  # ballot prefix bound
-        cap = min(cap, remaining)
-        if cap < 0:
-            cap = -1
-        next_prev = prefix_prev + (prev[j] if v > 0 and j < len(prev) else 0)
-        for a in range(cap, -1, -1):
-            if a == 0 and old_j == 0 and remaining > 0:
-                # rows below an empty row are empty; nothing can be placed
-                return
-            rec(j + 1, remaining - a, acc + (a,), prefix_v + a, next_prev)
-
-    rec(0, size, (), 0, 0)
-    return out
-
-
 def _lr_partitions(inner: Weight, content: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
-    """Expand s_inner * s_content for partitions, rows truncated at `rank`.
+    """Expand s_inner * s_content for partitions padded to `rank`.
 
-    Values are placed one at a time: all strips of value v are collected
-    before value v+1 is placed, so the recursion is only as deep as the rank.
-    Partial tableaux that reach the same (shape, last strip) are merged with
-    a count, since the rest of the placement depends on nothing else."""
-    # zero parts place no boxes, so they are dropped from both partitions
-    states = {(tuple(e for e in inner if e > 0), ()): 1}
-    for v, size in enumerate(e for e in content if e > 0):
-        placed: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    Each value of the content goes in as one horizontal strip, under the
+    ballot bound against the previous value's strip.  Partial tableaux that
+    reach the same (shape, last strip) are merged with a count, since the
+    rest of the placement depends on nothing else."""
+    states: dict[tuple[Weight, Weight | None], int] = {(inner, None): 1}
+    for size in filter(None, content):  # zero parts place no boxes
+        placed: dict[tuple[Weight, Weight | None], int] = {}
         for (shape, prev), count in states.items():
-            for state in _strips(shape, prev, v, size, rank):
+            # #(v in rows <= j) <= #(v-1 in rows < j); the first value is free
+            limits = prev and (0, *accumulate(prev))
+            for nu in _horizontal_strips(shape, size, limits):
+                state = (nu, tuple(map(sub, nu, shape)))
                 placed[state] = placed.get(state, 0) + count
         states = placed
     results: dict[Weight, int] = {}
     for (shape, _), count in states.items():
-        key = shape + (0,) * (rank - len(shape))
-        results[key] = results.get(key, 0) + count
+        results[shape] = results.get(shape, 0) + count
     return tuple(sorted(results.items(), reverse=True))
 
 
-def _compositions(caps: list[int], m: int) -> list[tuple[int, ...]]:
-    """Every d with 0 <= d_i <= caps[i] and sum m."""
+def _compositions(
+    caps: list[int], m: int, limits: list[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Every d with 0 <= d_i <= caps[i] and sum m; with `limits`, also
+    d_0 + ... + d_i <= limits[i] for every i."""
     room = [0] * (len(caps) + 1)  # room[i]: the most that fits in caps[i:]
     for i in range(len(caps) - 1, -1, -1):
         room[i] = room[i + 1] + caps[i]
     parts: list[tuple[tuple[int, ...], int]] = [((), m)]
-    for cap, rest in zip(caps, room[1:]):
+    for cap, rest, limit in zip(caps, room[1:], limits or repeat(m)):
+        # m - left boxes are placed, so x <= limit - (m - left)
         parts = [
             (d + (x,), left - x)
             for d, left in parts
-            for x in range(max(0, left - rest), min(cap, left) + 1)
+            for x in range(max(0, left - rest), min(cap, left, limit - m + left) + 1)
         ]
     return [d for d, _ in parts]
 
 
-def _horizontal_strips(a: Weight, m: int) -> list[Weight]:
+def _horizontal_strips(a: Weight, m: int, limits: Weight | None = None) -> list[Weight]:
     """a plus a horizontal strip of m boxes, in len(a) rows: row i grows by
-    at most a_(i-1) - a_i, the first row without bound."""
+    at most a_(i-1) - a_i, the first row without bound.  With `limits`, the
+    strip holds at most limits[j] boxes in rows 0..j."""
     rows = [0] + [i for i in range(1, len(a)) if a[i - 1] > a[i]]
     caps = [m] + [a[i - 1] - a[i] for i in rows[1:]]
     out = []
-    for d in _compositions(caps, m):
+    # the other rows add nothing to a prefix, so the bound is checked at these
+    for d in _compositions(caps, m, limits and [limits[i] for i in rows]):
         nu = list(a)
         for i, x in zip(rows, d):
             nu[i] += x
@@ -205,7 +173,7 @@ def _lr_terms(lam: Weight, mu: Weight, rank: int) -> tuple[tuple[Weight, int], .
     if strips is not None:
         terms = [(nu, 1) for nu in sorted(strips, reverse=True)]
     else:
-        # recursion is over the content partition; pick the smaller one
+        # the content partition is placed value by value; pick the smaller one
         if (sum(b), b) > (sum(a), a):
             a, b = b, a
         terms = _lr_partitions(a, b, rank)

@@ -101,6 +101,35 @@ class TestBott:
                 assert res.dimension >= 1
 
 
+def walk_bott(w):
+    """Bott's algorithm read off the walk with the trivial character: the
+    sorted seq, its inversions and the Weyl dimension, or acyclic."""
+    n = w.n
+    for _, _, seq in _sequences(((w, 1),), trivial(w.k, n)):
+        weight = tuple(e - r for e, r in zip(sorted(seq, reverse=True), rho(n)))
+        degree = sum(a < b for a, b in combinations(seq, 2))
+        return (False, degree, weight, gl_dimension(weight))
+    return (True, None, None, None)
+
+
+class TestBottAgainstTheWalk:
+    """`bott` tests lam + rho for a repeat directly; the walk with the
+    trivial character is its reference."""
+
+    def test_random_double_weights(self):
+        rng = random.Random(23)
+        for n in range(2, 9):
+            for k in range(1, min(n, 5)):
+                for _ in range(40):
+                    w = DoubleWeight(
+                        tuple(sorted((rng.randint(-4, 4) for _ in range(k)), reverse=True)),
+                        tuple(sorted((rng.randint(-4, 4) for _ in range(n - k)), reverse=True)),
+                    )
+                    res = bott(w)
+                    got = (res.acyclic, res.degree, res.weight, res.dimension)
+                    assert got == walk_bott(w), w
+
+
 class TestGlDimension:
     def test_standard_representation(self):
         for n in range(1, 7):

@@ -192,10 +192,12 @@ class TestTableauGrid:
 
 
 class TestDeepInputs:
-    """Many content rows at a large rank: the tableau recursion must stay as
-    deep as the rank, not as rows times values."""
+    """Large ranks.  HALF is a column, so its square takes the vertical-strip
+    rule; TALL is no Pieri factor, so its square takes the tableau rule with
+    15 values over 30 rows."""
 
     HALF = (1,) * 30 + (0,) * 30  # wedge^30 of the standard rank-60 module
+    TALL = (3,) * 15 + (0,) * 15
 
     def test_cli_rank_60(self, capsys):
         weight = ",".join(map(str, self.HALF))
@@ -212,6 +214,14 @@ class TestDeepInputs:
             c * gl_dimension(nu) for nu, c in lr_product(self.HALF, self.HALF, 60)
         )
         assert total == gl_dimension(self.HALF) ** 2
+
+    def test_tableau_rule_rank_30(self):
+        # both factors are TALL, so this is the Pieri check both ways round
+        assert lr._pieri_terms(self.TALL, self.TALL) is None
+        terms = lr_product(self.TALL, self.TALL, 30).terms
+        assert len(terms) == 816
+        total = sum(c * gl_dimension(nu) for nu, c in terms)
+        assert total == gl_dimension(self.TALL) ** 2
 
 
 class TestLrDoubleProduct:
