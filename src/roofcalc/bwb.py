@@ -23,11 +23,11 @@ same sequence seq = lam + nu + rho_G, sorted within blocks.
 One walk, `_sequences`, yields every such seq without a repeated entry, and
 `tensor_cohomology` and `euler_characteristic` read it.  `bott` is the case
 W trivial, with the one seq lam + rho_G, so it tests that for a repeat
-directly.  W may be graded, W = (W_0, W_1, ...), as the Koszul layers wedge^s F* are;
-a `Character` holds every layer under one mask layout, so each term's gaps
-are marked once.  The repeat test is one AND of two bitmasks.  Entries
-i < j of seq = s + nu, with s = lam + rho_G, collide exactly when s_i - s_j =
-nu_j - nu_i.  A `Character` is prepared once, where it is built: each
+directly.  W may be graded, W = (W_0, W_1, ...), as the Koszul layers
+wedge^s F* are; a `Character` holds every layer under one mask layout, so
+each term's gaps are marked once.  The repeat test is one AND of two
+bitmasks.  Entries i < j of seq = s + nu, with s = lam + rho_G, collide
+exactly when s_i - s_j = nu_j - nu_i.  A `Character` is prepared once, where it is built: each
 active pair (i, j) gives each distinct value of nu_j - nu_i over the
 weights a bit of its own, and each weight's mask holds its value's bit for
 every pair.  Masks thus grow with the number of weights, never with the
