@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,68 @@ from roofcalc.roofs import (
     product_aa,
     simple_diagram,
 )
+from roofcalc.verify import _record_key, expected_roof_patterns
+
+
+def reference_fiber(d):
+    """The case analysis of degrees, ends and double bonds that
+    `is_projective_space_fiber` replaced; it reads the whole diagram, so it
+    is a reference on connected diagrams only."""
+    if len(d.marked) != 1:
+        return None
+    (m,) = d.marked
+    r = len(d.nodes)
+    if r == 1:
+        return 1
+    degs = dict.fromkeys(d.nodes, 0)
+    for a, b, _, _ in d.edges:
+        degs[a] += 1
+        degs[b] += 1
+    if any(deg > 2 for deg in degs.values()):
+        return None
+    ends = [u for u, deg in degs.items() if deg == 1]
+    if len(ends) != 2:
+        return None
+    doubles = [e for e in d.edges if e[2] == 2]
+    if any(e[2] >= 3 for e in d.edges):
+        return None
+    if not doubles:
+        return r if m in ends else None
+    if len(doubles) > 1:
+        return None
+    a, b, _, head = doubles[0]
+    if r == 2:
+        return 3 if m == head else None
+    end_of_double = a if a in ends else (b if b in ends else None)
+    if end_of_double is None:
+        return None
+    if head == end_of_double:
+        return None
+    far_end = next(u for u in ends if u != end_of_double)
+    return 2 * r - 1 if m == far_end else None
+
+
+def connected_marked_diagrams():
+    """Every simple diagram of rank <= 9 with one mark, and every component
+    that erasing one or two nodes cuts from those or from A_a x A_b
+    (a, b <= 4), marked at one remaining node: 5231 cases, repeats kept."""
+    simple = []
+    for family in "ABCDEFG":
+        for rank in range(1, 10):
+            try:
+                simple.append(simple_diagram(family, rank))
+            except RankError:
+                pass
+    cases = [d.with_marks({u}) for d in simple for u in d.nodes]
+    products = [product_aa(a, b) for a in range(1, 5) for b in range(1, 5)]
+    for d in simple + products:
+        for size in (1, 2):
+            for erased in combinations(d.nodes, size):
+                cases.extend(
+                    erase_and_component(d, erased, {u})
+                    for u in d.nodes if u not in erased
+                )
+    return cases
 
 
 class TestEraseAndComponent:
@@ -78,6 +141,12 @@ class TestFiberRecognition:
         g2 = simple_diagram("G", 2)
         assert is_projective_space_fiber(g2.with_marks({1})) is None
 
+    def test_matches_reference_on_connected_diagrams(self):
+        cases = connected_marked_diagrams()
+        assert len(cases) == 5231
+        for d in cases:
+            assert is_projective_space_fiber(d) == reference_fiber(d), d
+
 
 @pytest.fixture(scope="module")
 def records():
@@ -139,6 +208,12 @@ class TestClassify:
     def test_bad_rank(self):
         with pytest.raises(RankError):
             classify(1)
+
+    @pytest.mark.parametrize("max_rank", range(2, 13))
+    def test_keys_match_expected_patterns(self, max_rank):
+        got = [_record_key(r) for r in classify(max_rank)]
+        assert len(got) == len(set(got))
+        assert set(got) == expected_roof_patterns(max_rank)
 
 
 class TestDiagramConstruction:
