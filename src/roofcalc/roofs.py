@@ -15,6 +15,7 @@ C-type rank-2 contractions.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 from .errors import MalformedContractionError, RankError
@@ -109,6 +110,11 @@ def erase_and_component(
         raise MalformedContractionError("erased and kept nodes overlap")
     if not keep:
         raise MalformedContractionError("need at least one kept node")
+    missing = keep - set(d.nodes)
+    if missing:
+        raise MalformedContractionError(
+            f"kept nodes {sorted(missing)} not among nodes of {d.label}"
+        )
     remaining = [u for u in d.nodes if u not in erased]
     adj: dict[int, set[int]] = {u: set() for u in remaining}
     for a, b, _, _ in d.edges:
@@ -136,46 +142,39 @@ def erase_and_component(
 
 
 def is_projective_space_fiber(d: MarkedDynkin) -> int | None:
-    """Dimension of the projective space d represents, or None.
+    """Dimension of the projective space G/P that d represents, or None.
 
-    Recognised patterns for a single marked node: a single node (P^1); a
-    simply laced chain with an end marked (A_r, P^r); a chain with one double
-    edge at an end whose arrow points inward -- the long root sits at the end
-    (C_r) -- with the opposite end marked (P^{2r-1}).
+    d carries one mark.  Unmarked components are points of G/P, so only the
+    marked node's component is read, by one walk from the mark along it:
+    single bonds all the way to the far end give P^r (r nodes walked, A_r
+    marked at an end); single bonds and then one double bond, with the short
+    root (head) on the second-to-last node and the long root ending the
+    chain, give P^{2r-1} (C_r marked at the far end, and B2 marked at its
+    short root, P^3).  A branch, a mark that is not an end, any other double
+    bond or a triple bond give None.  `classify` passes connected diagrams
+    only.
     """
     if len(d.marked) != 1:
         return None
-    (m,) = d.marked
-    r = len(d.nodes)
-    if r == 1:
-        return 1
-    degs = dict.fromkeys(d.nodes, 0)
-    for a, b, _, _ in d.edges:
-        degs[a] += 1
-        degs[b] += 1
-    if any(deg > 2 for deg in degs.values()):
-        return None  # branch node: types D/E have no projective-space marks
-    ends = [u for u, deg in degs.items() if deg == 1]
-    if len(ends) != 2:
-        return None
-    doubles = [e for e in d.edges if e[2] == 2]
-    if any(e[2] >= 3 for e in d.edges):
-        return None  # G2
-    if not doubles:
-        return r if m in ends else None
-    if len(doubles) > 1:
-        return None
-    a, b, _, head = doubles[0]
-    if r == 2:
-        # rank-2 doubly laced: the quotient at the short root is P^3
-        return 3 if m == head else None
-    end_of_double = a if a in ends else (b if b in ends else None)
-    if end_of_double is None:
-        return None  # double edge in the middle: F4 shape
-    if head == end_of_double:
-        return None  # short root at the end: type B, a quadric not P
-    far_end = next(u for u in ends if u != end_of_double)
-    return 2 * r - 1 if m == far_end else None
+    bonds: dict[int, list[tuple[int, int, int | None]]] = {u: [] for u in d.nodes}
+    for a, b, mult, head in d.edges:
+        bonds[a].append((b, mult, head))
+        bonds[b].append((a, mult, head))
+    (u,) = d.marked
+    prev = None
+    for r in range(1, len(d.nodes) + 1):
+        ahead = [bond for bond in bonds[u] if bond[0] != prev]
+        if not ahead:
+            return r
+        if len(ahead) > 1:
+            return None
+        ((v, mult, head),) = ahead
+        if mult == 2 and head == u and len(bonds[v]) == 1:
+            return 2 * (r + 1) - 1  # r + 1 nodes: C_{r+1}, or B2 if r = 1
+        if mult != 1:
+            return None
+        prev, u = u, v
+    return None  # the walk went round a cycle, which no Dynkin diagram has
 
 
 class RoofRecord(Value):
@@ -305,22 +304,12 @@ def _label_simple(family: str, rank: int, marks: tuple[int, int]) -> dict:
     }
 
 
-def _simple_families(max_rank: int):
-    for r in range(2, max_rank + 1):
-        yield ("A", r)
-    for r in range(2, max_rank + 1):
-        yield ("B", r)
-    for r in range(3, max_rank + 1):
-        yield ("C", r)
-    for r in range(4, max_rank + 1):
-        yield ("D", r)
-    for r in (6, 7, 8):
-        if r <= max_rank:
-            yield ("E", r)
-    if max_rank >= 4:
-        yield ("F", 4)
-    if max_rank >= 2:
-        yield ("G", 2)
+# (family, lowest rank, highest rank): one diagram per isomorphism class, so
+# B from rank 2, C from rank 3 and D from rank 4; A to D run up to max_rank
+_SIMPLE_FAMILIES = (
+    ("A", 2, sys.maxsize), ("B", 2, sys.maxsize), ("C", 3, sys.maxsize),
+    ("D", 4, sys.maxsize), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2),
+)
 
 
 def classify(max_rank: int) -> list[RoofRecord]:
@@ -336,28 +325,27 @@ def classify(max_rank: int) -> list[RoofRecord]:
     if max_rank < 2:
         raise RankError(f"max_rank must be >= 2, got {max_rank}")
     records: list[RoofRecord] = []
-    for family, rank in _simple_families(max_rank):
-        diagram = simple_diagram(family, rank)
-        for marks in combinations(diagram.nodes, 2):
-            fibers = _both_fibers(diagram, marks)
-            if fibers is None:
-                continue
-            labels = _label_simple(family, rank, marks)
-            records.append(
-                RoofRecord(
-                    group=diagram.label,
-                    marks=marks,
-                    fiber_dim1=fibers[0],
-                    fiber_dim2=fibers[1],
-                    **labels,
+    for family, lowest, highest in _SIMPLE_FAMILIES:
+        for rank in range(lowest, min(highest, max_rank) + 1):
+            diagram = simple_diagram(family, rank)
+            for marks in combinations(diagram.nodes, 2):
+                fibers = _both_fibers(diagram, marks)
+                if fibers is None:
+                    continue
+                records.append(
+                    RoofRecord(
+                        group=diagram.label,
+                        marks=marks,
+                        fiber_dim1=fibers[0],
+                        fiber_dim2=fibers[1],
+                        **_label_simple(family, rank, marks),
+                    )
                 )
-            )
     for a in range(1, max_rank):
         for b in range(a, max_rank - a + 1):
             diagram = product_aa(a, b)
             marks = (1, a + 1)
-            fibers = _both_fibers(diagram, marks)
-            assert fibers == (b, a)
+            fiber_dim1, fiber_dim2 = _both_fibers(diagram, marks)
             records.append(
                 RoofRecord(
                     group=diagram.label,
@@ -367,8 +355,8 @@ def classify(max_rank: int) -> list[RoofRecord]:
                     marks=marks,
                     base1=f"P^{a}",
                     base2=f"P^{b}",
-                    fiber_dim1=b,
-                    fiber_dim2=a,
+                    fiber_dim1=fiber_dim1,
+                    fiber_dim2=fiber_dim2,
                 )
             )
     records.sort(key=RoofRecord.sort_key)

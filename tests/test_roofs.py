@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -104,6 +105,13 @@ class TestEraseAndComponent:
         with pytest.raises(MalformedContractionError):
             erase_and_component(d, {2}, {2})
 
+    @pytest.mark.parametrize("keep,missing", [({7}, 7), ({2, 9}, 9)])
+    def test_kept_node_outside_the_diagram(self, keep, missing):
+        d = simple_diagram("A", 3)
+        message = re.escape(f"kept nodes [{missing}] not among nodes of A3")
+        with pytest.raises(MalformedContractionError, match=message):
+            erase_and_component(d, {1}, keep)
+
 
 class TestFiberRecognition:
     def test_chain_end_marks(self):
@@ -140,6 +148,11 @@ class TestFiberRecognition:
     def test_triple_edge_rejected(self):
         g2 = simple_diagram("G", 2)
         assert is_projective_space_fiber(g2.with_marks({1})) is None
+
+    def test_unmarked_components_are_points(self):
+        # the isolated A1, or the unmarked A2, is a point of G/P: P^2 both times
+        assert is_projective_space_fiber(product_aa(1, 2).with_marks({2})) == 2
+        assert is_projective_space_fiber(product_aa(2, 3).with_marks({1})) == 2
 
     def test_matches_reference_on_connected_diagrams(self):
         cases = connected_marked_diagrams()
