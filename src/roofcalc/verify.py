@@ -283,27 +283,19 @@ def check_windows() -> list[CheckResult]:
     got_moved = {(w.upper, w.lower) for w in moved}
     want_moved = {(tuple(u), tuple(l)) for u, l in KAPRANOV_25_BARMOVED}
     out.append(_expect("bar-moved collection matches member-for-member", got_moved, want_moved))
+    sides = ((check_tilting_minus, "downstairs"), (check_tilting_plus, "upstairs"))
     for n in range(4, 9):
-        rm = check_tilting_minus(n, 8)
-        out.append(
-            CheckResult(
-                f"no higher self-extensions downstairs, n={n}",
-                rm.passed,
-                f"{rm.checked_pairs} pairs, tail certified: {rm.tail_certified}"
-                if rm.passed
-                else f"{len(rm.failures)} failures",
+        for check, where in sides:
+            rep = check(n, 8)
+            out.append(
+                CheckResult(
+                    f"no higher self-extensions {where}, n={n}",
+                    rep.passed,
+                    f"{rep.checked_pairs} pairs, tail certified: {rep.tail_certified}"
+                    if rep.passed
+                    else f"{len(rep.failures)} failures",
+                )
             )
-        )
-        rp = check_tilting_plus(n, 8)
-        out.append(
-            CheckResult(
-                f"no higher self-extensions upstairs, n={n}",
-                rp.passed,
-                f"{rp.checked_pairs} pairs, tail certified: {rp.tail_certified}"
-                if rp.passed
-                else f"{len(rp.failures)} failures",
-            )
-        )
     neg = check_tilting_minus(4, 8, box_cap=2)
     out.append(
         CheckResult(

@@ -12,7 +12,7 @@ fully ordered has cohomology in degree 0 only (Borel-Weil), so the verifier
 runs Borel-Weil-Bott on the other summands alone and records any
 positive-degree survivor.
 
-The expansion of one product stops at the first degree m where every
+The expansion of one pair stops at the first degree m where every
 summand is fully ordered.  This rests on the atom A(2) being globally
 generated, which Q*(2) and U(2) are and which `_check_pairs` asserts: an
 irreducible bundle is globally generated exactly when it is fully ordered,
@@ -20,20 +20,18 @@ global generation survives (x) and direct summands, and Sym^(m+1) is a
 direct summand of Sym^m (x) A(2).  So once degree m is fully ordered, every
 higher degree is too, nothing above it can fail, and the tail past m_max
 provably stays in degree zero.  The report's `tail_certified` records
-whether every product reached that point by m = m_max.
+whether every pair reached that point by m = m_max.
 
 One loop (`_check_pairs`) serves both sides: it takes the labelled members
 and the atom A(2), and the two public checks differ only in those inputs.
-About half the pairs share their product dual(E) (x) E' with another pair:
-wedge^a Q is wedge^(r-a) Q* (x) det Q, so the wedge labels (a, b) and
-(r-b, r-a) meet in one product.  The loop therefore keeps the survivors and
-the tail flag of each distinct product and files them under each pair's
-labels.
+It expands every ordered pair on its own, although about half the pairs
+share their product dual(E) (x) E' with another pair: looking the product
+up costs as much as expanding it again.  Sym^m(A(2)) is built once per
+degree m.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import cache, partial
 
 from . import bundles
@@ -108,32 +106,6 @@ def bar_moved_collection(c: Collection) -> Collection:
     return Collection(c.k + 1, c.n, members)
 
 
-def _survivors(
-    pair_part: BundleExpr, sym: Callable[[int], BundleExpr], m_max: int
-) -> tuple[list[tuple[int, int, Weight]], bool]:
-    """Positive-degree summands of pair_part (x) sym(m) for 0 <= m <= m_max,
-    as (m, degree, total sequence), and whether some m <= m_max has every
-    summand fully ordered.  A fully ordered summand has cohomology in degree
-    0 only, so Bott runs on the others alone; and since sym(m) is Sym^m of a
-    globally generated atom, every degree above a fully ordered one is fully
-    ordered too (see the module docstring), so the loop stops there."""
-    survivors: list[tuple[int, int, Weight]] = []
-    for m in range(m_max + 1):
-        ordered = True
-        # Sym^0 is O, so degree 0 is the pair product itself
-        product = bundles.tensor(pair_part, sym(m)) if m else pair_part
-        for w, _ in product.terms:
-            if w.is_fully_ordered():
-                continue
-            ordered = False
-            res = bott(w)
-            if not res.acyclic and res.degree > 0:
-                survivors.append((m, res.degree, w.concat()))
-        if ordered:
-            break
-    return survivors, ordered
-
-
 def _check_pairs(
     report: VanishingReport,
     members: list[tuple[Weight, DoubleWeight]],
@@ -141,30 +113,36 @@ def _check_pairs(
 ) -> VanishingReport:
     """Expand dual(w) (x) w' (x) Sym^m(atom) for every ordered pair of
     labelled members and 0 <= m <= report.m_max, recording failures under
-    the labels.  Pairs with the same product dual(w) (x) w' share one
-    expansion, and Sym^m(atom) is built once, for the degrees some product
-    reaches."""
-    # the early stop in `_survivors` needs a globally generated atom
+    the labels.  Bott runs only on summands that are not fully ordered, and
+    a pair's expansion stops at the first degree where every summand is
+    (see the module docstring); `tail_certified` is cleared for a pair that
+    does not reach one by m_max.  Sym^m(atom) is built once, for the
+    degrees some pair reaches."""
+    # the early stop needs a globally generated atom
     assert bundles.is_globally_generated(atom), atom
     k, n = atom.ambient
     sym = cache(partial(bundles.sym_power, atom))
     exprs = [
         (label, bundles.irreducible(k, n, w.upper, w.lower)) for label, w in members
     ]
-    memo: dict[BundleExpr, tuple[list[tuple[int, int, Weight]], bool]] = {}
     for label, e in exprs:
         dual_expr = bundles.dual(e)
         for label_prime, e_prime in exprs:
             report.checked_pairs += 1
             pair_part = bundles.tensor(dual_expr, e_prime)
-            if pair_part not in memo:
-                memo[pair_part] = _survivors(pair_part, sym, report.m_max)
-            survivors, ordered = memo[pair_part]
-            report.failures.extend(
-                VanishingFailure(label, label_prime, m, degree, weight)
-                for m, degree, weight in survivors
-            )
-            if not ordered:
+            for m in range(report.m_max + 1):
+                # Sym^0 is O, so degree 0 is the pair product itself
+                product = bundles.tensor(pair_part, sym(m)) if m else pair_part
+                unordered = [w for w, _ in product.terms if not w.is_fully_ordered()]
+                for w in unordered:
+                    res = bott(w)
+                    if not res.acyclic and res.degree > 0:
+                        report.failures.append(
+                            VanishingFailure(label, label_prime, m, res.degree, w.concat())
+                        )
+                if not unordered:
+                    break
+            else:
                 report.tail_certified = False
     return report
 
