@@ -15,7 +15,6 @@ C-type rank-2 contractions.
 
 from __future__ import annotations
 
-import sys
 from itertools import combinations
 
 from .errors import MalformedContractionError, RankError
@@ -304,14 +303,6 @@ def _label_simple(family: str, rank: int, marks: tuple[int, int]) -> dict:
     }
 
 
-# (family, lowest rank, highest rank): one diagram per isomorphism class, so
-# B from rank 2, C from rank 3 and D from rank 4; A to D run up to max_rank
-_SIMPLE_FAMILIES = (
-    ("A", 2, sys.maxsize), ("B", 2, sys.maxsize), ("C", 3, sys.maxsize),
-    ("D", 4, sys.maxsize), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2),
-)
-
-
 def classify(max_rank: int) -> list[RoofRecord]:
     """All Picard-rank-two markings of simple diagrams of rank <= max_rank
     (plus products of two type-A factors) whose two contractions are
@@ -325,7 +316,10 @@ def classify(max_rank: int) -> list[RoofRecord]:
     if max_rank < 2:
         raise RankError(f"max_rank must be >= 2, got {max_rank}")
     records: list[RoofRecord] = []
-    for family, lowest, highest in _SIMPLE_FAMILIES:
+    for family, lowest, highest in (  # (family, lowest rank, highest rank)
+        ("A", 2, max_rank), ("B", 2, max_rank), ("C", 3, max_rank),
+        ("D", 4, max_rank), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2),
+    ):
         for rank in range(lowest, min(highest, max_rank) + 1):
             diagram = simple_diagram(family, rank)
             for marks in combinations(diagram.nodes, 2):
