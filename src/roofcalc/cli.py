@@ -1,20 +1,18 @@
 """Command-line interface.
 
 Subcommands mirror the library surface: `bott`, `hodge`, `pair`, `roofs`,
-`windows`, `lr`, `verify`.  Each `_cmd_*` returns its `outputs` block (or,
-in a text mode, its text) and its exit status, 0 or 5 for a failed check.
-`main` alone times the call, wraps `outputs` in the report envelope, and
-prints deterministic UTF-8 JSON (sorted keys, big integers as decimal
-strings); `--out FILE` writes the same bytes to a file.  A package error,
-a bad command line (`UsageError`) included, ends in the exit code and the
-one stderr line its class in `roofcalc.errors` carries.
+`windows`, `lr`, `verify`.  `_read` reads argv against the table `COMMANDS`.
+Each `_cmd_*` takes the option values and returns its `outputs` block (or, in
+a text mode, its text) and its exit status, 0 or 5 for a failed check.  `main`
+alone times the call, wraps `outputs` in the report envelope, and prints
+deterministic UTF-8 JSON (sorted keys, big integers as decimal strings);
+`--out FILE` writes the same bytes to a file.  A package error, a bad command
+line (`UsageError`) included, ends in the exit code and stderr line of its class.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
 import time
 
@@ -34,9 +32,6 @@ SCHEMA_VERSION = "1"
 
 EXIT_MISMATCH = 5
 
-# parsed values that are no input: the dispatch, and how the output is written
-_NOT_INPUTS = {"command", "func", "out", "diamond", "json"}
-
 
 def _parse_weight(text: str) -> tuple[int, ...]:
     try:
@@ -53,9 +48,9 @@ def _parse_double_weight(text: str) -> DoubleWeight:
 
 
 def _cmd_bott(args) -> tuple[dict, int]:
-    w = _parse_double_weight(args.weight)
-    if w.ambient != (args.k, args.n):
-        raise RankError(f"weight {w} lives on G{w.ambient}, flags say G({args.k},{args.n})")
+    w = _parse_double_weight(args["weight"])
+    if w.ambient != (args["k"], args["n"]):
+        raise RankError(f"weight {w} lives on G{w.ambient}, flags say G({args['k']},{args['n']})")
     res = bott(w)
     if res.acyclic:
         return {"acyclic": True}, 0
@@ -69,14 +64,14 @@ def _cmd_bott(args) -> tuple[dict, int]:
 
 
 def _cmd_lr(args) -> tuple[dict, int]:
-    total = lr_product(_parse_weight(args.a), _parse_weight(args.b), args.rank)
+    total = lr_product(_parse_weight(args["a"]), _parse_weight(args["b"]), args["rank"])
     return {"terms": [{"weight": list(w), "multiplicity": m} for w, m in total]}, 0
 
 
 def _cmd_hodge(args) -> tuple[dict | str, int]:
-    spec = ZeroLocusSpec(args.k, args.n, parse_bundle(args.bundle, args.k, args.n))
+    spec = ZeroLocusSpec(args["k"], args["n"], parse_bundle(args["bundle"], args["k"], args["n"]))
     diamond = hodge_numbers(spec)
-    if args.diamond:
+    if args["diamond"]:
         return diamond.render(), 0
     outputs = {"diamond": diamond.to_json_dict(), "dim": diamond.dim}
     if spec.dim == 0:
@@ -85,11 +80,11 @@ def _cmd_hodge(args) -> tuple[dict | str, int]:
 
 
 def _cmd_pair(args) -> tuple[dict, int]:
-    report = check_pair_theorem(args.k, args.n)
+    report = check_pair_theorem(args["k"], args["n"])
     d1, d2, inv = report.diamond1, report.diamond2, report.invariants
     ok_leq, residual = (None, None)
     if d1.fully_exact() and d2.fully_exact():
-        ok_leq, residual = verify_lemma_leq(args.k, args.n, d1, d2)
+        ok_leq, residual = verify_lemma_leq(args["k"], args["n"], d1, d2)
     outputs = {
         "invariants": {
             "d1": inv.d1,
@@ -130,17 +125,17 @@ def _cmd_roofs(args) -> tuple[dict, int]:
             "fiberDim2": r.fiber_dim2,
             "equalRank": r.equal_rank,
         }
-        for r in classify(args.max_rank)
+        for r in classify(args["max-rank"])
     ]
     return {"records": records, "count": len(records)}, 0
 
 
 def _cmd_windows(args) -> tuple[dict, int]:
-    sides = ["minus", "plus"] if args.side == "both" else [args.side]
+    sides = ["minus", "plus"] if args["side"] == "both" else [args["side"]]
     reports = []
     for side in sides:
         check = check_tilting_minus if side == "minus" else check_tilting_plus
-        rep = check(args.n, args.m_max)
+        rep = check(args["n"], args["m-max"])
         reports.append(
             {
                 "side": rep.side,
@@ -156,10 +151,10 @@ def _cmd_windows(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict | str, int]:
-    results = run_suite(args.suite)
+    results = run_suite(args["suite"])
     passed = sum(r.passed for r in results)
     status = 0 if passed == len(results) else EXIT_MISMATCH
-    if args.json:
+    if args["json"]:
         checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
         return {"checks": checks, "passed": passed, "total": len(results)}, status
     lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in results]
@@ -167,73 +162,106 @@ def _cmd_verify(args) -> tuple[dict | str, int]:
     return "\n".join(lines), status
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the package's error contract: a bad command line raises
-    `UsageError` (one stderr line, exit 2) instead of printing the usage, and
-    a value that starts with "-" and a digit, such as a weight "-5,-5|0,0,0",
-    is read as a value in the `--weight VALUE` form as well."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse's own pattern takes a value only if all of it is a number
-        self._negative_number_matcher = re.compile(r"-\.?\d")
-
-    def error(self, message: str):
-        raise UsageError(f"{self.prog}: {message}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="roofcalc",
-        description="Exact cohomology calculator for homogeneous bundles on "
-        "Grassmannians: Bott's algorithm, Hodge diamonds of zero loci, roof "
-        "classification, window vanishing checks.",
-    )
-    parser.add_argument("--version", action="version", version=f"roofcalc {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    grassmannian = argparse.ArgumentParser(add_help=False)
-    grassmannian.add_argument("--k", type=int, required=True)
-    grassmannian.add_argument("--n", type=int, required=True)
-
-    def command(name, func, summary, *parents):
-        p = sub.add_parser(name, help=summary, parents=list(parents))
-        p.set_defaults(func=func)
-        return p
-
-    p = command("bott", _cmd_bott, "cohomology of one irreducible bundle", grassmannian)
-    p.add_argument("--weight", required=True, help='double weight, e.g. "2,2|1,0,0"')
-
-    p = command("lr", _cmd_lr, "Littlewood-Richardson product")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--a", required=True, help='weight, e.g. "2,1,0"')
-    p.add_argument("--b", required=True)
-
-    p = command("hodge", _cmd_hodge, "Hodge diamond of a zero locus", grassmannian)
-    p.add_argument("--bundle", required=True, help='e.g. "QD*O(2)" or "O(1)+O(2)"')
-    p.add_argument("--diamond", action="store_true", help="render as a triangle")
-
-    command("pair", _cmd_pair, "invariants, diamonds and checks of a zero-locus pair",
-            grassmannian)
-
-    p = command("roofs", _cmd_roofs, "classify Picard-rank-two diagram roofs")
-    p.add_argument("--max-rank", type=int, required=True)
-
-    p = command("windows", _cmd_windows, "self-extension vanishing reports")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--side", choices=["minus", "plus", "both"], default="both")
-
-    p = command("verify", _cmd_verify, "run a reference verification suite")
-    p.add_argument("--suite", default="paper")
-    p.add_argument("--json", action="store_true")
-
-    for p in sub.choices.values():  # last, so that help lists it last
-        p.add_argument("--out")
-    return parser
+# command -> (summary, options); an option is (name, kind, default, help), with kind int,
+# str, a tuple of choices or bool for a flag, and `...` as the default of a required one.
+# Flags and --out say how the output is written; every other option is an input.
+_GRASSMANNIAN = [("k", int, ..., "the k of G(k, n)"), ("n", int, ..., "the n of G(k, n)")]
+_OUT = ("out", str, None, "also write the output to this file")
+COMMANDS = {
+    "bott": ("cohomology of one irreducible bundle",
+             [*_GRASSMANNIAN, ("weight", str, ..., 'double weight, e.g. "2,2|1,0,0"')]),
+    "lr": ("Littlewood-Richardson product", [
+        ("rank", int, ..., "number of entries of each weight"),
+        ("a", str, ..., 'weight, e.g. "2,1,0"'), ("b", str, ..., "the other weight")]),
+    "hodge": ("Hodge diamond of a zero locus", [
+        *_GRASSMANNIAN, ("bundle", str, ..., 'e.g. "QD*O(2)" or "O(1)+O(2)"'),
+        ("diamond", bool, False, "render as a triangle")]),
+    "pair": ("invariants, diamonds and checks of a zero-locus pair", _GRASSMANNIAN),
+    "roofs": ("classify Picard-rank-two diagram roofs",
+              [("max-rank", int, ..., "largest rank of a diagram")]),
+    "windows": ("self-extension vanishing reports", [
+        ("n", int, ..., "dimension of V"), ("m-max", int, 8, "highest Sym power checked"),
+        ("side", ("minus", "plus", "both"), "both", "which of the two checks")]),
+    "verify": ("run a reference verification suite", [
+        ("suite", str, "paper", "suite to run"), ("json", bool, False, "print a JSON report")]),
+}
 
 
-def _camel(dest: str) -> str:
-    head, *rest = dest.split("_")
+def _help(command: str | None) -> str:
+    head, rows = "[-h] [--version] COMMAND [OPTIONS]\n\ncommands:", [
+        (name, summary) for name, (summary, _) in COMMANDS.items()]
+    if command:
+        head, rows = f"{command} [-h] [OPTIONS]\n\n{COMMANDS[command][0]}\n\noptions:", []
+        for name, kind, default, text in [*COMMANDS[command][1], _OUT]:
+            form = f"--{name} {{{','.join(kind)}}}" if type(kind) is tuple else f"--{name}"
+            note = " (required)" if default is ... else f" (default {default})" if default else ""
+            rows.append((form, text + note))
+    return "\n".join([f"usage: roofcalc {head}", *(f"  {a:<26}{b}" for a, b in rows)])
+
+
+def _option(token: str, names: list[str]) -> tuple[str, str | None] | None:
+    # (name, "=" value or None) for one of `names` or its unique prefix, ("", None) for another
+    # option, None for a value: "-", "x...", "-5...", "-.5..." or anything with a space
+    if token.startswith("--") or token == "-h":
+        key, eq, value = ("help" if token == "-h" else token[2:]).partition("=")
+        hits = [key] if key in names else [name for name in names if name.startswith(key)]
+        if len(hits) == 1:
+            return hits[0], value if eq else None
+    plain = token[:1] != "-" or token == "-" or token[1:].removeprefix(".")[:1].isdecimal()
+    return None if plain or " " in token else ("", None)
+
+
+def _value(what: str, kind, value: str):
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise UsageError(f"{what}: invalid int value: {value!r}") from None
+    if kind is not str and value not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise UsageError(f"{what}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _read(argv: list[str]) -> tuple[str | None, dict | str]:
+    """The command and each option's value (its default if not given), or (None, text) for
+    --help and --version.  A bad value fails at once, then a missing required option, then
+    any argument left over, each a `UsageError` in the words of the argparse parser before."""
+    prog, command, names, spec, values, extras = "roofcalc", None, ["help", "version"], {}, {}, []
+    tokens = list(reversed(argv))  # the next token is tokens[-1]
+    while tokens:
+        token = tokens.pop()
+        name, value = _option(token, names) or (None, None)
+        what = f"{prog}: argument " + ("-h/--help" if name == "help" else f"--{name}")
+        if name is None and command is None:
+            command = _value("roofcalc: argument command", COMMANDS, token)
+            prog, spec = f"roofcalc {command}", {o[0]: o for o in [*COMMANDS[command][1], _OUT]}
+            names = ["help", *spec]
+        elif not name:
+            extras.append(token)
+        elif name in ("help", "version") or spec[name][1] is bool:
+            if value is not None:
+                raise UsageError(f"{what}: ignored explicit argument {value!r}")
+            if name in ("help", "version"):
+                return None, _help(command) if name == "help" else f"roofcalc {__version__}"
+            values[name] = True
+        else:
+            if value is None:
+                if not tokens or _option(tokens[-1], names) is not None:
+                    raise UsageError(f"{what}: expected one argument")
+                value = tokens.pop()
+            values[name] = _value(what, spec[name][1], value)
+    missing = [f"--{n}" for n, o in spec.items() if o[2] is ... and n not in values]
+    if missing or command is None:
+        raise UsageError(f"{prog}: the following arguments are required: "
+                         f"{', '.join(missing) if command else 'command'}")
+    if extras:
+        raise UsageError(f"roofcalc: unrecognized arguments: {' '.join(extras)}")
+    return command, {name: values.get(name, o[2]) for name, o in spec.items()}
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("-")
     return head + "".join(word.title() for word in rest)
 
 
@@ -251,26 +279,26 @@ def _emit(text: str, out_file: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        command, values = _read(sys.argv[1:] if argv is None else argv)
+        if command is None:  # --help or --version
+            print(values)
+            return 0
         t0 = time.perf_counter()
-        outputs, status = args.func(args)
+        outputs, status = globals()[f"_cmd_{command}"](values)
         if isinstance(outputs, str):
             text = outputs
         else:
             report = {
                 "schemaVersion": SCHEMA_VERSION,
                 "tool": {"name": "roofcalc", "version": __version__},
-                "command": args.command,
-                "inputs": {
-                    _camel(dest): value
-                    for dest, value in vars(args).items()
-                    if dest not in _NOT_INPUTS
-                },
+                "command": command,
+                "inputs": {_camel(name): values[name]
+                           for name, kind, _, _ in COMMANDS[command][1] if kind is not bool},
                 "outputs": outputs,
                 "timing": {"seconds": round(time.perf_counter() - t0, 3)},
             }
             text = json.dumps(report, sort_keys=True, ensure_ascii=False)
-        _emit(text, args.out)
+        _emit(text, values["out"])
     except RoofcalcError as exc:
         print(exc.cli_line(), file=sys.stderr)
         return exc.exit_code

@@ -109,11 +109,9 @@ def erase_and_component(
         raise MalformedContractionError("erased and kept nodes overlap")
     if not keep:
         raise MalformedContractionError("need at least one kept node")
-    missing = keep - set(d.nodes)
-    if missing:
-        raise MalformedContractionError(
-            f"kept nodes {sorted(missing)} not among nodes of {d.label}"
-        )
+    for what, given in (("kept", keep), ("erased", erased)):
+        if missing := sorted(given - set(d.nodes)):
+            raise MalformedContractionError(f"{what} nodes {missing} not among nodes of {d.label}")
     remaining = [u for u in d.nodes if u not in erased]
     adj: dict[int, set[int]] = {u: set() for u in remaining}
     for a, b, _, _ in d.edges:
@@ -121,8 +119,6 @@ def erase_and_component(
             adj[a].add(b)
             adj[b].add(a)
     start = min(keep)
-    if start not in adj:
-        raise MalformedContractionError(f"kept node {start} was erased")
     seen = {start}
     stack = [start]
     while stack:

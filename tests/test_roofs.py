@@ -112,6 +112,13 @@ class TestEraseAndComponent:
         with pytest.raises(MalformedContractionError, match=message):
             erase_and_component(d, {1}, keep)
 
+    @pytest.mark.parametrize("erased,missing", [({9}, [9]), ({1, 7, 9}, [7, 9])])
+    def test_erased_node_outside_the_diagram(self, erased, missing):
+        d = simple_diagram("A", 3)
+        message = re.escape(f"erased nodes {missing} not among nodes of A3")
+        with pytest.raises(MalformedContractionError, match=message):
+            erase_and_component(d, erased, {2})
+
 
 class TestFiberRecognition:
     def test_chain_end_marks(self):

@@ -93,7 +93,7 @@ def test_cli_import_contract():
         [sys.executable, "-S", "-c", code, str(ROOT / "src")],
         capture_output=True, text=True, check=True,
     ).stdout.split()
-    for name in ("dataclasses", "inspect", "typing"):
+    for name in ("argparse", "dataclasses", "gettext", "inspect", "typing"):
         assert name not in out, name
     assert len(modules) == 12
     for mod in modules:
