@@ -6,7 +6,9 @@ node and keeping the component of the other.  The variety is a roof of
 projective bundles exactly when both fibers are projective spaces, which at
 the diagram level means each contraction lands in one of two patterns: a
 type A chain with an end node marked, or a type C chain with the end node of
-the single-edge chain marked.
+the single-edge chain marked.  `classify` builds no erased diagram: it
+builds each diagram's bond lists once and walks each fiber in place, from
+one mark along the bonds that avoid the other (`_walk`).
 
 Bourbaki numbering throughout.  Double edges carry their arrow (head = the
 short root); erased subdiagrams keep it, which is what separates the B- and
@@ -140,31 +142,43 @@ def is_projective_space_fiber(d: MarkedDynkin) -> int | None:
     """Dimension of the projective space G/P that d represents, or None.
 
     d carries one mark.  Unmarked components are points of G/P, so only the
-    marked node's component is read, by one walk from the mark along it:
-    single bonds all the way to the far end give P^r (r nodes walked, A_r
-    marked at an end); single bonds and then one double bond, with the short
-    root (head) on the second-to-last node and the long root ending the
-    chain, give P^{2r-1} (C_r marked at the far end, and B2 marked at its
-    short root, P^3).  A branch, a mark that is not an end, any other double
-    bond or a triple bond give None.  `classify` passes connected diagrams
-    only.
+    marked node's component is read, by one walk from the mark along it
+    (`_walk`): single bonds all the way to the far end give P^r (r nodes
+    walked, A_r marked at an end); single bonds and then one double bond,
+    with the short root (head) on the second-to-last node and the long root
+    ending the chain, give P^{2r-1} (C_r marked at the far end, and B2
+    marked at its short root, P^3).  A branch, a mark that is not an end,
+    any other double bond or a triple bond give None.
     """
     if len(d.marked) != 1:
         return None
+    (mark,) = d.marked
+    return _walk(_bonds(d), mark)
+
+
+def _bonds(d: MarkedDynkin) -> dict[int, list[tuple[int, int, int | None]]]:
+    """Each node's bonds, as (neighbour, multiplicity, head)."""
     bonds: dict[int, list[tuple[int, int, int | None]]] = {u: [] for u in d.nodes}
     for a, b, mult, head in d.edges:
         bonds[a].append((b, mult, head))
         bonds[b].append((a, mult, head))
-    (u,) = d.marked
+    return bonds
+
+
+def _walk(bonds, u: int, erased: int | None = None) -> int | None:
+    """`is_projective_space_fiber` of the component of u, marked at u, in
+    the diagram of `bonds` with the node `erased` removed.  The walk never
+    steps onto `erased`, so the fibre is read in place: the chain ends at a
+    node whose only remaining bond is the one just walked."""
     prev = None
-    for r in range(1, len(d.nodes) + 1):
-        ahead = [bond for bond in bonds[u] if bond[0] != prev]
+    for r in range(1, len(bonds) + 1):
+        ahead = [bond for bond in bonds[u] if bond[0] != prev and bond[0] != erased]
         if not ahead:
             return r
         if len(ahead) > 1:
             return None
         ((v, mult, head),) = ahead
-        if mult == 2 and head == u and len(bonds[v]) == 1:
+        if mult == 2 and head == u and all(w in (u, erased) for w, _, _ in bonds[v]):
             return 2 * (r + 1) - 1  # r + 1 nodes: C_{r+1}, or B2 if r = 1
         if mult != 1:
             return None
@@ -318,8 +332,9 @@ def classify(max_rank: int) -> list[RoofRecord]:
     ):
         for rank in range(lowest, min(highest, max_rank) + 1):
             diagram = simple_diagram(family, rank)
+            bonds = _bonds(diagram)
             for marks in combinations(diagram.nodes, 2):
-                fibers = _both_fibers(diagram, marks)
+                fibers = _both_fibers(bonds, marks)
                 if fibers is None:
                     continue
                 records.append(
@@ -335,7 +350,7 @@ def classify(max_rank: int) -> list[RoofRecord]:
         for b in range(a, max_rank - a + 1):
             diagram = product_aa(a, b)
             marks = (1, a + 1)
-            fiber_dim1, fiber_dim2 = _both_fibers(diagram, marks)
+            fiber_dim1, fiber_dim2 = _both_fibers(_bonds(diagram), marks)
             records.append(
                 RoofRecord(
                     group=diagram.label,
@@ -353,12 +368,14 @@ def classify(max_rank: int) -> list[RoofRecord]:
     return records
 
 
-def _both_fibers(diagram: MarkedDynkin, marks: tuple[int, int]) -> tuple[int, int] | None:
+def _both_fibers(bonds, marks: tuple[int, int]) -> tuple[int, int] | None:
+    """The two fibres of a two-mark marking, each walked from one mark with
+    the other erased, or None unless both are projective spaces."""
     x, y = marks
-    f1 = is_projective_space_fiber(erase_and_component(diagram, {x}, {y}))
+    f1 = _walk(bonds, y, x)
     if f1 is None:
         return None
-    f2 = is_projective_space_fiber(erase_and_component(diagram, {y}, {x}))
+    f2 = _walk(bonds, x, y)
     if f2 is None:
         return None
     return (f1, f2)

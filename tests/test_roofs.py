@@ -196,7 +196,7 @@ class TestBothFibers:
         seen = 0
         for d in two_mark_cases():
             for marks in combinations(d.nodes, 2):
-                got = roofs._both_fibers(d, marks)
+                got = roofs._both_fibers(roofs._bonds(d), marks)
                 assert got == both_fibers_reference(d, marks), (d.label, marks)
                 seen += got is not None
         assert seen == 210  # 97 on simple diagrams, 113 on products
