@@ -27,8 +27,10 @@ so the tableau rule and the three strip rules share one enumerator,
 `_compositions`.  Every rule places boxes in the first `rank` rows only,
 which is exactly the GL(r) truncation (columns taller than r vanish).
 
-Each factor is first shifted to end in 0, by S_{lam + c*1} = S_lam (x) det^c,
-so a twist of a Pieri factor takes its strip rule too.  The one cache sits on
+A constant factor (c, ..., c) is det^c, and S_lam (x) det^c = S_{lam + c*1}:
+its product is a shift, with no rule at all (every rank-1 block is such a
+factor).  Each other factor is first shifted to end in 0, by the same
+identity, so a twist of a Pieri factor takes its strip rule too.  The one cache sits on
 `_lr_terms`, the unchecked core behind `lr_product` and `_blockwise`, so a
 repeated product costs a lookup with no shifting.  `_blockwise` is the one
 loop of the product on G(k,n), blocks multiplied separately: it feeds both
@@ -158,10 +160,19 @@ def _pieri_terms(a: Weight, b: Weight) -> list[Weight] | None:
 
 @lru_cache(maxsize=None)
 def _lr_terms(lam: Weight, mu: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
-    """`lr_product`'s terms, unchecked and cached: both factors are shifted
-    to end in 0, expanded and shifted back, which keeps the terms
-    lex-descending.  A Pieri factor on either side, up to that shift, takes
-    its strip rule; any other product takes the tableau rule."""
+    """`lr_product`'s terms, unchecked and cached.  A constant factor
+    (c, ..., c) is det^c, so its product is the other factor shifted by c,
+    with multiplicity 1; every rank-1 product is such a shift.  Otherwise
+    both factors are shifted to end in 0, expanded and shifted back, which
+    keeps the terms lex-descending.  A Pieri factor on either side, up to
+    that shift, takes its strip rule; any other product takes the tableau
+    rule."""
+    if lam[0] == lam[-1]:
+        c = lam[0]
+        return ((tuple(e + c for e in mu), 1),)
+    if mu[0] == mu[-1]:
+        c = mu[0]
+        return ((tuple(e + c for e in lam), 1),)
     ca = -lam[-1]
     cb = -mu[-1]
     a = tuple(e + ca for e in lam)

@@ -151,6 +151,18 @@ class TestStripRules:
                     assert terms(lam, shifted, rank) == want_c, (lam, shifted)
                     assert terms(shifted, lam, rank) == want_c, (shifted, lam)
 
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_det_power_is_a_shift(self, rank):
+        # S_lam (x) det^c = S_(lam + c): one term, multiplicity 1
+        terms = lr._lr_terms.__wrapped__
+        for c in range(-3, 4):
+            det = (c,) * rank
+            for lam in dominant(rank, -2, 3):
+                want = tableau_rule(lam, det, rank)
+                assert want == ((tuple(e + c for e in lam), 1),)
+                assert terms(lam, det, rank) == want, (lam, det)
+                assert terms(det, lam, rank) == want, (det, lam)
+
     @pytest.mark.parametrize("rank", range(1, 4))
     def test_match_the_schur_polynomial_oracle(self, rank):
         for factor in pieri_factors(rank, 3):
