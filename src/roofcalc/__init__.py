@@ -13,7 +13,6 @@ from .hodge import (
     check_pair_theorem,
     hodge_numbers,
     pair_invariants,
-    point_count,
     v_cohomology,
 )
 from .lr import SchurSum, lr_double_product, lr_product
@@ -58,7 +57,6 @@ __all__ = [
     "lr_double_product",
     "lr_product",
     "pair_invariants",
-    "point_count",
     "v_cohomology",
     "verify_lemma_leq",
     "__version__",

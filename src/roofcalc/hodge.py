@@ -443,14 +443,6 @@ def hodge_numbers(spec: ZeroLocusSpec) -> HodgeDiamond:
     return out
 
 
-def point_count(spec: ZeroLocusSpec) -> int:
-    """Length of a zero-dimensional zero locus: chi(O_X) from the Koszul
-    complex of wedge powers of the dual bundle."""
-    if spec.dim != 0:
-        raise RankError(f"point count needs dim 0, got {spec.dim}")
-    return _euler_columns(spec, _koszul_character(spec), 0)[0]
-
-
 def v_cohomology(y: HodgeDiamond, ambient: HodgeDiamond) -> list[int]:
     """Middle-row dimensions orthogonal to the ambient classes.
 

@@ -181,21 +181,3 @@ def dual_schur_q(lam: Weight) -> tuple[Weight, int]:
     top = lam[0]
     bar = tuple(top - e for e in reversed(lam[1:])) + (0,)
     return bar, top
-
-
-def render_diagram(w: DoubleWeight) -> str:
-    """ASCII double Young diagram: two stacked box blocks separated by a bar.
-
-    Weights with a negative entry have no diagram; the numeric form is
-    returned instead.
-    """
-    if any(e < 0 for e in w.concat()):
-        return str(w)
-    width = max(max(w.upper, default=0), max(w.lower, default=0), 1)
-
-    def block(rows: Weight) -> list[str]:
-        out = [("[]" * r) for r in rows if r > 0]
-        return out if out else ["(empty)"]
-
-    bar = "-" * (2 * width)
-    return "\n".join(block(w.upper) + [bar] + block(w.lower))

@@ -27,7 +27,6 @@ from roofcalc.hodge import (
     hodge_numbers,
     pair_invariants,
     pair_specs,
-    point_count,
     v_cohomology,
 )
 from roofcalc.parser import parse_bundle
@@ -99,20 +98,16 @@ class TestHyperplanes:
 class TestPointCounts:
     def test_twenty_one_points(self):
         spec = ZeroLocusSpec(1, 6, bundles.twist(bundles.quotient_dual(1, 6), 2))
-        assert point_count(spec) == 21
+        assert hodge_numbers(spec).h(0, 0) == 21
 
     def test_single_hyperplane_point(self):
-        assert point_count(ZeroLocusSpec(1, 2, bundles.line(1, 2, 1))) == 1
+        assert hodge_numbers(ZeroLocusSpec(1, 2, bundles.line(1, 2, 1))).h(0, 0) == 1
 
     def test_bezout(self):
         conic_line = bundles.direct_sum(
             bundles.line(1, 3, 2), bundles.line(1, 3, 1)
         )
-        assert point_count(ZeroLocusSpec(1, 3, conic_line)) == 2
-
-    def test_rejects_positive_dimension(self):
-        with pytest.raises(RankError):
-            point_count(hyperplane(3))
+        assert hodge_numbers(ZeroLocusSpec(1, 3, conic_line)).h(0, 0) == 2
 
 
 class TestDegree:

@@ -12,7 +12,6 @@ from roofcalc.weights import (
     dual_schur_q,
     enumerate_box,
     is_dominant,
-    render_diagram,
 )
 
 from oracles import brute_force_box
@@ -144,29 +143,3 @@ class TestDualSchurQ:
         bar2, t2 = dual_schur_q(bar)
         assert tuple(e + (t - t2) for e in bar2) == lam
         assert t - t2 == lam[-1]
-
-
-class TestRenderDiagram:
-    def test_paper_shape(self):
-        w = DoubleWeight((3, 2, 2, 1), (2, 0))
-        art = render_diagram(w)
-        assert art.splitlines() == [
-            "[][][]",
-            "[][]",
-            "[][]",
-            "[]",
-            "------",
-            "[][]",
-        ]
-
-    def test_empty_marker(self):
-        art = render_diagram(DoubleWeight((0,), (0,)))
-        assert "(empty)" in art
-
-    def test_two_boxes_over_empty(self):
-        art = render_diagram(DoubleWeight((1, 1), (0, 0, 0)))
-        assert art.splitlines() == ["[]", "[]", "--", "(empty)"]
-
-    def test_negative_falls_back_to_numeric(self):
-        w = DoubleWeight((1, -1), (0, 0))
-        assert render_diagram(w) == "(1,-1|0,0)"
