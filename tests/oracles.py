@@ -136,3 +136,34 @@ def brute_force_box(a: int, b: int) -> set[tuple[int, ...]]:
         for w in product(range(b + 1), repeat=a)
         if all(x >= y for x, y in zip(w, w[1:]))
     }
+
+
+def gaussian_binomial(n: int, k: int) -> tuple[int, ...]:
+    """Coefficients of the Gaussian binomial [n choose k]_q, lowest degree
+    first, by the q-Pascal recursion [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k < 0 or k > n:
+        return ()
+    if k in (0, n):
+        return (1,)
+    out = [0] * (k * (n - k) + 1)
+    for i, c in enumerate(gaussian_binomial(n - 1, k - 1)):
+        out[i] += c
+    for i, c in enumerate(gaussian_binomial(n - 1, k)):
+        out[i + k] += c
+    return tuple(out)
+
+
+def q_integer(n: int, step: int = 1) -> tuple[int, ...]:
+    """[n]_{q^step} = 1 + q^step + ... + q^(step (n-1)), lowest degree first."""
+    out = [0] * (step * (n - 1) + 1)
+    for i in range(n):
+        out[step * i] = 1
+    return tuple(out)
+
+
+def q_multiply(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)

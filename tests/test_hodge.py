@@ -33,7 +33,7 @@ from roofcalc.parser import parse_bundle
 from roofcalc.weights import enumerate_box
 
 import sweep
-from oracles import brute_force_box
+from oracles import brute_force_box, gaussian_binomial, q_integer, q_multiply
 
 
 def hyperplane(n):
@@ -509,6 +509,34 @@ def test_grassmannian_duality():
             ), sweep.label(key)
         pairs += 1
     assert pairs == 328
+
+
+def known_geometry():
+    """(label, G(k,n), bundle, Poincare polynomial of its zero locus), the
+    polynomials from tests/oracles.py alone: O(1) on G(2,2m) cuts out the
+    symplectic Grassmannian IG(2,2m), [2m-2]_q [m]_{q^2}; UD on G(k,n) cuts
+    out G(k,n-1) and Q cuts out G(k-1,n-1), Gaussian binomials."""
+    cases = [
+        (f"IG(2,{2 * m})", 2, 2 * m, "O(1)", q_multiply(q_integer(2 * m - 2), q_integer(m, 2)))
+        for m in range(3, 7)
+    ]
+    for k, n in ((2, 5), (3, 7), (4, 9)):
+        cases.append((f"Z(UD) on G({k},{n})", k, n, "UD", gaussian_binomial(n - 1, k)))
+        cases.append((f"Z(Q) on G({k},{n})", k, n, "Q", gaussian_binomial(n - 1, k - 1)))
+    return cases
+
+
+def test_known_geometry():
+    # each zero locus is homogeneous, so its diamond is its Poincare
+    # polynomial on the diagonal and exact zeros everywhere else
+    for label, k, n, text, poincare in known_geometry():
+        got = hodge_numbers(ZeroLocusSpec(k, n, parse_bundle(text, k, n)))
+        dim = len(poincare) - 1
+        want = [
+            [(poincare[p],) * 2 if p == q else (0, 0) for q in range(dim + 1)]
+            for p in range(dim + 1)
+        ]
+        assert got.grid == want, label
 
 
 class TestClassicalHypersurfaces:
