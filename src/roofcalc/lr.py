@@ -30,9 +30,9 @@ which is exactly the GL(r) truncation (columns taller than r vanish).
 A constant factor (c, ..., c) is det^c, and S_lam (x) det^c = S_{lam + c*1}:
 its product is a shift, with no rule at all (every rank-1 block is such a
 factor).  Each other factor is first shifted to end in 0, by the same
-identity, so a twist of a Pieri factor takes its strip rule too.  The one cache sits on
-`_lr_terms`, the unchecked core behind `lr_product` and `_blockwise`, so a
-repeated product costs a lookup with no shifting.  `_blockwise` is the one
+identity, so a twist of a Pieri factor takes its strip rule too.  The one
+cache sits on `_lr_terms`, the unchecked core behind `lr_product` and
+`_blockwise`, so a repeated product costs a lookup with no shifting.  `_blockwise` is the one
 loop of the product on G(k,n), blocks multiplied separately: it feeds both
 `lr_double_product` and `bundles.tensor`, which puts its items in canonical
 form.
