@@ -18,7 +18,7 @@ from .hodge import (
 from .lr import SchurSum, lr_double_product, lr_product
 from .motive import EPoly, derive_b2, verify_lemma_leq
 from .roofs import MarkedDynkin, RoofRecord, classify
-from .weights import BoxSet, DoubleWeight, bar_move, dual_schur_q, enumerate_box
+from .weights import BoxSet, DoubleWeight, bar_move, enumerate_box
 from .windows import (
     Collection,
     VanishingReport,
@@ -49,7 +49,6 @@ __all__ = [
     "check_tilting_plus",
     "classify",
     "derive_b2",
-    "dual_schur_q",
     "enumerate_box",
     "gl_dimension",
     "hodge_numbers",

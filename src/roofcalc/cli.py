@@ -82,9 +82,7 @@ def _cmd_hodge(args) -> tuple[dict | str, int]:
 def _cmd_pair(args) -> tuple[dict, int]:
     report = check_pair_theorem(args["k"], args["n"])
     d1, d2, inv = report.diamond1, report.diamond2, report.invariants
-    ok_leq, residual = (None, None)
-    if d1.fully_exact() and d2.fully_exact():
-        ok_leq, residual = verify_lemma_leq(args["k"], args["n"], d1, d2)
+    ok_leq, residual = verify_lemma_leq(args["k"], args["n"], d1, d2)
     outputs = {
         "invariants": {
             "d1": inv.d1,
@@ -106,9 +104,9 @@ def _cmd_pair(args) -> tuple[dict, int]:
         "middleRowsMatch": report.passed,
         "failures": report.failures,
         "grothendieckIdentityHolds": ok_leq,
-        "residual": str(residual) if residual is not None else None,
+        "residual": str(residual),
     }
-    return outputs, 0 if report.passed and ok_leq is not False else EXIT_MISMATCH
+    return outputs, 0 if report.passed and ok_leq else EXIT_MISMATCH
 
 
 def _cmd_roofs(args) -> tuple[dict, int]:

@@ -50,13 +50,6 @@ class EPoly(Value):
                 out[key] = out.get(key, 0) + c1 * c2
         return EPoly.from_dict(out)
 
-    def evaluate_one(self) -> int:
-        """E(1,1), the topological Euler characteristic."""
-        return sum(c for _, c in self.coeffs)
-
-    def uv_swap(self) -> "EPoly":
-        return EPoly.from_dict({(q, p): c for (p, q), c in self.coeffs})
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -140,16 +140,3 @@ def parse_bundle(text: str, k: int, n: int) -> BundleExpr:
     and RankError unless 1 <= k < n."""
     bundles.zero(k, n)  # the ambient check, before any atom is built on it
     return _Parser(text, k, n).parse()
-
-
-def render_bundle(expr: BundleExpr) -> str:
-    """Canonical textual form that parse_bundle maps back to `expr`."""
-    if expr.is_zero():
-        raise ValueError("the zero expression has no literal in the grammar")
-    parts = []
-    for w, mult in expr.terms:
-        up = ",".join(str(e) for e in w.upper)
-        lo = ",".join(str(e) for e in w.lower)
-        piece = f"S[{up}]UD*S[{lo}]QD"
-        parts.extend([piece] * mult)
-    return " + ".join(parts)

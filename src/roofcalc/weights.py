@@ -1,4 +1,4 @@
-"""GL(r) weights, double weights on G(k,n), box sets, bar moving and duality.
+"""GL(r) weights, double weights on G(k,n), box sets and bar moving.
 
 A weight is a dense tuple of integers of fixed length (trailing zeros kept
 explicit).  Weights labelling Schur functors must be non-increasing; negative
@@ -169,15 +169,3 @@ def bar_move(w: DoubleWeight) -> DoubleWeight:
             f"{w} is not fully ordered; bar moving is undefined"
         )
     return DoubleWeight._trusted(w.upper + (w.lower[0],), w.lower[1:])
-
-
-def dual_schur_q(lam: Weight) -> tuple[Weight, int]:
-    """Dual of a Schur functor of the quotient bundle, as (weight, twist).
-
-    The dual of the functor labelled by lam is the functor labelled by
-    lam_bar = (lam_1 - lam_r, ..., lam_1 - lam_2, 0) twisted by O(lam_1).
-    """
-    lam = check_dominant(lam)
-    top = lam[0]
-    bar = tuple(top - e for e in reversed(lam[1:])) + (0,)
-    return bar, top

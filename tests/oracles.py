@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: Schur polynomials are
 expanded monomial-by-monomial from semistandard tableaux, dimensions are
-tableau counts, and cohomology on projective space comes from the classical
-closed-form expressions.
+tableau counts, cohomology on projective space comes from the classical
+closed-form expressions, and diamonds are held to Hodge symmetry, Serre
+duality and their Euler columns entry by entry.
 """
 
 from __future__ import annotations
@@ -167,3 +168,31 @@ def q_multiply(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return tuple(out)
+
+
+def dual_schur_q(lam: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The dual of S_lam Q* as (weight, twist): S_lam_bar Q* (x) O(lam_1),
+    with lam_bar = (lam_1 - lam_r, ..., lam_1 - lam_2, 0)."""
+    top = lam[0]
+    return tuple(top - e for e in reversed(lam[1:])) + (0,), top
+
+
+def check_diamond(grid: list[list[tuple[int, int]]], chis: list[int]) -> None:
+    """Theorems every diamond of a smooth projective variety obeys, on a grid
+    of intervals (lo, hi) indexed [p][q]: Hodge symmetry h^{p,q} = h^{q,p}
+    and Serre duality h^{p,q} = h^{d-p,d-q} wherever both entries are exact,
+    and each Euler column chi_p inside the range of sum_q (-1)^q h^{p,q}.
+    Raises AssertionError naming the first failure."""
+    d = len(grid) - 1
+    for p, row in enumerate(grid):
+        for q, (lo, hi) in enumerate(row):
+            if lo != hi:
+                continue
+            for name, (a, b) in (("Hodge", grid[q][p]), ("Serre", grid[d - p][d - q])):
+                if a == b != lo:
+                    raise AssertionError(f"{name} symmetry fails at ({p},{q}): {lo} != {a}")
+    for p, chi in enumerate(chis):
+        lo = sum(-b if q % 2 else a for q, (a, b) in enumerate(grid[p]))
+        hi = sum(-a if q % 2 else b for q, (a, b) in enumerate(grid[p]))
+        if not lo <= chi <= hi:
+            raise AssertionError(f"Euler column {p}: chi={chi} outside [{lo},{hi}]")

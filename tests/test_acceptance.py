@@ -41,6 +41,7 @@ from roofcalc.windows import (
 )
 
 from oracles import (
+    check_diamond,
     count_ssyt,
     partitions_up_to,
     schur_product_oracle,
@@ -224,8 +225,7 @@ def test_criterion_9_property_suites():
         if spec.dim > 0
     ]
     for d in produced:
-        d.check_symmetries()
-        d.check_euler_columns()
+        check_diamond(d.grid, d.euler_columns)
 
     # hyperplane diamonds reproduce the smaller projective space, n <= 7
     for n in range(2, 8):

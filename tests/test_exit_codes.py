@@ -57,3 +57,14 @@ def test_main_returns_the_class_code_with_one_line(cls, monkeypatch, capsys):
     assert code == expected_code
     assert captured.out == ""
     assert captured.err.splitlines() == [line]
+
+
+def test_empty_zero_locus_ends_in_one_line(capsys):
+    # the degree check, reached through the real command: a general 2-form
+    # on V of even dimension has no kernel, so Q*(1) on P(V) has no zeros
+    code = cli.main(["hodge", "--k", "1", "--n", "6", "--bundle", "QD*O(1)"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("precondition violated: zero locus is empty")

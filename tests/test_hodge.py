@@ -8,6 +8,7 @@ from roofcalc.bwb import bott, tensor_cohomology
 from roofcalc.chase import LinearSystem
 from roofcalc.errors import (
     AmbiguityError,
+    EmptyZeroLocusError,
     InconsistentDataError,
     InjectivityViolationError,
     RankError,
@@ -33,7 +34,13 @@ from roofcalc.parser import parse_bundle
 from roofcalc.weights import enumerate_box
 
 import sweep
-from oracles import brute_force_box, gaussian_binomial, q_integer, q_multiply
+from oracles import (
+    brute_force_box,
+    check_diamond,
+    gaussian_binomial,
+    q_integer,
+    q_multiply,
+)
 
 
 def hyperplane(n):
@@ -348,8 +355,7 @@ class TestDiamondInvariants:
     )
     def test_symmetries_and_euler(self, spec):
         d = hodge_numbers(spec)
-        d.check_symmetries()
-        d.check_euler_columns()
+        check_diamond(d.grid, d.euler_columns)
         assert d.fully_exact()
         # Hodge + Serre symmetry explicitly
         for p in range(d.dim + 1):
@@ -369,23 +375,25 @@ class TestDiamondInvariants:
 
     def test_hodge_asymmetry_raises(self):
         d = hand_diamond(1, {(0, 0): (1, 1), (0, 1): (1, 1), (1, 1): (1, 1)})
-        with pytest.raises(ArithmeticError, match="Hodge symmetry"):
-            d.check_symmetries()
+        with pytest.raises(AssertionError, match="Hodge symmetry"):
+            check_diamond(d.grid, d.euler_columns)
 
     def test_serre_asymmetry_raises(self):
         d = hand_diamond(2, {(0, 0): (1, 1), (2, 2): (2, 2)})
-        with pytest.raises(ArithmeticError, match="Serre symmetry"):
-            d.check_symmetries()
+        with pytest.raises(AssertionError, match="Serre symmetry"):
+            check_diamond(d.grid, d.euler_columns)
 
     @pytest.mark.parametrize("h22", [(1, 3), (0, 3)])
     def test_symmetries_skip_inexact_pairs(self, h22):
-        hand_diamond(2, {(0, 0): (1, 1), (2, 2): h22}).check_symmetries()
+        # chi_0 = 1 and chi_2 = 1 or 0 keep the Euler columns reachable
+        d = hand_diamond(2, {(0, 0): (1, 1), (2, 2): h22}, chis=[1, 0, 1])
+        check_diamond(d.grid, d.euler_columns)
 
     def test_unreachable_euler_column_raises(self):
         # column 0 sums to a value in [1, 2]; chi_0 = 5 is out of reach
         d = hand_diamond(1, {(0, 0): (1, 2), (1, 1): (1, 1)}, chis=[5, 0])
-        with pytest.raises(ArithmeticError, match="Euler column 0"):
-            d.check_euler_columns()
+        with pytest.raises(AssertionError, match="Euler column 0"):
+            check_diamond(d.grid, d.euler_columns)
 
 
 def reference_symmetrise(grid, chis):
@@ -511,18 +519,46 @@ def test_grassmannian_duality():
     assert pairs == 328
 
 
+def test_every_diamond_obeys_the_theorems():
+    """Hodge symmetry, Serre duality and the Euler columns hold where each
+    route writes its grid, and nothing in the package checks them again;
+    the oracle of tests/oracles.py checks them on every diamond of the
+    n <= 6 sweep (chase route), of the paper's pairs and of hypersurfaces
+    (Lefschetz route)."""
+    diamonds = [d for d in sweep.outcomes().values() if isinstance(d, HodgeDiamond)]
+    assert len(diamonds) == 309
+    for k, n in [(1, 5), (1, 6), (2, 5), (2, 6), (3, 7), (4, 9)]:
+        diamonds += map(hodge_numbers, pair_specs(k, n))
+    # degree d in P^2..P^5, and the cubics of dimension 18, 20 and 22
+    hypersurfaces = [(n, d) for n in range(3, 7) for d in range(2, 6)]
+    hypersurfaces += [(20, 3), (22, 3), (24, 3)]
+    for n, degree in hypersurfaces:
+        diamonds.append(hodge_numbers(ZeroLocusSpec(1, n, bundles.line(1, n, degree))))
+    for d in diamonds:
+        try:
+            check_diamond(d.grid, d.euler_columns)
+        except AssertionError as exc:
+            pytest.fail(f"{d.meta['bundle']} on {d.meta['ambient']}: {exc}")
+
+
 def known_geometry():
     """(label, G(k,n), bundle, Poincare polynomial of its zero locus), the
     polynomials from tests/oracles.py alone: O(1) on G(2,2m) cuts out the
-    symplectic Grassmannian IG(2,2m), [2m-2]_q [m]_{q^2}; UD on G(k,n) cuts
-    out G(k,n-1) and Q cuts out G(k-1,n-1), Gaussian binomials."""
+    symplectic Grassmannian IG(2,2m), [2m-2]_q [m]_{q^2}; QD*O(1) cuts out
+    P^2 x P^2 on G(2,6), [3]_q^2, the adjoint G2 variety G2/P2 on G(2,7),
+    [6]_q, and one point on G(1,n) for n odd; UD on G(k,n) cuts out
+    G(k,n-1) and Q cuts out G(k-1,n-1), Gaussian binomials."""
     cases = [
         (f"IG(2,{2 * m})", 2, 2 * m, "O(1)", q_multiply(q_integer(2 * m - 2), q_integer(m, 2)))
         for m in range(3, 7)
     ]
-    for k, n in ((2, 5), (3, 7), (4, 9)):
-        cases.append((f"Z(UD) on G({k},{n})", k, n, "UD", gaussian_binomial(n - 1, k)))
-        cases.append((f"Z(Q) on G({k},{n})", k, n, "Q", gaussian_binomial(n - 1, k - 1)))
+    cases.append(("P2 x P2", 2, 6, "QD*O(1)", q_multiply(q_integer(3), q_integer(3))))
+    cases.append(("G2/P2", 2, 7, "QD*O(1)", q_integer(6)))
+    cases += [(f"point in G(1,{n})", 1, n, "QD*O(1)", (1,)) for n in (5, 7, 9)]
+    for k in range(1, 5):
+        for n in range(k + 1, 10):
+            cases.append((f"Z(UD) on G({k},{n})", k, n, "UD", gaussian_binomial(n - 1, k)))
+            cases.append((f"Z(Q) on G({k},{n})", k, n, "Q", gaussian_binomial(n - 1, k - 1)))
     return cases
 
 
@@ -537,6 +573,15 @@ def test_known_geometry():
             for p in range(dim + 1)
         ]
         assert got.grid == want, label
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_empty_zero_locus(n):
+    # a section of Q*(1) on P(V) = G(1,n) is a 2-form on V and its zero
+    # locus is P(kernel); a general 2-form on V of even dimension n has none
+    spec = ZeroLocusSpec(1, n, parse_bundle("QD*O(1)", 1, n))
+    with pytest.raises(EmptyZeroLocusError, match="zero locus is empty"):
+        hodge_numbers(spec)
 
 
 class TestClassicalHypersurfaces:

@@ -5,7 +5,7 @@ import pytest
 from roofcalc import bundles
 from roofcalc.cli import main
 from roofcalc.errors import ParseError, PlethysmRequiredError
-from roofcalc.parser import MAX_DEPTH, parse_bundle, render_bundle
+from roofcalc.parser import MAX_DEPTH, parse_bundle
 
 ROUND_TRIP_CORPUS = [
     "U", "UD", "Q", "QD", "O(0)", "O(1)", "O(-3)",
@@ -19,6 +19,17 @@ ROUND_TRIP_CORPUS = [
     "Sym^2(QD*O(2))*UD", "(U+Q)*O(1)", "Sym^2(O(1)+O(2))",
     "QD*QD+U*UD", "Dual(Sym^2(QD))*O(1)",
 ]
+
+
+def render_bundle(expr):
+    """A literal that parse_bundle maps back to the nonzero `expr`: each
+    term S^upper U* (x) S^lower Q* as often as its multiplicity."""
+    parts = []
+    for w, mult in expr.terms:
+        up = ",".join(str(e) for e in w.upper)
+        lo = ",".join(str(e) for e in w.lower)
+        parts.extend([f"S[{up}]UD*S[{lo}]QD"] * mult)
+    return " + ".join(parts)
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 """The traced benchmark binds roofcalc names by string; these tests keep
 every name it binds, and every public name, defined."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 import roofcalc
-from roofcalc import chase, verify
+from roofcalc import chase, errors, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -98,3 +99,35 @@ def test_cli_import_contract():
     assert len(modules) == 12
     for mod in modules:
         assert f"roofcalc.{mod}" in out, mod
+
+
+def _raises(node, where):
+    """(innermost enclosing function, Raise node) for every raise under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises(child, child.name)
+        elif isinstance(child, ast.Raise):
+            yield where, child
+        else:
+            yield from _raises(child, where)
+
+
+def test_every_raise_is_a_package_error():
+    # cli.main turns a RoofcalcError into its exit code and one stderr line;
+    # any other class escapes as a traceback.  The one exception is the
+    # guard of a direct_sum() call with no summands, which no command line
+    # reaches.
+    allowed = {("bundles", "direct_sum", "ValueError")}
+    seen, outside = 0, set()
+    for path in sorted((ROOT / "src" / "roofcalc").glob("*.py")):
+        name = "roofcalc" if path.stem == "__init__" else f"roofcalc.{path.stem}"
+        module = importlib.import_module(name)
+        for where, node in _raises(ast.parse(path.read_text()), "<module>"):
+            assert node.exc is not None, (path.name, where, "bare raise")
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = eval(compile(ast.Expression(exc), path.name, "eval"), vars(module))
+            seen += 1
+            if not issubclass(cls, errors.RoofcalcError):
+                outside.add((path.stem, where, cls.__name__))
+    assert seen > 50
+    assert outside == allowed

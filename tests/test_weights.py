@@ -1,15 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from roofcalc.errors import (
-    DominanceError,
-    NotGloballyGeneratedError,
-    RankError,
-)
+from roofcalc.errors import NotGloballyGeneratedError, RankError
 from roofcalc.weights import (
     DoubleWeight,
     bar_move,
-    dual_schur_q,
     enumerate_box,
     is_dominant,
 )
@@ -120,26 +115,3 @@ class TestIsFullyOrdered:
     )
     def test_edge_ranks(self, upper, lower, ordered):
         assert DoubleWeight(upper, lower).is_fully_ordered() is ordered
-
-
-class TestDualSchurQ:
-    def test_examples(self):
-        assert dual_schur_q((1, 1, 0)) == ((1, 0, 0), 1)
-        assert dual_schur_q((0, 0, 0)) == ((0, 0, 0), 0)
-        assert dual_schur_q((2, 1, 1)) == ((1, 1, 0), 2)
-
-    def test_needs_dominance(self):
-        with pytest.raises(DominanceError):
-            dual_schur_q((0, 1))
-
-    @given(
-        st.lists(st.integers(min_value=-4, max_value=6), min_size=1, max_size=6).map(
-            lambda xs: tuple(sorted(xs, reverse=True))
-        )
-    )
-    def test_involution_up_to_twist(self, lam):
-        # dualising twice shifts by the difference of the two twists
-        bar, t = dual_schur_q(lam)
-        bar2, t2 = dual_schur_q(bar)
-        assert tuple(e + (t - t2) for e in bar2) == lam
-        assert t - t2 == lam[-1]

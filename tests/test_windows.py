@@ -3,7 +3,7 @@ import pytest
 from roofcalc import bundles, windows
 from roofcalc.bwb import bott
 from roofcalc.errors import RankError
-from roofcalc.weights import DoubleWeight, bar_move, dual_schur_q, enumerate_box
+from roofcalc.weights import DoubleWeight, bar_move, enumerate_box
 from roofcalc.windows import (
     VanishingFailure,
     bar_moved_collection,
@@ -11,6 +11,8 @@ from roofcalc.windows import (
     check_tilting_plus,
     kapranov_collection,
 )
+
+from oracles import dual_schur_q
 
 
 def check_pairs_reference(report, members, atom):
@@ -174,9 +176,8 @@ class TestTiltingChecks:
         assert len(rep.failures) >= 1
         # every recorded failure reproduces standalone
         f = rep.failures[0]
-        lam_bar, top = dual_schur_q(f.lam)
         expr = bundles.tensor(
-            bundles.twist(bundles.irreducible(1, 4, (0,), lam_bar), top),
+            bundles.dual(bundles.irreducible(1, 4, (0,), f.lam)),
             bundles.tensor(
                 bundles.irreducible(1, 4, (0,), f.lam_prime),
                 bundles.sym_power(
@@ -208,8 +209,8 @@ class TestTiltingChecks:
     @pytest.mark.parametrize("n", range(4, 9))
     @pytest.mark.parametrize("box_cap", [1, 2])
     def test_dual_schur_q_matches_dual(self, n, box_cap):
-        # the folded twist of dual_schur_q against first-principles duality,
-        # over the minus side's labels
+        # bundles.dual against the closed form of the dual of S_lam Q*, over
+        # the minus side's labels
         for lam in enumerate_box(n - 1, box_cap):
             lam_bar, top = dual_schur_q(lam)
             assert bundles.twist(
