@@ -12,7 +12,6 @@ from .hodge import (
     ambient_diamond,
     check_pair_theorem,
     hodge_numbers,
-    pair_invariants,
     v_cohomology,
 )
 from .lr import SchurSum, lr_double_product, lr_product
@@ -55,7 +54,6 @@ __all__ = [
     "kapranov_collection",
     "lr_double_product",
     "lr_product",
-    "pair_invariants",
     "v_cohomology",
     "verify_lemma_leq",
     "__version__",

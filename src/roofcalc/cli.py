@@ -81,26 +81,26 @@ def _cmd_hodge(args) -> tuple[dict | str, int]:
 
 def _cmd_pair(args) -> tuple[dict, int]:
     report = check_pair_theorem(args["k"], args["n"])
-    d1, d2, inv = report.diamond1, report.diamond2, report.invariants
+    d1, d2, s = report.diamond1, report.diamond2, report.shift
     ok_leq, residual = verify_lemma_leq(args["k"], args["n"], d1, d2)
     outputs = {
         "invariants": {
-            "d1": inv.d1,
-            "d2": inv.d2,
-            "canonicalTwist1": inv.canonical_twist_1,
-            "canonicalTwist2": inv.canonical_twist_2,
-            "calabiYau": inv.cy,
+            "d1": d1.dim,
+            "d2": d2.dim,
+            "canonicalTwist1": s,
+            "canonicalTwist2": -s,
+            "calabiYau": s == 0,
         },
         "points": {
-            "y1": str(d1.h(0, 0)) if inv.d1 == 0 else None,
-            "y2": str(d2.h(0, 0)) if inv.d2 == 0 else None,
+            "y1": str(d1.h(0, 0)) if d1.dim == 0 else None,
+            "y2": str(d2.h(0, 0)) if d2.dim == 0 else None,
         },
         "bundles": {"y1": d1.meta["bundle"], "y2": d2.meta["bundle"]},
         "diamond1": d1.to_json_dict(),
         "diamond2": d2.to_json_dict(),
         "vRow1": report.v1,
         "vRow2": report.v2,
-        "shift": report.shift,
+        "shift": s,
         "middleRowsMatch": report.passed,
         "failures": report.failures,
         "grothendieckIdentityHolds": ok_leq,

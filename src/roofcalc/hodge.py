@@ -126,10 +126,6 @@ class HodgeDiamond:
         self.dim = len(grid) - 1
         self.meta = dict(meta or {})
 
-    def is_exact(self, p: int, q: int) -> bool:
-        lo, hi = self.grid[p][q]
-        return lo == hi
-
     def h(self, p: int, q: int) -> int:
         lo, hi = self.grid[p][q]
         if lo != hi:
@@ -143,17 +139,8 @@ class HodgeDiamond:
         d = self.dim
         return [self.h(p, d - p) for p in range(d + 1)]
 
-    def middle_row_exact(self) -> bool:
-        return all(self.is_exact(p, self.dim - p) for p in range(self.dim + 1))
-
     def diagonal(self) -> list[int]:
         return [self.h(p, p) for p in range(self.dim + 1)]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** p * chi for p, chi in enumerate(self.euler_columns))
-
-    def matrix(self) -> list[list[int]]:
-        return [[self.h(p, q) for q in range(self.dim + 1)] for p in range(self.dim + 1)]
 
     def render(self) -> str:
         """Diamond layout: row r holds h^{p,q} with p+q = r, p decreasing."""
@@ -420,8 +407,6 @@ def v_cohomology(y: HodgeDiamond, ambient: HodgeDiamond) -> list[int]:
     no off-diagonal classes, so only a central diagonal entry can shift).
     """
     d = y.dim
-    if not y.middle_row_exact():
-        raise AmbiguityError("middle row of the zero locus diamond is not exact")
     out = []
     for p in range(d + 1):
         q = d - p
@@ -435,56 +420,24 @@ def v_cohomology(y: HodgeDiamond, ambient: HodgeDiamond) -> list[int]:
     return out
 
 
-class PairInvariants(Value):
-    __slots__ = ("k", "n", "d1", "d2", "canonical_twist_1", "canonical_twist_2", "cy")
-
-    def __init__(
-        self, k: int, n: int, d1: int, d2: int,
-        canonical_twist_1: int, canonical_twist_2: int, cy: bool,
-    ):
-        self.k, self.n, self.d1, self.d2, self.cy = k, n, d1, d2, cy
-        self.canonical_twist_1 = canonical_twist_1
-        self.canonical_twist_2 = canonical_twist_2
-
-
-def pair_invariants(k: int, n: int) -> PairInvariants:
-    """Dimensions and canonical twists of the zero-locus pair on
-    G(k,n) / G(k+1,n), by adjunction."""
-    if not (1 <= k and n >= 2 * k + 1):
-        raise RankError(f"pair needs n >= 2k+1, got (k,n)=({k},{n})")
-    d1 = k * n - k * k - n + k
-    d2 = k * n + n - k * k - 3 * k - 2
-    return PairInvariants(
-        k=k,
-        n=n,
-        d1=d1,
-        d2=d2,
-        canonical_twist_1=n - 2 * k - 1,
-        canonical_twist_2=-(n - 2 * k - 1),
-        cy=(n == 2 * k + 1),
-    )
-
-
 def pair_specs(k: int, n: int) -> tuple[ZeroLocusSpec, ZeroLocusSpec]:
     """The two zero loci cut out by the pushforwards of a (1,1) section:
     Z(Q*(2)) in G(k,n) and Z(U(2)) in G(k+1,n)."""
+    if not (1 <= k and n >= 2 * k + 1):
+        raise RankError(f"pair needs n >= 2k+1, got (k,n)=({k},{n})")
     y1 = ZeroLocusSpec(k, n, bundles.twist(bundles.quotient_dual(k, n), 2))
     y2 = ZeroLocusSpec(k + 1, n, bundles.twist(bundles.tautological(k + 1, n), 2))
     return y1, y2
 
 
 class PairReport:
-    __slots__ = (
-        "k", "n", "invariants", "diamond1", "diamond2", "v1", "v2", "shift", "failures"
-    )
+    __slots__ = ("diamond1", "diamond2", "v1", "v2", "shift", "failures")
 
     def __init__(
-        self, k: int, n: int, invariants: PairInvariants,
-        diamond1: HodgeDiamond, diamond2: HodgeDiamond,
+        self, diamond1: HodgeDiamond, diamond2: HodgeDiamond,
         v1: list[int] | None = None, v2: list[int] | None = None,
         shift: int = 0, failures: list[str] | None = None,
     ):
-        self.k, self.n, self.invariants = k, n, invariants
         self.diamond1, self.diamond2, self.shift = diamond1, diamond2, shift
         self.v1 = [] if v1 is None else v1
         self.v2 = [] if v2 is None else v2
@@ -501,37 +454,38 @@ def check_pair_theorem(k: int, n: int) -> PairReport:
     both diamonds take the Lefschetz route, which writes nothing off the
     diagonal and the middle row.  A verifier: failures are collected, not
     proved impossible."""
-    inv = pair_invariants(k, n)
     spec1, spec2 = pair_specs(k, n)
-    d1m, d2m = hodge_numbers(spec1), hodge_numbers(spec2)
-    report = PairReport(k=k, n=n, invariants=inv, diamond1=d1m, diamond2=d2m)
+    y1, y2 = hodge_numbers(spec1), hodge_numbers(spec2)
+    report = PairReport(diamond1=y1, diamond2=y2)
     fail = report.failures.append
+    d1, d2 = y1.dim, y2.dim
 
-    # d2 - d1 = 2(n-2k-1): the shift of the v-rows is the co-level
+    # d2 - d1 = 2(n-2k-1): the shift of the v-rows is the co-level s, and by
+    # adjunction it is also the canonical twist, K_{Y1} = O(s), K_{Y2} = O(-s)
     s = report.shift = n - 2 * k - 1
 
     g1 = ambient_diamond(k, n)
     g2 = ambient_diamond(k + 1, n)
     try:
-        report.v1 = v_cohomology(d1m, g1)
-        report.v2 = v_cohomology(d2m, g2)
+        report.v1 = v_cohomology(y1, g1)
+        report.v2 = v_cohomology(y2, g2)
     except (AmbiguityError, InjectivityViolationError) as exc:
         fail(str(exc))
         return report
 
-    for p in range(inv.d1 + 1):
+    for p in range(d1 + 1):
         if report.v1[p] != report.v2[p + s]:
             fail(
                 f"v-rows differ at p={p}: {report.v1[p]} != {report.v2[p + s]}"
             )
-    for p in range(inv.d2 + 1):
-        if (p < s or p > inv.d2 - s) and report.v2[p] != 0:
+    for p in range(d2 + 1):
+        if (p < s or p > d2 - s) and report.v2[p] != 0:
             fail(f"v-cohomology of Y2 nonzero at p={p} outside the shifted band")
 
     # co-level: middle row of Y2 vanishes below p = s and not at it
-    for p in range(min(s, inv.d2 + 1)):
-        if d2m.h(p, inv.d2 - p) != 0:
-            fail(f"co-level violated: h^{{{p},{inv.d2 - p}}}(Y2) != 0")
-    if s <= inv.d2 and d2m.h(s, inv.d2 - s) == 0:
-        fail(f"h^{{{s},{inv.d2 - s}}}(Y2) = 0 at the co-level")
+    for p in range(min(s, d2 + 1)):
+        if y2.h(p, d2 - p) != 0:
+            fail(f"co-level violated: h^{{{p},{d2 - p}}}(Y2) != 0")
+    if s <= d2 and y2.h(s, d2 - s) == 0:
+        fail(f"h^{{{s},{d2 - s}}}(Y2) = 0 at the co-level")
     return report

@@ -212,9 +212,7 @@ class RoofRecord(Value):
 
 
 def _grassmannian_label(i: int, n: int) -> str:
-    if i == 1:
-        return f"P^{n - 1}"
-    if i == n - 1:
+    if i in (1, n - 1):
         return f"P^{n - 1}"
     return f"G({i},{n})"
 

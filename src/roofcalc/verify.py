@@ -39,16 +39,24 @@ def _expect(name: str, got, want) -> CheckResult:
     return CheckResult(name, ok, detail)
 
 
-def _diagonal_only(d: HodgeDiamond, diagonal: list[int], middle: list[int]) -> str | None:
-    """Check a diamond is exactly: given diagonal, given middle row, zeros."""
+def _diagonal_only(
+    name: str, d: HodgeDiamond, diagonal: list[int], middle: list[int],
+    detail: Callable[[HodgeDiamond], str],
+) -> CheckResult:
+    """Check a diamond is exactly: given diagonal, given middle row, zeros.
+    A passing check's detail is built by `detail`, once every entry is exact."""
     for p, row in enumerate(d.grid):
         for q, (lo, hi) in enumerate(row):
             if lo != hi:
-                return f"h^{{{p},{q}}} inexact {(lo, hi)}"
+                return CheckResult(name, False, f"h^{{{p},{q}}} inexact {(lo, hi)}")
             expected = middle[p] if p + q == d.dim else diagonal[p] if p == q else 0
             if lo != expected:
-                return f"h^{{{p},{q}}} = {lo}, want {expected}"
-    return None
+                return CheckResult(name, False, f"h^{{{p},{q}}} = {lo}, want {expected}")
+    return CheckResult(name, True, detail(d))
+
+
+def _middle(d: HodgeDiamond) -> str:
+    return f"middle {d.middle_row()}"
 
 
 # -- the three worked pairs --------------------------------------------------
@@ -71,52 +79,38 @@ CY_DIAG_347 = [1, 1, 2, 3, 825751, 3, 2, 1, 1]
 
 def check_pair_126() -> list[CheckResult]:
     rep = _pair(1, 6)
-    out = [_expect("F(1,2,6): Y1 is 21 points", rep.diamond1.h(0, 0), 21)]
-    d2 = rep.diamond2
-    bad = _diagonal_only(d2, Y2_DIAG_126, [0, 0, 0, 22, 0, 0, 0])
-    out.append(
-        CheckResult(
-            "F(1,2,6): Y2 diamond diagonal (1,1,2,22,2,1,1)",
-            bad is None,
-            bad or f"diagonal {d2.diagonal()}",
-        )
-    )
-    return out
+    return [
+        _expect("F(1,2,6): Y1 is 21 points", rep.diamond1.h(0, 0), 21),
+        _diagonal_only(
+            "F(1,2,6): Y2 diamond diagonal (1,1,2,22,2,1,1)", rep.diamond2,
+            Y2_DIAG_126, [0, 0, 0, 22, 0, 0, 0], lambda d: f"diagonal {d.diagonal()}",
+        ),
+    ]
 
 
 def check_pair_236() -> list[CheckResult]:
     rep = _pair(2, 6)
-    d1, d2 = rep.diamond1, rep.diamond2
-    bad1 = _diagonal_only(d1, Y1_DIAG_236, Y1_MIDDLE_236)
-    bad2 = _diagonal_only(d2, Y2_DIAG_236, Y2_MIDDLE_236)
     return [
-        CheckResult(
-            "F(2,3,6): Y1 middle row (15,672,2271,672,15)",
-            bad1 is None,
-            bad1 or f"middle {d1.middle_row()}",
+        _diagonal_only(
+            "F(2,3,6): Y1 middle row (15,672,2271,672,15)", rep.diamond1,
+            Y1_DIAG_236, Y1_MIDDLE_236, _middle,
         ),
-        CheckResult(
-            "F(2,3,6): Y2 middle row (0,15,672,2272,672,15,0)",
-            bad2 is None,
-            bad2 or f"middle {d2.middle_row()}",
+        _diagonal_only(
+            "F(2,3,6): Y2 middle row (0,15,672,2272,672,15,0)", rep.diamond2,
+            Y2_DIAG_236, Y2_MIDDLE_236, _middle,
         ),
     ]
 
 
 def check_pair_347() -> list[CheckResult]:
     rep = _pair(3, 7)
-    out = []
-    for name, d in (("Y1", rep.diamond1), ("Y2", rep.diamond2)):
-        bad = _diagonal_only(d, CY_DIAG_347, CY_MIDDLE_347)
-        out.append(
-            CheckResult(
-                f"F(3,4,7): {name} CY 8-fold middle row "
-                "(1,735,41161,395626,825751,...)",
-                bad is None,
-                bad or f"middle {d.middle_row()}",
-            )
+    return [
+        _diagonal_only(
+            f"F(3,4,7): {name} CY 8-fold middle row (1,735,41161,395626,825751,...)",
+            d, CY_DIAG_347, CY_MIDDLE_347, _middle,
         )
-    return out
+        for name, d in (("Y1", rep.diamond1), ("Y2", rep.diamond2))
+    ]
 
 
 def check_hodge_theorem() -> list[CheckResult]:
@@ -227,7 +221,7 @@ def check_roofs() -> list[CheckResult]:
         CheckResult(
             "classification table at rank <= 8 matches the expected patterns",
             not missing and not extra,
-            "94 records"
+            f"{len(records)} records"
             if not missing and not extra
             else f"missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]}",
         )

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -26,7 +27,6 @@ from roofcalc.hodge import (
     ambient_diamond,
     check_pair_theorem,
     hodge_numbers,
-    pair_invariants,
     pair_specs,
     v_cohomology,
 )
@@ -363,16 +363,6 @@ class TestDiamondInvariants:
                 assert d.h(p, q) == d.h(q, p)
                 assert d.h(p, q) == d.h(d.dim - p, d.dim - q)
 
-    def test_euler_characteristic_consistency(self):
-        spec = ZeroLocusSpec(2, 6, bundles.twist(bundles.quotient_dual(2, 6), 2))
-        d = hodge_numbers(spec)
-        total = sum(
-            (-1) ** (p + q) * d.h(p, q)
-            for p in range(d.dim + 1)
-            for q in range(d.dim + 1)
-        )
-        assert total == d.euler_characteristic()
-
     def test_hodge_asymmetry_raises(self):
         d = hand_diamond(1, {(0, 0): (1, 1), (0, 1): (1, 1), (1, 1): (1, 1)})
         with pytest.raises(AssertionError, match="Hodge symmetry"):
@@ -617,7 +607,7 @@ class TestClassicalHypersurfaces:
         spec = ZeroLocusSpec(1, n, parse_bundle(text, 1, n))
         d = hodge_numbers(spec)
         assert d.fully_exact()
-        assert d.matrix() == want
+        assert [[lo for lo, _ in row] for row in d.grid] == want
 
 
 def griffiths_middle_row(n: int, d: int) -> list[int]:
@@ -692,33 +682,26 @@ class TestVCohomology:
 
 
 class TestPairInvariants:
+    """dim Y1, dim Y2 and the co-level s, read off the pair's report: the
+    canonical twists are K_{Y1} = O(s) and K_{Y2} = O(-s)."""
+
     def test_calabi_yau_case(self):
-        inv = pair_invariants(3, 7)
-        assert (inv.d1, inv.d2) == (8, 8)
-        assert (inv.canonical_twist_1, inv.canonical_twist_2) == (0, 0)
-        assert inv.cy
+        rep = check_pair_theorem(3, 7)
+        assert (rep.diamond1.dim, rep.diamond2.dim, rep.shift) == (8, 8, 0)
 
     def test_points_and_fano(self):
-        inv = pair_invariants(1, 6)
-        assert (inv.d1, inv.d2) == (0, 6)
-        assert (inv.canonical_twist_1, inv.canonical_twist_2) == (3, -3)
-        assert not inv.cy
+        rep = check_pair_theorem(1, 6)
+        assert (rep.diamond1.dim, rep.diamond2.dim, rep.shift) == (0, 6, 3)
 
     def test_general_type_fano(self):
-        inv = pair_invariants(2, 6)
-        assert (inv.d1, inv.d2) == (4, 6)
-        assert (inv.canonical_twist_1, inv.canonical_twist_2) == (1, -1)
-
-    def test_dimension_formula_matches_rank_count(self):
-        for k, n in [(1, 5), (2, 5), (2, 6), (2, 7), (3, 7), (3, 8)]:
-            inv = pair_invariants(k, n)
-            s1, s2 = pair_specs(k, n)
-            assert s1.dim == inv.d1
-            assert s2.dim == inv.d2
+        rep = check_pair_theorem(2, 6)
+        assert (rep.diamond1.dim, rep.diamond2.dim, rep.shift) == (4, 6, 1)
 
     def test_domain(self):
-        with pytest.raises(RankError):
-            pair_invariants(3, 6)
+        for k, n in [(3, 6), (0, 5)]:
+            message = f"pair needs n >= 2k+1, got (k,n)=({k},{n})"
+            with pytest.raises(RankError, match=re.escape(message)):
+                pair_specs(k, n)
 
 
 class TestCheckPairTheorem:

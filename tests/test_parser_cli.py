@@ -283,6 +283,10 @@ class TestCli:
         code, out = run_cli(capsys, "pair", "--k", "1", "--n", "6")
         assert code == 0
         payload = json.loads(out)["outputs"]
+        assert payload["invariants"] == {
+            "calabiYau": False, "canonicalTwist1": 3, "canonicalTwist2": -3,
+            "d1": 0, "d2": 6,
+        }
         assert payload["points"]["y1"] == "21"
         assert payload["diamond2"]["h"][3][3] == "22"
 
@@ -290,9 +294,28 @@ class TestCli:
         code, out = run_cli(capsys, "pair", "--k", "2", "--n", "6")
         assert code == 0
         payload = json.loads(out)["outputs"]
+        assert payload["invariants"] == {
+            "calabiYau": False, "canonicalTwist1": 1, "canonicalTwist2": -1,
+            "d1": 4, "d2": 6,
+        }
         assert payload["diamond1"]["h"][2][2] == "2271"
         assert payload["diamond2"]["h"][3][3] == "2272"
         assert payload["grothendieckIdentityHolds"] is True
+
+    def test_pair_347_is_calabi_yau(self, capsys):
+        code, out = run_cli(capsys, "pair", "--k", "3", "--n", "7")
+        assert code == 0
+        payload = json.loads(out)["outputs"]
+        assert payload["invariants"] == {
+            "calabiYau": True, "canonicalTwist1": 0, "canonicalTwist2": 0,
+            "d1": 8, "d2": 8,
+        }
+        assert payload["points"] == {"y1": None, "y2": None}
+
+    def test_pair_outside_the_domain(self, capsys):
+        code, line = run_cli_error(capsys, "pair", "--k", "3", "--n", "6")
+        assert code == 3
+        assert line == "precondition violated: pair needs n >= 2k+1, got (k,n)=(3,6)"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -131,3 +131,21 @@ def test_every_raise_is_a_package_error():
                 outside.add((path.stem, where, cls.__name__))
     assert seen > 50
     assert outside == allowed
+
+
+def test_no_unused_imports():
+    # a deletion tends to leave the imports of what it deleted behind;
+    # __init__ imports only to re-export, so it is not scanned
+    for path in sorted((ROOT / "src" / "roofcalc").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert bound <= used, (path.name, sorted(bound - used))

@@ -10,7 +10,7 @@ import pytest
 from roofcalc.bundles import BundleExpr
 from roofcalc.bwb import BottResult
 from roofcalc.errors import DominanceError, PlethysmRequiredError, RankError
-from roofcalc.hodge import PairInvariants, PairReport, ZeroLocusSpec
+from roofcalc.hodge import PairReport, ZeroLocusSpec
 from roofcalc.lr import SchurSum
 from roofcalc.motive import EPoly
 from roofcalc.parser import parse_bundle
@@ -23,7 +23,8 @@ W = DoubleWeight((1, 0), (0, 0, 0))
 O2, O3 = parse_bundle("O(2)", 1, 6), parse_bundle("O(3)", 1, 6)
 
 # (class, field names in constructor order, arguments, index of the field
-# to change, its other value)
+# to change, its other value); pytest names a row by its index, so a new row
+# goes at the end and a deleted row's place is taken by the last one
 CASES = [
     (DoubleWeight, ("upper", "lower"), ((2, 1), (1, 0)), 1, (1, 1)),
     (BoxSet, ("rows", "cap", "members"), (1, 1, ((1,), (0,))), 1, 2),
@@ -38,11 +39,11 @@ CASES = [
     (BundleExpr, ("k", "n", "terms"), (2, 5, ((W, 1),)), 2, ((W, 2),)),
     (ZeroLocusSpec, ("k", "n", "bundle"), (1, 6, O2), 2, O3),
     (
-        PairInvariants,
-        ("k", "n", "d1", "d2", "canonical_twist_1", "canonical_twist_2", "cy"),
-        (2, 6, 4, 6, 1, -1, False),
-        6,
-        True,
+        VanishingFailure,
+        ("lam", "lam_prime", "m", "degree", "weight"),
+        ((1, 0), (0, 0), 1, 2, (1, 0, 0)),
+        2,
+        2,
     ),
     (EPoly, ("coeffs",), ((((0, 0), 1), ((1, 1), 1)),), 0, (((0, 0), 1),)),
     (
@@ -61,13 +62,6 @@ CASES = [
         3,
     ),
     (Collection, ("k", "n", "members"), (1, 4, (W,)), 0, 2),
-    (
-        VanishingFailure,
-        ("lam", "lam_prime", "m", "degree", "weight"),
-        ((1, 0), (0, 0), 1, 2, (1, 0, 0)),
-        2,
-        2,
-    ),
 ]
 
 
@@ -104,7 +98,7 @@ def test_mutable_reports_get_fresh_lists():
     a, b = VanishingReport("minus", 4, 1), VanishingReport("minus", 4, 1)
     assert (a.checked_pairs, a.failures, a.tail_certified) == (0, [], True)
     assert a.failures is not b.failures
-    p, q = PairReport(1, 6, None, None, None), PairReport(1, 6, None, None, None)
+    p, q = PairReport(None, None), PairReport(None, None)
     assert (p.v1, p.v2, p.shift, p.failures) == ([], [], 0, [])
     assert p.v1 is not q.v1 and p.v2 is not q.v2 and p.failures is not q.failures
     assert CheckResult("x", True, "got 1").detail == "got 1"
