@@ -33,9 +33,9 @@ factor).  Each other factor is first shifted to end in 0, by the same
 identity, so a twist of a Pieri factor takes its strip rule too.  The one
 cache sits on `_lr_terms`, the unchecked core behind `lr_product` and
 `_blockwise`, so a repeated product costs a lookup with no shifting.  `_blockwise` is the one
-loop of the product on G(k,n), blocks multiplied separately: it feeds both
-`lr_double_product` and `bundles.tensor`, which puts its items in canonical
-form.
+loop of the product on G(k,n), blocks multiplied separately: it feeds
+`lr_double_product`, `bundles.tensor`, which puts its items in canonical
+form, and the window check, which reads them raw.
 """
 
 from __future__ import annotations

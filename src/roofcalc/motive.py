@@ -8,7 +8,7 @@ numeric identities actually consume; the affine line maps to the monomial uv.
 from __future__ import annotations
 
 from .errors import AmbiguityError, ExcludedCaseError, RankError
-from .hodge import HodgeDiamond, ambient_diamond
+from .hodge import HodgeDiamond, _gaussian_binomial
 from .weights import Value
 
 
@@ -66,8 +66,11 @@ def lefschetz_power(k: int) -> EPoly:
 
 
 def epoly_grassmannian(k: int, n: int) -> EPoly:
-    """E(G(k,n)): diagonal with Gaussian binomial coefficients."""
-    return epoly_of_diamond(ambient_diamond(k, n))
+    """E(G(k,n)): diagonal, (uv)^p with the coefficient of q^p in the
+    Gaussian binomial [n choose k]_q."""
+    if not (1 <= k < n):
+        raise RankError(f"need 1 <= k < n, got ({k},{n})")
+    return EPoly.from_dict({(p, p): c for p, c in enumerate(_gaussian_binomial(k, n))})
 
 
 def epoly_projective(m: int) -> EPoly:

@@ -24,10 +24,18 @@ whether every pair reached that point by m = m_max.
 
 One loop (`_check_pairs`) serves both sides: it takes the labelled members
 and the atom A(2), and the two public checks differ only in those inputs.
-It expands every ordered pair on its own, although about half the pairs
-share their product dual(E) (x) E' with another pair: looking the product
-up costs as much as expanding it again.  Sym^m(A(2)) is built once per
-degree m.
+It builds no `BundleExpr` past the atom's Sym powers.  The pair product
+dual(E) (x) E' is expanded once per unordered pair by `lr._blockwise`; the
+transposed pair's product dual(E') (x) E is its dual, kept by the index pair
+until read.  A summand's margin upper[-1] - lower[0] is negative exactly
+when it is not fully ordered.  Every summand of a block product has at least
+the sum of its factors' margins, and the product of the two top terms has
+exactly that sum, so a degree m >= 1 multiplies only the pair terms whose
+margin and Sym^m(A(2))'s sum below 0, and a degree with none is fully
+ordered with no product at all.  It walks those block products directly:
+fully ordered items are dropped at once, and only the rest are put in
+canonical form, de-duplicated and sorted, in the order a `BundleExpr` would
+list them.  Sym^m(A(2)) is built once per degree m.
 """
 
 from __future__ import annotations
@@ -38,7 +46,10 @@ from . import bundles
 from .bundles import BundleExpr
 from .bwb import bott
 from .errors import RankError
-from .weights import DoubleWeight, Value, Weight, bar_move, enumerate_box
+from .lr import _blockwise
+from .weights import (
+    DoubleWeight, Value, Weight, bar_move, enumerate_box, negate_reverse,
+)
 
 
 class Collection(Value):
@@ -106,6 +117,20 @@ def bar_moved_collection(c: Collection) -> Collection:
     return Collection(c.k + 1, c.n, members)
 
 
+def _distinct(keys) -> list[DoubleWeight]:
+    """The distinct canonical forms of (upper, lower) blocks, in the
+    descending order of `bundles._expr`'s terms: both blocks shift by the
+    lower block's last entry, so that it ends in 0."""
+    seen = set()
+    for up, lo in keys:
+        c = lo[-1]
+        if c:
+            up = tuple(e - c for e in up)
+            lo = tuple(e - c for e in lo)
+        seen.add((up, lo))
+    return [DoubleWeight._trusted(up, lo) for up, lo in sorted(seen, reverse=True)]
+
+
 def _check_pairs(
     report: VanishingReport,
     members: list[tuple[Weight, DoubleWeight]],
@@ -113,35 +138,60 @@ def _check_pairs(
 ) -> VanishingReport:
     """Expand dual(w) (x) w' (x) Sym^m(atom) for every ordered pair of
     labelled members and 0 <= m <= report.m_max, recording failures under
-    the labels.  Bott runs only on summands that are not fully ordered, and
-    a pair's expansion stops at the first degree where every summand is
+    the labels.  Bott runs only on summands that are not fully ordered, a
+    degree multiplies only the pair terms that can give one, and a pair's
+    expansion stops at the first degree where every summand is fully ordered
     (see the module docstring); `tail_certified` is cleared for a pair that
     does not reach one by m_max.  Sym^m(atom) is built once, for the
     degrees some pair reaches."""
     # the early stop needs a globally generated atom
     assert bundles.is_globally_generated(atom), atom
     k, n = atom.ambient
+    q = n - k
     sym = cache(partial(bundles.sym_power, atom))
-    exprs = [
-        (label, bundles.irreducible(k, n, w.upper, w.lower)) for label, w in members
-    ]
-    for label, e in exprs:
-        dual_expr = bundles.dual(e)
-        for label_prime, e_prime in exprs:
+    # the product of pair (i, j), i < j, kept until pair (j, i) reads its dual
+    transposed: dict[tuple[int, int], list[DoubleWeight]] = {}
+    for i, (label, w) in enumerate(members):
+        dual_w = DoubleWeight._trusted(negate_reverse(w.upper), negate_reverse(w.lower))
+        for j, (label_prime, w_prime) in enumerate(members):
             report.checked_pairs += 1
-            pair_part = bundles.tensor(dual_expr, e_prime)
+            if j < i:
+                # dual(w) (x) w' is the dual of dual(w') (x) w
+                pair_part = _distinct(
+                    (negate_reverse(v.upper), negate_reverse(v.lower))
+                    for v in transposed.pop((j, i))
+                )
+            else:
+                pair_part = _distinct(
+                    key for key, _ in _blockwise(((dual_w, 1),), ((w_prime, 1),), k, q)
+                )
+                if j > i:
+                    transposed[i, j] = pair_part
+            # only terms whose margin and Sym^m's sum below 0 give summands
+            # that are not fully ordered (see the module docstring)
+            sym_margin = 0  # Sym^0 is O, so degree 0 is the pair product itself
             for m in range(report.m_max + 1):
-                # Sym^0 is O, so degree 0 is the pair product itself
-                product = bundles.tensor(pair_part, sym(m)) if m else pair_part
-                unordered = [w for w, _ in product.terms if not w.is_fully_ordered()]
-                for w in unordered:
-                    res = bott(w)
+                if m:
+                    [(s, _)] = sym(m).terms  # Sym^m of an atom is irreducible
+                    sym_margin = s.upper[-1] - s.lower[0]
+                live = [v for v in pair_part if v.upper[-1] - v.lower[0] + sym_margin < 0]
+                if not live:
+                    break
+                if m:
+                    # a fully ordered item stays so under the canonical shift
+                    live = _distinct(
+                        (up, lo)
+                        for (up, lo), _ in _blockwise(
+                            [(v, 1) for v in live], ((s, 1),), k, q
+                        )
+                        if up[-1] < lo[0]
+                    )
+                for v in live:
+                    res = bott(v)
                     if not res.acyclic and res.degree > 0:
                         report.failures.append(
-                            VanishingFailure(label, label_prime, m, res.degree, w.concat())
+                            VanishingFailure(label, label_prime, m, res.degree, v.concat())
                         )
-                if not unordered:
-                    break
             else:
                 report.tail_certified = False
     return report

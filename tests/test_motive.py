@@ -37,14 +37,20 @@ class TestEPolynomials:
         assert sum(epoly_projective(4).as_dict().values()) == 5
 
     def test_gaussian_binomial_symmetry(self):
-        # the diagonal of G(k,n) holds the Gaussian binomial [n choose k]_q
-        for n, k in [(5, 2), (6, 3), (8, 4)]:
-            coeffs = ambient_diamond(k, n).diagonal()
-            assert coeffs == coeffs[::-1]
-            assert sum(coeffs) == comb(n, k)
-            assert epoly_grassmannian(k, n).as_dict() == {
-                (i, i): c for i, c in enumerate(coeffs)
-            }
+        # the diagonal of G(k,n) holds the Gaussian binomial [n choose k]_q,
+        # and E(G(k,n)) is read off it without building the diamond
+        for n in range(2, 11):
+            for k in range(1, n):
+                d = ambient_diamond(k, n)
+                coeffs = d.diagonal()
+                assert coeffs == coeffs[::-1]
+                assert sum(coeffs) == comb(n, k)
+                assert epoly_grassmannian(k, n) == epoly_of_diamond(d), (k, n)
+
+    @pytest.mark.parametrize("k,n", [(0, 3), (3, 3)])
+    def test_grassmannian_out_of_range(self, k, n):
+        with pytest.raises(RankError):
+            epoly_grassmannian(k, n)
 
     def test_uv_swap_stability(self):
         p = (epoly_grassmannian(2, 6) * epoly_projective(3)).as_dict()

@@ -36,6 +36,14 @@ def test_tracer_patch_points_exist():
     assert verify.SUITES["paper"]
 
 
+def test_window_check_calls_the_traced_bott():
+    # the tracer patches every module attribute bound to bwb.bott; the
+    # window check's Bott calls reach the bwb.bott span only through this one
+    from roofcalc import bwb, windows
+
+    assert windows.bott is bwb.bott
+
+
 def test_tracer_chase_counters_exist():
     # the tracer sizes every propagated system by these three attributes
     system = chase.LinearSystem()

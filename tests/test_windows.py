@@ -1,9 +1,12 @@
+from collections import Counter
+from functools import partial
+
 import pytest
 
 from roofcalc import bundles, windows
 from roofcalc.bwb import bott
 from roofcalc.errors import RankError
-from roofcalc.weights import DoubleWeight, bar_move, enumerate_box
+from roofcalc.weights import DoubleWeight, bar_move, enumerate_box, negate_reverse
 from roofcalc.windows import (
     VanishingFailure,
     bar_moved_collection,
@@ -241,7 +244,8 @@ class TestSharedExpansion:
             for side, n, box_cap in (
                 [("minus", n, 1) for n in range(3, 8)]
                 + [("plus", n, 1) for n in range(4, 8)]
-                + [("minus", 4, 2), ("minus", 5, 2), ("minus", 4, 3)]
+                + [("minus", 4, 2), ("minus", 5, 2), ("minus", 4, 3), ("minus", 6, 2)]
+                + [("minus", 12, 1), ("plus", 10, 1)]
             )
         ]
         + [
@@ -252,6 +256,8 @@ class TestSharedExpansion:
                 ("minus", 4, 2), ("minus", 4, 3),
             )
         ]
+        # m_max 1 ends before some pair's first fully ordered degree
+        + [pytest.param("minus", 5, 1, 2, id="minus-5-2-m1")]
     )
 
     @staticmethod
@@ -272,46 +278,65 @@ class TestSharedExpansion:
         if box_cap > 1:
             assert want.failures
 
-    @pytest.mark.parametrize("side", ["minus", "plus"])
-    def test_work_done_once(self, monkeypatch, side):
-        n, m_max = 8, 8
+    # box cap 2 gives degrees whose multiplied terms also give fully ordered
+    # summands; box cap 1 gives none
+    @pytest.mark.parametrize(
+        "side,n,box_cap",
+        [
+            pytest.param("minus", 8, 1, id="minus"),
+            pytest.param("plus", 8, 1, id="plus"),
+            pytest.param("minus", 5, 2, id="minus-5-2"),
+        ],
+    )
+    def test_work_done_once(self, monkeypatch, side, n, box_cap):
+        m_max = 8
         if side == "minus":
-            k, weights = 1, [DoubleWeight((0,), lam) for lam in enumerate_box(n - 1, 1)]
+            k = 1
+            weights = [DoubleWeight((0,), lam) for lam in enumerate_box(n - 1, box_cap)]
             atom = bundles.twist(bundles.quotient_dual(1, n), 2)
-            check = check_tilting_minus
+            check = partial(check_tilting_minus, box_cap=box_cap)
         else:
             k, weights = 2, list(bar_moved_collection(kapranov_collection(1, n)))
             atom = bundles.twist(bundles.tautological(2, n), 2)
             check = check_tilting_plus
         exprs = [bundles.irreducible(k, n, w.upper, w.lower) for w in weights]
-        # degrees m >= 1 expanded per pair: up to the first fully ordered one
+        # degrees m >= 1 expanded per pair: those before the first fully
+        # ordered one, which is known from the block margins alone
         expanded = 0
         for e in exprs:
             for e_prime in exprs:
                 p = bundles.tensor(bundles.dual(e), e_prime)
-                expanded += next(
+                first = next(
                     (
                         m for m in range(m_max + 1)
                         if bundles.is_globally_generated(
                             bundles.tensor(p, bundles.sym_power(atom, m))
                         )
                     ),
-                    m_max,
+                    m_max + 1,
                 )
+                expanded += max(first - 1, 0)
+        syms = [list(bundles.sym_power(atom, m).terms) for m in range(1, m_max + 1)]
         bott_args = []
+        products = []
         tensor_calls = 0
-        tensor = bundles.tensor
+        blockwise = windows._blockwise
 
         def counted_bott(w):
             bott_args.append(w)
             return bott(w)
 
+        def counted_blockwise(a_terms, b_terms, k, q):
+            a_terms, b_terms = list(a_terms), list(b_terms)
+            products.append((a_terms, b_terms))
+            return blockwise(a_terms, b_terms, k, q)
+
         def counted_tensor(a, b):
             nonlocal tensor_calls
             tensor_calls += 1
-            return tensor(a, b)
 
         monkeypatch.setattr(windows, "bott", counted_bott)
+        monkeypatch.setattr(windows, "_blockwise", counted_blockwise)
         monkeypatch.setattr(bundles, "tensor", counted_tensor)
         report = check(n, m_max)
         assert bott_args
@@ -319,6 +344,28 @@ class TestSharedExpansion:
         pairs = len(exprs) ** 2
         assert report.checked_pairs == pairs
         assert expanded < pairs * m_max
-        # one tensor per pair, one per expanded degree m >= 1 (degree 0 is
-        # the pair product itself)
-        assert tensor_calls == pairs + expanded
+        # one block product per expanded degree m >= 1, and no BundleExpr
+        assert sum(b in syms for _, b in products) == expanded
+        assert tensor_calls == 0
+
+        # the rest are pair products dual(w_i) (x) w_j, each of one term;
+        # a member is known by its blocks up to a common shift
+        def key(up, lo):
+            return tuple(e - lo[-1] for e in up + lo)
+
+        index = {key(w.upper, w.lower): i for i, w in enumerate(weights)}
+
+        def member(w):
+            return index[key(w.upper, w.lower)]
+
+        def dual(w):
+            return index[key(negate_reverse(w.upper), negate_reverse(w.lower))]
+
+        pair_products = Counter(
+            frozenset((dual(a), member(b)))
+            for [(a, _)], [(b, _)] in (p for p in products if p[1] not in syms)
+        )
+        # each unordered pair once: its transpose is read as the dual
+        assert pair_products == Counter(
+            frozenset((i, j)) for i in range(len(weights)) for j in range(i, len(weights))
+        )
