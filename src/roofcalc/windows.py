@@ -29,13 +29,13 @@ dual(E) (x) E' is expanded once per unordered pair by `lr._blockwise`; the
 transposed pair's product dual(E') (x) E is its dual, kept by the index pair
 until read.  A summand's margin upper[-1] - lower[0] is negative exactly
 when it is not fully ordered.  Every summand of a block product has at least
-the sum of its factors' margins, and the product of the two top terms has
-exactly that sum, so a degree m >= 1 multiplies only the pair terms whose
-margin and Sym^m(A(2))'s sum below 0, and a degree with none is fully
-ordered with no product at all.  It walks those block products directly:
-fully ordered items are dropped at once, and only the rest are put in
-canonical form, de-duplicated and sorted, in the order a `BundleExpr` would
-list them.  Sym^m(A(2)) is built once per degree m.
+the sum of its factors' margins, and the summand whose blocks are the sums
+of the factors' blocks has exactly that sum, so a degree m >= 1 multiplies
+only the pair terms whose margin and Sym^m(A(2))'s sum below 0, and a degree
+with none is fully ordered with no product at all.  It walks those block
+products directly: fully ordered items are dropped at once, and only the
+rest are put in canonical form, de-duplicated and sorted, in the order a
+`BundleExpr` would list them.  Sym^m(A(2)) is built once per degree m.
 """
 
 from __future__ import annotations
