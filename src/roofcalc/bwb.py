@@ -20,43 +20,58 @@ sign (-1)^(within-block inversions), or zero if that has a repeat.  Since
 rho_G - rho_L is constant on each block, Bott's theorem then acts on the
 same sequence seq = lam + nu + rho_G, sorted within blocks.
 
-One walk, `_sequences`, yields every such seq without a repeated entry, and
-`tensor_cohomology` and `euler_characteristic` read it.  `bott` is the case
-W trivial, with the one seq lam + rho_G, so it tests that for a repeat
-directly.  W may be graded, W = (W_0, W_1, ...), as the Koszul layers
-wedge^s F* are; a `Character` holds every layer under one mask layout, so
-each term's gaps are marked once.  The repeat test is one AND of two
-bitmasks.  Entries i < j of seq = s + nu, with s = lam + rho_G, collide
-exactly when s_i - s_j = nu_j - nu_i.  A `Character` is prepared once, where it is built: each
-active pair (i, j) gives each distinct value of nu_j - nu_i over the
-weights a bit of its own, and each weight's mask holds its value's bit for
-every pair.  Masks thus grow with the number of weights, never with the
-size of their entries.  Per term the walk sets, once, the bit of each gap
-s_i - s_j that some weight takes, and keeps nu only when its mask misses
-all of them.  The active pairs are every cross-block pair and each
-same-block pair whose two character columns differ: if the columns are
-identical, nu_j - nu_i = 0, and s is strictly decreasing within each block,
-so that pair never collides.
+One walk, `_walk`, finds every such seq without a repeated entry, and
+`tensor_cohomology` and `euler_characteristic` read it.  Their input E is a
+sum of (upper + lower, multiplicity) items in any uniform shift (no
+canonical form is needed: the collisions, the Vandermonde and the Bott
+degree read differences alone).  `bott` is the case W trivial, with the one
+seq lam + rho_G, so it tests that for a repeat directly.  W may be graded,
+W = (W_0, W_1, ...), as the Koszul layers wedge^s F* are; a `Character`
+holds every layer under one mask layout, so each term's gaps are marked
+once.  The repeat test is one AND of two bitmasks.  Entries i < j of
+seq = s + nu, with s = lam + rho_G, collide exactly when
+s_i - s_j = nu_j - nu_i.  A `Character` is prepared once, where it is
+built: each active pair (i, j) gives each distinct value of nu_j - nu_i
+over the weights a bit of its own, and each weight's mask holds its value's
+bit for every pair.  Masks thus grow with the number of weights, never with
+the size of their entries.  The active pairs are every cross-block pair
+and each same-block pair whose two character columns differ; the others,
+inactive, have identical columns, so nu_j - nu_i = 0 for every weight, and
+s is strictly decreasing within each block, so they never collide.
 
-The Vandermonde prod_{i<j} (seq_i - seq_j) carries the Klimyk sign times
-(-1)^degree, degree being the cross-block inversions of seq.
-`euler_characteristic` sums it times (-1)^s c, which is chi(E (x) sum_s
-(-1)^s W_s), as the sum is linear.  `tensor_cohomology` buckets (-1)^degree
-c times it by (s, degree): terms that cancel are the same L-irreducible, in
-the same layer and degree, so each bucket is one dimension times
-prod (j - i), and `_weyl_quotient` divides it exactly.  (Buckets by degree
-alone would, with the signs (-1)^s c, subtract the dimensions of different
-layers.)  The totals are keyed by the antidiagonal m = degree - s.
+Per term the walk computes the active gaps s_i - s_j once, sets the bit of
+each that some weight takes, and keeps nu only when its mask misses all of
+them.  The Vandermonde prod_{i<j} (seq_i - seq_j) of a kept nu is the
+product of the inactive gaps, which no weight moves and which the walk
+takes once per term with a survivor, times the product of gap + offset over
+the active pairs, offset = nu_i - nu_j.  A record's offsets are computed
+the first time it survives and then kept, so a large character that few
+terms reach never holds them all.  Each survivor costs one product.
+
+The Vandermonde carries the Klimyk sign times (-1)^degree, degree being the
+cross-block inversions of seq, that is, the negative cross factors (the
+cross pairs lead the active ones).  `euler_characteristic` sums it times
+(-1)^s c, which is chi(E (x) sum_s (-1)^s W_s), as the sum is linear.
+`tensor_cohomology` buckets (-1)^degree c times it by (s, degree): terms
+that cancel are the same L-irreducible, in the same layer and degree, so
+each bucket is one dimension times prod (j - i) = 0! 1! ... (n-1)!, and
+`_weyl_quotient` divides it exactly.  (Buckets by degree alone would, with
+the signs (-1)^s c, subtract the dimensions of different layers.)  The
+totals are keyed by the antidiagonal m = degree - s.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import combinations, product, repeat, starmap
+from functools import cache
+from itertools import combinations, compress, product, repeat, starmap
 from math import factorial, prod
-from operator import add, lt, sub
+from operator import add, gt, itemgetter, lt, sub
 
 from .weights import DoubleWeight, Value, Weight, check_dominant
+
+# (upper + lower, multiplicity): one summand of a bundle, in any uniform shift
+Item = tuple[Weight, int]
 
 
 class BottResult(Value):
@@ -76,65 +91,120 @@ def rho(n: int) -> Weight:
     return tuple(range(n - 1, -1, -1))
 
 
-def _weyl_quotient(num: int, n: int) -> int:
-    """A Weyl numerator (or a sum of them) over prod_{i<j} (j - i), which is
-    0! 1! ... (n-1)!; exact and non-negative by the Weyl dimension formula."""
-    q, r = divmod(num, prod(map(factorial, range(n))))
-    assert r == 0 and q >= 0, (num, n)
+@cache
+def _superfactorial(n: int) -> int:
+    """0! 1! ... (n-1)! = prod_{i<j<n} (j - i), the Weyl denominator of GL(n)."""
+    return prod(map(factorial, range(n)))
+
+
+def _weyl_quotient(num: int, denominator: int) -> int:
+    """A Weyl numerator (or a sum of them) over the superfactorial
+    `denominator`; exact and non-negative by the Weyl dimension formula."""
+    if not num:
+        return 0
+    q, r = divmod(num, denominator)
+    assert r == 0 and q >= 0, (num, denominator)
     return q
 
 
+def _getter(indices: list[int]):
+    """The entries at `indices` of a sequence, as a tuple, for any count."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices) if indices else lambda seq: ()
+
+
 class Character:
-    """A torus character of GL(k) x GL(n-k), in layers, prepared for `_sequences`.
+    """A torus character of GL(k) x GL(n-k), in layers, prepared for `_walk`.
 
     Built from a list of layers (a plain character is one layer), layers[s]
     mapping each weight (upper block, then lower block) to its multiplicity,
     which may be negative.  `pairs` lists (i, j, bits) for each active pair,
-    bits mapping each value of nu_j - nu_i over all weights to a bit of its
-    own; `weights` lists (nu, s, (-1)^s c, mask), mask holding the bit of
-    nu_j - nu_i of every pair (see the module docstring).
+    the k(n-k) cross-block pairs first, bits mapping each value of
+    nu_j - nu_i over all weights to a bit of its own; `bits` lists those
+    maps alone.  Record r is the weight `weights[r]` of layer `layers[r]`,
+    with coefficient (-1)^s c in `coefficients[r]` and `masks[r]` holding
+    the bit of nu_j - nu_i of every active pair (see the module docstring).
+    `active` and `inactive` read the left and right entries of the active
+    and of the inactive pairs off a sequence.  `offsets[r]` holds record r's
+    nu_i - nu_j over the active pairs once r has survived a term, and None
+    before.
     """
 
-    __slots__ = ("n", "pairs", "weights")
+    __slots__ = (
+        "n", "pairs", "bits", "cross", "active", "inactive", "weights", "layers",
+        "coefficients", "masks", "offsets", "superfactorial",
+    )
 
     def __init__(self, layers: list[dict[Weight, int]], k: int, n: int):
         self.n = n
         union = dict.fromkeys(nu for layer in layers for nu in layer)
         columns = list(zip(*union)) or [()] * n
+        cross = [(i, j) for i in range(k) for j in range(k, n)]
+        same = [
+            (i, j) for block in (range(k), range(k, n)) for i, j in combinations(block, 2)
+        ]
+        # nu_j - nu_i = 0 at a pair with identical columns, and s is strictly
+        # decreasing within a block, so such a pair never collides
+        inactive = [(i, j) for i, j in same if columns[i] == columns[j]]
         pairs = []
         width = 0
-        for i, j in combinations(range(n), 2):
-            if i < k <= j or columns[i] != columns[j]:
-                diffs = dict.fromkeys(map(sub, columns[j], columns[i]))
-                bits = {d: 1 << b for b, d in enumerate(diffs, width)}
-                width += len(bits)
-                pairs.append((i, j, bits))
-        self.pairs = tuple(pairs)
-        self.weights = tuple(
-            (nu, s, -c if s & 1 else c, sum(bits[nu[j] - nu[i]] for i, j, bits in pairs))
-            for s, layer in enumerate(layers)
-            for nu, c in layer.items()
-        )
+        for i, j in cross + [(i, j) for i, j in same if columns[i] != columns[j]]:
+            diffs = dict.fromkeys(map(sub, columns[j], columns[i]))
+            pairs.append((i, j, {d: 1 << b for b, d in enumerate(diffs, width)}))
+            width += len(diffs)
+        self.pairs, self.cross = tuple(pairs), len(cross)
+        self.bits = tuple(bits for _, _, bits in pairs)
+        self.active = tuple(_getter([p[e] for p in pairs]) for e in (0, 1))
+        self.inactive = tuple(_getter([p[e] for p in inactive]) for e in (0, 1))
+        self.weights = [nu for layer in layers for nu in layer]
+        self.layers = [s for s, layer in enumerate(layers) for _ in layer]
+        self.coefficients = [
+            -c if s & 1 else c for s, layer in enumerate(layers) for c in layer.values()
+        ]
+        self.masks = [
+            sum(bits[nu[j] - nu[i]] for i, j, bits in pairs) for nu in self.weights
+        ]
+        self.offsets: list[Weight | None] = [None] * len(self.weights)
+        self.superfactorial = _superfactorial(n)
+
+    def _fill(self, keep: list[bool]) -> None:
+        """Compute the offsets of the kept records that have none yet."""
+        left, right = self.active
+        for r in compress(range(len(keep)), keep):
+            if self.offsets[r] is None:
+                nu = self.weights[r]
+                self.offsets[r] = tuple(map(sub, left(nu), right(nu)))
 
 
-def _sequences(
-    terms: Iterable[tuple[DoubleWeight, int]], character: Character
-) -> Iterator[tuple[int, int, Weight]]:
-    """(mult * (-1)^s c, s, seq) for each term (lam, mult) and weight nu of
-    multiplicity c in layer s of `character`, with seq = lam + nu + rho,
-    skipping every seq with a repeated entry (it has no cohomology).  The
-    gaps of lam + rho are marked once per term, and a weight is skipped when
-    its collision mask meets them, before its seq is built."""
+def _walk(
+    items: Iterable[Item], character: Character
+) -> Iterator[tuple[int, Weight, int, list[bool], list[Weight]]]:
+    """(mult, gaps, fixed, keep, offsets) for each item (seq, mult) that
+    some record of `character` keeps.  With s = seq + rho, gaps lists
+    s_i - s_j over the active pairs and fixed is the product of s_i - s_j
+    over the inactive ones; keep flags each record nu whose sequence s + nu
+    has no repeated entry, and offsets lists the kept records' offsets in
+    order.  A kept record's Vandermonde is fixed times the product of
+    gaps + offsets.  The gaps' bits are marked once per item, and a record
+    is dropped when its collision mask meets them."""
     r = rho(character.n)
-    pairs, weights = character.pairs, character.weights
-    for w, mult in terms:
-        shifted = tuple(map(add, w.concat(), r))
-        gaps = 0
-        for i, j, bits in pairs:
-            gaps |= bits.get(shifted[i] - shifted[j], 0)
-        for nu, s, c, mask in weights:
-            if not mask & gaps:
-                yield mult * c, s, tuple(map(add, shifted, nu))
+    (left, right), (ileft, iright) = character.active, character.inactive
+    bits, masks, offsets = character.bits, character.masks, character.offsets
+    for seq, mult in items:
+        s = tuple(map(add, seq, r))
+        gaps = tuple(map(sub, left(s), right(s)))
+        # each active pair holds its own bits, so the sum is their union
+        marks = sum(map(dict.get, bits, gaps, repeat(0)))
+        keep = [not mask & marks for mask in masks]
+        live = list(compress(offsets, keep))
+        if not live:
+            continue
+        if None in live:
+            character._fill(keep)
+            live = list(compress(offsets, keep))
+        yield mult, gaps, prod(map(sub, ileft(s), iright(s))), keep, live
 
 
 def _degree(seq: Weight, k: int) -> int:
@@ -155,7 +225,7 @@ def bott(w: DoubleWeight) -> BottResult:
         return BottResult(acyclic=True)
     # both blocks are dominant, so all inversions are cross-block ones
     weight = tuple(map(sub, sorted(seq, reverse=True), rho(n)))
-    dim = _weyl_quotient(abs(_vandermonde(seq)), n)
+    dim = _weyl_quotient(abs(_vandermonde(seq)), _superfactorial(n))
     return BottResult(False, _degree(seq, w.k), weight, dim)
 
 
@@ -179,36 +249,44 @@ def gl_dimension(mu: Weight) -> int:
     return num // den
 
 
-def tensor_cohomology(expr: "BundleExpr", character: Character) -> dict[int, int]:
+def tensor_cohomology(items: Iterable[Item], character: Character) -> dict[int, int]:
     """Totals of H^*(G(k,n), E (x) W_s) on antidiagonals, by Klimyk and Bott.
 
-    E is `expr`; the layers W_s of `character` are representations of
-    GL(k) x GL(n-k).  Entry m sums dim H^{m+s}(E (x) W_s) over s; for one
-    layer, it is the dimension in degree m.  Zero totals are left out.  See
-    the module docstring for why the signed sums are exact.
+    E is the sum of the `items` (upper + lower, multiplicity); the layers W_s
+    of `character` are representations of GL(k) x GL(n-k).  Entry m sums
+    dim H^{m+s}(E (x) W_s) over s; for one layer, it is the dimension in
+    degree m.  Zero totals are left out.  See the module docstring for why
+    the signed sums are exact.
     """
-    k, n = expr.ambient
+    zeros = (0,) * character.cross  # the cross factors lead each product
     buckets: dict[tuple[int, int], int] = {}
-    for c, s, seq in _sequences(expr.terms, character):
-        key = (s, _degree(seq, k))
-        num = _vandermonde(seq)
-        buckets[key] = buckets.get(key, 0) + (-c if (key[1] - s) & 1 else c) * num
+    for mult, gaps, fixed, keep, live in _walk(items, character):
+        scale = mult * fixed
+        records = zip(compress(character.layers, keep), compress(character.coefficients, keep))
+        for (s, c), offsets in zip(records, live):
+            factors = tuple(map(add, gaps, offsets))
+            degree = sum(map(gt, zeros, factors))  # the negative cross factors
+            num = scale * c * prod(factors)
+            key = (s, degree)
+            buckets[key] = buckets.get(key, 0) + (-num if (degree - s) & 1 else num)
     out: dict[int, int] = {}
     for (s, degree), num in sorted(buckets.items()):
-        dim = _weyl_quotient(num, n)
+        dim = _weyl_quotient(num, character.superfactorial)
         if dim:
             out[degree - s] = out.get(degree - s, 0) + dim
     return out
 
 
-def euler_characteristic(expr: "BundleExpr", character: Character) -> int:
-    """chi(G(k,n), E (x) W) with E = `expr` and W = sum_s (-1)^s W_s over the
-    layers of `character`, as in `tensor_cohomology`; W may be virtual
-    (negative multiplicities).
+def euler_characteristic(items: Iterable[Item], character: Character) -> int:
+    """chi(G(k,n), E (x) W) with E the sum of the `items` and
+    W = sum_s (-1)^s W_s over the layers of `character`, as in
+    `tensor_cohomology`; W may be virtual (negative multiplicities).
 
     The sum of the Vandermondes of the walk; see the module docstring.
     """
-    walk = _sequences(expr.terms, character)
-    num = sum(c * _vandermonde(seq) for c, _, seq in walk)
-    chi = _weyl_quotient(abs(num), character.n)
+    num = 0
+    for mult, gaps, fixed, keep, live in _walk(items, character):
+        coefficients = compress(character.coefficients, keep)
+        num += mult * fixed * sum([c * prod(map(add, gaps, o)) for c, o in zip(coefficients, live)])
+    chi = _weyl_quotient(abs(num), character.superfactorial)
     return chi if num >= 0 else -chi

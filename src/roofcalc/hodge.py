@@ -4,10 +4,13 @@ For X = Z(s) with s a general section of a globally generated, completely
 reducible bundle F of rank r, h^{p,q}(X) = h^q(X, Omega^p_X) is computed by
 one of two routes, chosen by `bundles.is_ample(F)` and dim X.  Both read
 the same Koszul stage: `_conormal_rows` yields, for each degree j, the terms
-Sym^{j-t} F* (x) Omega^t_G of wedge^j of the conormal sequence; one
-binomial fold of F* (`bundles.sym_powers`) gives Sym^0..top F*, each
-Omega^t is built once, and `bundles.wedge_characters` gives the
-torus characters of the wedge^s F* that resolve their restrictions to X.
+Sym^{j-t} F* (x) Omega^t_G of wedge^j of the conormal sequence, each as
+the merged (upper + lower, multiplicity) items of its block products
+(`lr._blockwise`), never put in canonical `BundleExpr` form, since chi and
+the Bott degree do not change when both blocks shift alike; one binomial
+fold of F* (`bundles.sym_powers`) gives Sym^0..top F*, each Omega^t is
+built once, and `bundles.wedge_characters` gives the torus characters of
+the wedge^s F* that resolve their restrictions to X.
 `_koszul_character` prepares those once per spec, as the layers s of one
 `bwb.Character` with one collision-mask layout, and the degree check, the
 Euler kernel and the chase all read that one character.
@@ -24,8 +27,9 @@ Euler kernel and the chase all read that one character.
      chi(G, base (x) lambda_{-1} F*), with lambda_{-1} F* = sum_s (-1)^s
      wedge^s F*, summed by the signed Vandermonde kernel
      `bwb.euler_characteristic` over the layers of the Koszul character (the
-     sum is linear, so the layers need no merging).  No per-degree totals,
-     no linear system.
+     sum is linear, so the layers need no merging), which multiplies per
+     surviving weight only the factors a weight can move.  No per-degree
+     totals, no linear system.
   2. Chase route, for every other F with dim X > 0 (e.g. U*, Q or
      U* + O(1) on G(2,5)).
      Every term (Sym^{p-t} F* (x) Omega^t_G)|_X of the exterior power of
@@ -88,7 +92,8 @@ from .errors import (
     RankError,
     WorkLimitError,
 )
-from .weights import Value
+from .lr import _blockwise
+from .weights import Value, Weight
 
 # Limit on n^2 prod (m+1)^(rank A) over the summands m*A of F, a measure of
 # the Koszul character's size.  Each copy of an atom A adds a 0/1 vector on
@@ -98,9 +103,10 @@ from .weights import Value
 # Each record is prepared once into a collision mask with one bit for each
 # of up to n^2/2 position pairs (masks grow with the number of weights, not
 # with the size of the twist); per term the walk marks up to n^2/2 gaps
-# once, a record whose mask meets them costs one AND, and a surviving one
-# its sequence and a Vandermonde of n^2/2 factors.  The measure does not
-# count the conormal terms.  Q*(2) on P^18 (the pair at (1,19)) is at 9.5e7,
+# once, a record whose mask meets them costs one AND, and a surviving one a
+# product of its active factors, up to n^2/2 of them (its offsets are
+# computed once, when it first survives).  The measure does not count the
+# conormal terms.  Q*(2) on P^18 (the pair at (1,19)) is at 9.5e7,
 # the pair bundles up to G(8,15) at 57600, and 1200 copies of O(1) on
 # P^1299 at 2.0e9.
 MAX_KOSZUL_WORK = 10**8
@@ -234,13 +240,23 @@ def ambient_diamond(k: int, n: int) -> HodgeDiamond:
 def _conormal_rows(spec: ZeroLocusSpec, top: int):
     """Rows j = 0..top of the exterior powers of the conormal sequence:
     row j lists Sym^{j-t} F* (x) Omega^t_G for t = 0..j, before restriction
-    to X.  One fold of F* gives Sym^0..top F*; each Omega^t is built once,
-    when its row comes up."""
+    to X, each as merged (upper + lower, multiplicity) items straight from
+    `lr._blockwise`, in no canonical shift: chi and the Bott degree do not
+    change when both blocks shift alike.  One fold of F* gives Sym^0..top F*;
+    each Omega^t is built once, when its row comes up."""
+    k, n = spec.k, spec.n
     syms = bundles.sym_powers(bundles.dual(spec.bundle), top)
     omegas: list[BundleExpr] = []
     for j in range(top + 1):
-        omegas.append(bundles.cotangent_power(spec.k, spec.n, j))
-        yield [bundles.tensor(syms[j - t], omegas[t]) for t in range(j + 1)]
+        omegas.append(bundles.cotangent_power(k, n, j))
+        row = []
+        for t in range(j + 1):
+            merged: dict[Weight, int] = {}
+            for (up, lo), m in _blockwise(syms[j - t].terms, omegas[t].terms, k, n - k):
+                key = up + lo
+                merged[key] = merged.get(key, 0) + m
+            row.append(list(merged.items()))
+        yield row
 
 
 def _koszul_character(spec: ZeroLocusSpec) -> Character:
@@ -274,11 +290,12 @@ def _euler_columns(spec: ZeroLocusSpec, koszul: Character, top: int) -> list[int
 def _degree(spec: ZeroLocusSpec, koszul: Character) -> int:
     """deg X = c_r(F) H^d, the d-th finite difference of m -> chi(X, O(m)):
     sum_{m=0..d} (-1)^{d-m} C(d,m) chi(X, O(m)), each by the Euler kernel
-    on `koszul`, whose layers wedge^s F* sum to lambda_{-1} F*."""
-    d = spec.dim
+    on `koszul`, whose layers wedge^s F* sum to lambda_{-1} F*; O(m) is the
+    one item (m^k | 0^(n-k))."""
+    d, k = spec.dim, spec.k
     return sum(
         (-1) ** (d - m) * comb(d, m)
-        * euler_characteristic(bundles.line(spec.k, spec.n, m), koszul)
+        * euler_characteristic([((m,) * k + (0,) * (spec.n - k), 1)], koszul)
         for m in range(d + 1)
     )
 

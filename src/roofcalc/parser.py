@@ -14,9 +14,11 @@ The ambient G(k,n) is supplied by the caller, not the text.
 
 from __future__ import annotations
 
+from math import comb
+
 from . import bundles
 from .bundles import BundleExpr
-from .errors import ParseError
+from .errors import ParseError, RankError
 
 # Deepest nesting of '(', 'Sym^m(', 'Wedge^m(' and 'Dual(' accepted; each
 # level costs three Python frames, so the cap keeps well inside the
@@ -99,7 +101,9 @@ class _Parser:
         if s.eat("Sym^"):
             m = s.integer()
             s.expect("(")
-            return bundles.sym_power(self.nested(), m)
+            inner = self.nested()
+            self.check_sym_rank(inner, m)
+            return bundles.sym_power(inner, m)
         if s.eat("Wedge^"):
             m = s.integer()
             s.expect("(")
@@ -127,6 +131,23 @@ class _Parser:
             if s.eat(name):
                 return builder(self.k, self.n)
         raise ParseError("expected an atom, Sym^, Wedge^, Dual or '('", s.pos)
+
+    def check_sym_rank(self, a: BundleExpr, m: int) -> None:
+        """Reject Sym^m of a sum of r atoms, one of rank >= 2, before the
+        fold when m >= 2 and C(r+m-1, m) > dim G.  Each of the C(r+m-1, m)
+        splittings of m over the atoms gives a summand of rank >= 1, so the
+        power's rank, C(R+m-1, m) for R = rank a, exceeds dim G too, and no
+        zero locus has such a summand; the fold would take time polynomial
+        in m to find that out."""
+        atoms = [(bundles._atom_of(w), mult) for w, mult in a.terms]
+        if m < 2 or any(atom is None for atom, _ in atoms):
+            return  # a non-atom needs a plethysm, which sym_power refuses
+        sizes = [(bundles._atom_rank(atom[0], self.k, self.n), mult) for atom, mult in atoms]
+        r = sum(mult for _, mult in sizes)
+        dim = self.k * (self.n - self.k)
+        if any(size >= 2 for size, _ in sizes) and comb(r + m - 1, m) > dim:
+            rank = comb(sum(size * mult for size, mult in sizes) + m - 1, m)
+            raise RankError(f"rank {rank} of Sym^{m} exceeds dim G = {dim}")
 
     def block_name(self) -> str:
         for name in ("UD", "QD", "U", "Q"):

@@ -27,8 +27,9 @@ and the atom A(2), and the two public checks differ only in those inputs.
 It builds no `BundleExpr` past the atom's Sym powers.  The pair product
 dual(E) (x) E' is expanded once per unordered pair by `lr._blockwise`; the
 transposed pair's product dual(E') (x) E is its dual, kept by the index pair
-until read.  A summand's margin upper[-1] - lower[0] is negative exactly
-when it is not fully ordered.  Every summand of a block product has at least
+until read and put in canonical form in one pass (the dual is injective, so
+nothing needs de-duplicating).  A summand's margin upper[-1] - lower[0] is
+negative exactly when it is not fully ordered.  Every summand of a block product has at least
 the sum of its factors' margins, and the summand whose blocks are the sums
 of the factors' blocks has exactly that sum, so a degree m >= 1 multiplies
 only the pair terms whose margin and Sym^m(A(2))'s sum below 0, and a degree
@@ -131,6 +132,21 @@ def _distinct(keys) -> list[DoubleWeight]:
     return [DoubleWeight._trusted(up, lo) for up, lo in sorted(seen, reverse=True)]
 
 
+def _dual_distinct(terms: list[DoubleWeight]) -> list[DoubleWeight]:
+    """The canonical forms of the duals of distinct canonical terms, in
+    `_distinct`'s order.  A canonical lower block ends in 0, so the dual of
+    (upper, lower) shifted to end in 0 is lower[0] - e over each reversed
+    block; the dual is injective, so the terms stay distinct."""
+    keys = []
+    for v in terms:
+        c = v.lower[0]
+        keys.append(
+            (tuple([c - e for e in reversed(v.upper)]), tuple([c - e for e in reversed(v.lower)]))
+        )
+    keys.sort(reverse=True)
+    return [DoubleWeight._trusted(up, lo) for up, lo in keys]
+
+
 def _check_pairs(
     report: VanishingReport,
     members: list[tuple[Weight, DoubleWeight]],
@@ -157,10 +173,7 @@ def _check_pairs(
             report.checked_pairs += 1
             if j < i:
                 # dual(w) (x) w' is the dual of dual(w') (x) w
-                pair_part = _distinct(
-                    (negate_reverse(v.upper), negate_reverse(v.lower))
-                    for v in transposed.pop((j, i))
-                )
+                pair_part = _dual_distinct(transposed.pop((j, i)))
             else:
                 pair_part = _distinct(
                     key for key, _ in _blockwise(((dual_w, 1),), ((w_prime, 1),), k, q)

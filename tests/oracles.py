@@ -196,3 +196,9 @@ def check_diamond(grid: list[list[tuple[int, int]]], chis: list[int]) -> None:
         hi = sum(-a if q % 2 else b for q, (a, b) in enumerate(grid[p]))
         if not lo <= chi <= hi:
             raise AssertionError(f"Euler column {p}: chi={chi} outside [{lo},{hi}]")
+
+
+def expr_items(expr) -> list[tuple[tuple[int, ...], int]]:
+    """A `BundleExpr`'s terms as the (upper + lower, multiplicity) items
+    that `bwb.tensor_cohomology` and `bwb.euler_characteristic` read."""
+    return [(w.concat(), m) for w, m in expr.terms]

@@ -111,6 +111,29 @@ class TestAtomsOnlyZeroLocus:
         assert "U, UD, Q, QD, O(t)" in line
 
 
+class TestSymOfASumBeforeTheFold:
+    def test_huge_power_exits_at_once(self, capsys):
+        t0 = time.perf_counter()
+        code, line = run_cli_error(
+            capsys, "hodge", "--k", "2", "--n", "5", "--bundle", "Sym^2000(UD+Q)"
+        )
+        assert time.perf_counter() - t0 < 1
+        assert code == 3
+        # C(5 + 1999, 2000): UD + Q has rank 5 on G(2,5)
+        assert line == "precondition violated: rank 670005837501 of Sym^2000 exceeds dim G = 6"
+
+    @pytest.mark.parametrize("text", ["Sym^2(UD+Q)", "Sym^3(UD+Q)", "Sym^9(UD)", "Sym^9(O(1)+O(2))"])
+    def test_small_powers_still_parse(self, text):
+        # two atoms in degree 2 or 3 split at most C(4,3) = 4 <= 6 ways; one
+        # atom never folds; a sum of line bundles is not screened
+        assert bundles.rank(parse_bundle(text, 2, 5)) > 0
+
+    def test_wrapped_power_is_rejected_too(self):
+        # Sym^0 of the power would be O, but the power is never built
+        with pytest.raises(RankError, match="exceeds dim G = 6"):
+            parse_bundle("Sym^0(Sym^7(UD+Q))", 2, 5)
+
+
 class TestWorkLimit:
     @pytest.mark.parametrize("atom", ["O(1)", "O(0)"])  # Lefschetz and chase routes
     def test_1200_summands_exit_at_once(self, capsys, atom):

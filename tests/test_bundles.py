@@ -10,7 +10,7 @@ from roofcalc.weights import DoubleWeight, is_dominant
 
 from roofcalc.parser import parse_bundle
 
-from oracles import projective_space_omega_cohomology, schur_polynomial
+from oracles import expr_items, projective_space_omega_cohomology, schur_polynomial
 
 
 def recursive_power(a, m, label):
@@ -323,7 +323,7 @@ class TestCotangentPower:
             (-1) ** (t + d) * h
             for t in range(k * (n - k) + 1)
             for d, h in tensor_cohomology(
-                bundles.cotangent_power(k, n, t), Character([{(0,) * n: 1}], k, n)
+                expr_items(bundles.cotangent_power(k, n, t)), Character([{(0,) * n: 1}], k, n)
             ).items()
         )
         assert total == comb(n, k)
@@ -436,7 +436,8 @@ class TestAgainstProjectiveSpaceFormula:
             omega_p = bundles.cotangent_power(1, n + 1, p)
             for t in range(-6, 7):
                 totals = tensor_cohomology(
-                    bundles.twist(omega_p, t), Character([{(0,) * (n + 1): 1}], 1, n + 1)
+                    expr_items(bundles.twist(omega_p, t)),
+                    Character([{(0,) * (n + 1): 1}], 1, n + 1),
                 )
                 assert totals == projective_space_omega_cohomology(
                     n, p, t

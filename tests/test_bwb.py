@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, compress
 from math import factorial, prod
 
 import pytest
@@ -8,7 +8,8 @@ import pytest
 from roofcalc import bundles
 from roofcalc.bwb import (
     Character,
-    _sequences,
+    _vandermonde,
+    _walk,
     bott,
     euler_characteristic,
     gl_dimension,
@@ -18,7 +19,7 @@ from roofcalc.bwb import (
 from roofcalc.errors import DominanceError
 from roofcalc.weights import DoubleWeight
 
-from oracles import count_ssyt, partitions_up_to
+from oracles import count_ssyt, expr_items, partitions_up_to
 
 
 def irreducible_times(k, n, upper, lower, mult):
@@ -72,7 +73,7 @@ class TestBott:
             res = bott(w)
             # the single-weight walk agrees with the Klimyk walk on the trivial character
             e = bundles.irreducible(k, n, w.upper, w.lower)
-            assert tensor_cohomology(e, trivial(k, n)) == (
+            assert tensor_cohomology(expr_items(e), trivial(k, n)) == (
                 {} if res.acyclic else {res.degree: res.dimension}
             )
             # dual(E) (x) omega with omega = O(-n) is one irreducible term
@@ -105,7 +106,8 @@ def walk_bott(w):
     """Bott's algorithm read off the walk with the trivial character: the
     sorted seq, its inversions and the Weyl dimension, or acyclic."""
     n = w.n
-    for _, _, seq in _sequences(((w, 1),), trivial(w.k, n)):
+    for _ in _walk([(w.concat(), 1)], trivial(w.k, n)):
+        seq = tuple(a + r for a, r in zip(w.concat(), rho(n)))
         weight = tuple(e - r for e, r in zip(sorted(seq, reverse=True), rho(n)))
         degree = sum(a < b for a, b in combinations(seq, 2))
         return (False, degree, weight, gl_dimension(weight))
@@ -161,7 +163,7 @@ class TestBundleCohomology:
     @staticmethod
     def totals(expr):
         """Per-degree dimensions of H^*(E): E (x) the trivial representation."""
-        return tensor_cohomology(expr, trivial(expr.k, expr.n))
+        return tensor_cohomology(expr_items(expr), trivial(expr.k, expr.n))
 
     def test_structure_sheaf(self):
         assert self.totals(bundles.line(2, 5, 0)) == {0: 1}
@@ -215,11 +217,11 @@ class TestEulerCharacteristic:
                 c * (-1) ** degree * dim
                 for c, wedge in zip(coefficients, wedges)
                 for degree, dim in tensor_cohomology(
-                    expr, Character([wedge], k, n)
+                    expr_items(expr), Character([wedge], k, n)
                 ).items()
             )
             prepared = Character([character], k, n)
-            assert euler_characteristic(expr, prepared) == want
+            assert euler_characteristic(expr_items(expr), prepared) == want
             # the same sum from the graded character, layer s weighted (-1)^s,
             # with no weights merged across layers
             graded = Character(
@@ -230,7 +232,7 @@ class TestEulerCharacteristic:
                 k,
                 n,
             )
-            assert euler_characteristic(expr, graded) == want
+            assert euler_characteristic(expr_items(expr), graded) == want
             # the unfiltered sum: every sequence, repeats included, whose
             # Vandermonde is then 0
             num = sum(
@@ -241,14 +243,17 @@ class TestEulerCharacteristic:
             )
             superfactorial = prod(factorial(i) for i in range(n))
             assert num % superfactorial == 0
-            assert euler_characteristic(expr, prepared) == num // superfactorial
+            assert euler_characteristic(expr_items(expr), prepared) == num // superfactorial
 
     def test_line_bundles_on_projective_space(self):
         # chi(P^m, O(t)) = C(m+t, m) as a polynomial in t, negative values included
-        assert euler_characteristic(bundles.line(1, 5, 2), trivial(1, 5)) == 15
-        assert euler_characteristic(bundles.line(1, 5, -6), trivial(1, 5)) == 5
-        assert euler_characteristic(bundles.line(1, 4, -5), trivial(1, 4)) == -4
-        assert euler_characteristic(bundles.line(1, 4, -2), trivial(1, 4)) == 0
+        def chi(n, t):
+            return euler_characteristic(expr_items(bundles.line(1, n, t)), trivial(1, n))
+
+        assert chi(5, 2) == 15
+        assert chi(5, -6) == 5
+        assert chi(4, -5) == -4
+        assert chi(4, -2) == 0
 
 
 def reference_walk(terms, n, layers):
@@ -262,8 +267,26 @@ def reference_walk(terms, n, layers):
                     yield mult * (-1) ** s * c, s, seq
 
 
+def walk_sequences(terms, character):
+    """(mult * (-1)^s c, s, seq) for each (term, record) pair that
+    `bwb._walk` keeps, seq = lam + nu + rho, read off the walk's keep flags;
+    each kept record's product fixed * prod(gaps + offsets) is checked
+    against the Vandermonde of its seq on the way."""
+    n = character.n
+    for w, mult in terms:
+        for m, gaps, fixed, keep, live in _walk([(w.concat(), mult)], character):
+            assert m == mult
+            records = compress(range(len(keep)), keep)
+            for r, offsets in zip(records, live, strict=True):
+                nu = character.weights[r]
+                seq = tuple(a + b + x for a, b, x in zip(w.concat(), nu, rho(n)))
+                assert fixed * prod(map(sum, zip(gaps, offsets))) == _vandermonde(seq)
+                yield mult * character.coefficients[r], character.layers[r], seq
+
+
 class TestMaskedWalk:
-    """`bwb._sequences` keeps exactly the (c, s, seq) that the set test keeps."""
+    """`bwb._walk` keeps exactly the (term, record) pairs whose sequence has
+    no repeat, the pairs the set test keeps."""
 
     AMBIENTS = [(k, n) for n in range(2, 9) for k in range(1, n)]
 
@@ -282,15 +305,16 @@ class TestMaskedWalk:
 
     @staticmethod
     def assert_same_walk(terms, k, n, layers):
-        got = Counter(_sequences(terms, Character(layers, k, n)))
+        got = Counter(walk_sequences(terms, Character(layers, k, n)))
         assert got == Counter(reference_walk(terms, n, layers)), (k, n, layers)
 
     def test_empty_and_trivial_characters(self):
         rng = random.Random(14)
         for k, n in self.AMBIENTS:
             terms = self.random_terms(rng, k, n)
-            assert list(_sequences(terms, Character([], k, n))) == []
-            assert list(_sequences(terms, Character([{}], k, n))) == []
+            items = [(w.concat(), mult) for w, mult in terms]
+            assert list(_walk(items, Character([], k, n))) == []
+            assert list(_walk(items, Character([{}], k, n))) == []
             self.assert_same_walk(terms, k, n, [{(0,) * n: 1}])
             # identical columns: only the cross-block pairs can collide
             assert len(Character([{(0,) * n: 1}], k, n).pairs) == k * (n - k)

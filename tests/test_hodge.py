@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -138,11 +139,14 @@ class TestDegree:
         assert _degree(spec, _koszul_character(spec)) == degree
 
 
-def koszul_data_lr(spec, base):
-    """The Koszul totals by Littlewood-Richardson: expand each
-    wedge^s F* (x) base into irreducibles and run Bott on every one.  The
-    reference for `tensor_cohomology` on the Koszul character, which never
-    expands the tensor."""
+def koszul_data_lr(spec, items):
+    """The Koszul totals by Littlewood-Richardson: put the conormal term's
+    items in canonical form, expand each wedge^s F* (x) base into
+    irreducibles and run Bott on every one.  The reference for
+    `tensor_cohomology` on the Koszul character, which never expands the
+    tensor."""
+    k = spec.k
+    base = bundles._expr(k, spec.n, [((seq[:k], seq[k:]), m) for seq, m in items])
     f_dual = bundles.dual(spec.bundle)
     totals = {}
     chi = 0
@@ -176,22 +180,23 @@ class TestKoszulKernel:
 
     def test_matches_lr_reference(self, monkeypatch):
         seen = Counter()
-        walk = bwb._sequences
+        walk = bwb._walk
 
-        def recording_walk(terms, character):
-            terms = tuple(terms)
-            k = terms[0][0].k
-            for c, s, seq in walk(terms, character):
-                upper, lower = seq[:k], seq[k:]
-                if list(upper) != sorted(upper, reverse=True) or list(lower) != sorted(
-                    lower, reverse=True
-                ):
-                    seen["reordered"] += 1
-                    # the Vandermonde's sign is (-1)^(within-block + cross-block inversions)
-                    seen["odd"] += (bwb._vandermonde(seq) < 0) != (bwb._degree(seq, k) & 1)
-                yield c, s, seq
+        def recording_walk(items, character):
+            cross = character.cross
+            for mult, gaps, fixed, keep, live in walk(items, character):
+                assert fixed > 0  # blocks are dominant, so inactive factors are positive
+                for offsets in live:
+                    factors = [g + o for g, o in zip(gaps, offsets)]
+                    # the active same-block factors follow the cross ones
+                    if any(f < 0 for f in factors[cross:]):
+                        seen["reordered"] += 1
+                        # the Vandermonde's sign is (-1)^(within-block + cross-block inversions)
+                        degree = sum(f < 0 for f in factors[:cross])
+                        seen["odd"] += (prod(factors) < 0) != (degree & 1)
+                yield mult, gaps, fixed, keep, live
 
-        monkeypatch.setattr(bwb, "_sequences", recording_walk)
+        monkeypatch.setattr(bwb, "_walk", recording_walk)
         rng = random.Random(20261018)
         checked = 0
         for text in self.BUNDLES:
@@ -204,7 +209,7 @@ class TestKoszulKernel:
                     continue
             for spec in specs[:2]:
                 koszul = _koszul_character(spec)
-                layers = Counter(nu for nu, _, _, _ in koszul.weights)
+                layers = Counter(koszul.weights)
                 seen["shared"] += any(count > 1 for count in layers.values())
                 for j, row in enumerate(_conormal_rows(spec, spec.dim)):
                     for t, base in enumerate(row):
@@ -220,6 +225,58 @@ class TestKoszulKernel:
         # the sign path: terms whose blocks need reordering, some an odd number of times
         assert seen["reordered"] > 0 and seen["odd"] > 0
 
+    def test_euler_kernel_matches_vandermonde_reference(self):
+        # the Euler kernel before it split the Vandermonde into inactive and
+        # active factors: sum c * V(lam + nu + rho) over every item and every
+        # weight nu of lambda_{-1} F*, repeats included (V = 0 there), over
+        # 0! 1! ... (n-1)!
+        def reference(spec, items, layers):
+            n = spec.n
+            rho = range(n - 1, -1, -1)
+            num = sum(
+                mult * (-1) ** s * c * bwb._vandermonde(
+                    tuple(a + b + r for a, b, r in zip(seq, nu, rho))
+                )
+                for seq, mult in items
+                for s, layer in enumerate(layers)
+                for nu, c in layer.items()
+            )
+            chi, rest = divmod(num, prod(map(factorial, range(n))))
+            assert rest == 0
+            return chi
+
+        specs = [*pair_specs(2, 5), *pair_specs(3, 7)]
+        rng = random.Random(20261020)
+        ambients = [(k, n) for n in range(3, 7) for k in range(1, n)]
+        for text in self.BUNDLES:
+            found = []
+            for k, n in rng.sample(ambients, len(ambients)):
+                try:
+                    found.append(ZeroLocusSpec(k, n, parse_bundle(text, k, n)))
+                except RankError:
+                    continue
+            specs += found[:2]
+        shapes = Counter()
+        checked = 0
+        for spec in specs:
+            koszul = _koszul_character(spec)
+            layers = bundles.wedge_characters(bundles.dual(spec.bundle))
+            k, n = spec.k, spec.n
+            if len(koszul.pairs) == n * (n - 1) // 2:
+                shapes["no inactive pair"] += 1
+            if len(koszul.pairs) == k * (n - k) < n * (n - 1) // 2:
+                shapes["cross pairs only"] += 1
+            for row in _conormal_rows(spec, spec.dim):
+                for items in row:
+                    assert bwb.euler_characteristic(items, koszul) == reference(
+                        spec, items, layers
+                    ), (str(spec.bundle), k, n)
+                    checked += 1
+        assert checked > 300
+        # sums touching both blocks, and O(t) sums, whose character moves no
+        # same-block pair
+        assert shapes["no inactive pair"] > 0 and shapes["cross pairs only"] > 0
+
     @pytest.mark.parametrize("k, n", [(1, 3), (2, 5)])
     def test_huge_twist(self, k, n):
         # collision masks grow with the number of weights, not their entries
@@ -227,7 +284,7 @@ class TestKoszulKernel:
         spec = ZeroLocusSpec(k, n, bundles.line(k, n, t))
         koszul = _koszul_character(spec)
         width = len(koszul.pairs) * len(koszul.weights)
-        assert all(mask < 1 << width for _, _, _, mask in koszul.weights)
+        assert all(mask < 1 << width for mask in koszul.masks)
         d = hodge_numbers(spec)
         # h^{0,dim} = h^0(K_X) = h^0(O(t - n)) on G(k,n), as O(-n) is acyclic
         assert d.h(0, d.dim) == bwb.gl_dimension((t - n,) * k + (0,) * (n - k))
@@ -259,6 +316,21 @@ class TestConormalRows:
         hodge_numbers(spec)
         assert calls["sym_powers"] == 1
         assert 0 < calls["cotangent_power"] <= top + 1
+
+    def test_rows_are_raw_block_products(self, monkeypatch):
+        # each conormal term comes straight from the block products, never
+        # through a canonical BundleExpr; F is one atom, so nothing folds
+        def refuse(*args):
+            raise AssertionError("bundles.tensor called")
+
+        monkeypatch.setattr(bundles, "tensor", refuse)
+        for spec in pair_specs(3, 7):
+            hodge_numbers(spec)
+            for row in _conormal_rows(spec, spec.dim):
+                for items in row:
+                    keys = [seq for seq, _ in items]
+                    assert len(set(keys)) == len(keys)  # merged
+                    assert all(len(seq) == spec.n and m > 0 for seq, m in items)
 
     def test_wedge_characters_folded_once(self, monkeypatch):
         # the degree check and the chase read one Koszul character
