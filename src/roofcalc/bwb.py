@@ -27,26 +27,27 @@ canonical form is needed: the collisions, the Vandermonde and the Bott
 degree read differences alone).  `bott` is the case W trivial, with the one
 seq lam + rho_G, so it tests that for a repeat directly.  W may be graded,
 W = (W_0, W_1, ...), as the Koszul layers wedge^s F* are; a `Character`
-holds every layer under one mask layout, so each term's gaps are marked
-once.  The repeat test is one AND of two bitmasks.  Entries i < j of
-seq = s + nu, with s = lam + rho_G, collide exactly when
-s_i - s_j = nu_j - nu_i.  A `Character` is prepared once, where it is
-built: each active pair (i, j) gives each distinct value of nu_j - nu_i
-over the weights a bit of its own, and each weight's mask holds its value's
-bit for every pair.  Masks thus grow with the number of weights, never with
-the size of their entries.  The active pairs are every cross-block pair
-and each same-block pair whose two character columns differ; the others,
-inactive, have identical columns, so nu_j - nu_i = 0 for every weight, and
-s is strictly decreasing within each block, so they never collide.
+holds every weight of every layer as one record, under one layout, so each
+term's gaps are looked up once.  Entries i < j of seq = s + nu, with
+s = lam + rho_G, collide exactly when s_i - s_j = nu_j - nu_i.  A
+`Character` is prepared once, where it is built: each active pair (i, j)
+maps each value of nu_j - nu_i over the records to the bitset of the
+records that take it, one bit per record.  The bitsets thus grow with the
+number of weights, never with the size of their entries.  The active pairs
+are every cross-block pair and each same-block pair at which some weight
+has nu_i != nu_j; at the others, inactive, nu_j - nu_i = 0 for every
+weight, and s is strictly decreasing within each block, so they never
+collide.
 
-Per term the walk computes the active gaps s_i - s_j once, sets the bit of
-each that some weight takes, and keeps nu only when its mask misses all of
-them.  The Vandermonde prod_{i<j} (seq_i - seq_j) of a kept nu is the
-product of the inactive gaps, which no weight moves and which the walk
-takes once per term with a survivor, times the product of gap + offset over
-the active pairs, offset = nu_i - nu_j.  A record's offsets are computed
-the first time it survives and then kept, so a large character that few
-terms reach never holds them all.  Each survivor costs one product.
+Per term the walk computes the active gaps s_i - s_j once and joins the
+bitsets they hit into the set of records whose sequence has a repeat; the
+binary digits of that bitset flag the records kept.  The Vandermonde
+prod_{i<j} (seq_i - seq_j) of a kept nu is the product of the inactive
+gaps, which no weight moves and which the walk takes once per term with a
+survivor, times the product of gap + offset over the active pairs,
+offset = nu_i - nu_j.  A record's offsets are computed the first time it
+survives and then kept, so a large character that few terms reach never
+holds them all.  Each survivor costs one product.
 
 The Vandermonde carries the Klimyk sign times (-1)^degree, degree being the
 cross-block inversions of seq, that is, the negative cross factors (the
@@ -63,10 +64,10 @@ totals are keyed by the antidiagonal m = degree - s.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, compress, product, repeat, starmap
 from math import factorial, prod
-from operator import add, gt, itemgetter, lt, sub
+from operator import add, gt, itemgetter, lt, or_, sub
 
 from .weights import DoubleWeight, Value, Weight, check_dominant
 
@@ -120,56 +121,52 @@ class Character:
 
     Built from a list of layers (a plain character is one layer), layers[s]
     mapping each weight (upper block, then lower block) to its multiplicity,
-    which may be negative.  `pairs` lists (i, j, bits) for each active pair,
-    the k(n-k) cross-block pairs first, bits mapping each value of
-    nu_j - nu_i over all weights to a bit of its own; `bits` lists those
-    maps alone.  Record r is the weight `weights[r]` of layer `layers[r]`,
-    with coefficient (-1)^s c in `coefficients[r]` and `masks[r]` holding
-    the bit of nu_j - nu_i of every active pair (see the module docstring).
-    `active` and `inactive` read the left and right entries of the active
-    and of the inactive pairs off a sequence.  `offsets[r]` holds record r's
-    nu_i - nu_j over the active pairs once r has survived a term, and None
-    before.
+    which may be negative.  Record r is the weight `weights[r]` of layer
+    `layers[r]`, with coefficient (-1)^s c in `coefficients[r]`.  `pairs`
+    lists the active pairs (i, j), the k(n-k) cross-block pairs first, and
+    `dead[a]` maps each value of nu_j - nu_i over the records at the a-th
+    of them to the bitset of the records that take it, record r at bit
+    R - 1 - r of R (see the module docstring).  `active` and `inactive`
+    read the left and right entries of the active and of the inactive pairs
+    off a sequence.  `offsets[r]` holds record r's nu_i - nu_j over the
+    active pairs once r has survived a term, and None before.
     """
 
     __slots__ = (
-        "n", "pairs", "bits", "cross", "active", "inactive", "weights", "layers",
-        "coefficients", "masks", "offsets", "superfactorial",
+        "n", "pairs", "dead", "cross", "active", "inactive", "weights", "layers",
+        "coefficients", "offsets", "digits", "superfactorial",
     )
 
     def __init__(self, layers: list[dict[Weight, int]], k: int, n: int):
         self.n = n
-        union = dict.fromkeys(nu for layer in layers for nu in layer)
-        columns = list(zip(*union)) or [()] * n
-        cross = [(i, j) for i in range(k) for j in range(k, n)]
-        same = [
-            (i, j) for block in (range(k), range(k, n)) for i, j in combinations(block, 2)
-        ]
-        # nu_j - nu_i = 0 at a pair with identical columns, and s is strictly
-        # decreasing within a block, so such a pair never collides
-        inactive = [(i, j) for i, j in same if columns[i] == columns[j]]
-        pairs = []
-        width = 0
-        for i, j in cross + [(i, j) for i, j in same if columns[i] != columns[j]]:
-            diffs = dict.fromkeys(map(sub, columns[j], columns[i]))
-            pairs.append((i, j, {d: 1 << b for b, d in enumerate(diffs, width)}))
-            width += len(diffs)
-        self.pairs, self.cross = tuple(pairs), len(cross)
-        self.bits = tuple(bits for _, _, bits in pairs)
-        self.active = tuple(_getter([p[e] for p in pairs]) for e in (0, 1))
-        self.inactive = tuple(_getter([p[e] for p in inactive]) for e in (0, 1))
         self.weights = [nu for layer in layers for nu in layer]
         self.layers = [s for s, layer in enumerate(layers) for _ in layer]
         self.coefficients = [
             -c if s & 1 else c for s, layer in enumerate(layers) for c in layer.values()
         ]
-        self.masks = [
-            sum(bits[nu[j] - nu[i]] for i, j, bits in pairs) for nu in self.weights
+        cross = [(i, j) for i in range(k) for j in range(k, n)]
+        same = [
+            (i, j) for block in (range(k), range(k, n)) for i, j in combinations(block, 2)
         ]
+        pairs, dead, inactive = [], [], []
+        for a, (i, j) in enumerate(cross + same):
+            nu_i, nu_j = map(itemgetter(i), self.weights), map(itemgetter(j), self.weights)
+            table = _positions(list(map(sub, nu_j, nu_i)))
+            # nu_j - nu_i = 0 for every weight at an inactive pair, and s is
+            # strictly decreasing within a block, so it never collides
+            if a >= len(cross) and table.keys() <= {0}:
+                inactive.append((i, j))
+            else:
+                pairs.append((i, j))
+                dead.append(table)
+        self.pairs, self.dead, self.cross = tuple(pairs), tuple(dead), len(cross)
+        self.active = tuple(_getter([p[e] for p in pairs]) for e in (0, 1))
+        self.inactive = tuple(_getter([p[e] for p in inactive]) for e in (0, 1))
         self.offsets: list[Weight | None] = [None] * len(self.weights)
+        self.digits = f"0{len(self.weights)}b"  # a bitset's binary digits, one per record
         self.superfactorial = _superfactorial(n)
 
-    def _fill(self, keep: list[bool]) -> None:
+    def _fill(self, keep: bytes) -> None:
         """Compute the offsets of the kept records that have none yet."""
         left, right = self.active
         for r in compress(range(len(keep)), keep):
@@ -178,26 +175,48 @@ class Character:
                 self.offsets[r] = tuple(map(sub, left(nu), right(nu)))
 
 
+_ZEROS = b"0" * 256
+
+
+def _positions(values: list[int]) -> dict[int, int]:
+    """Each distinct entry of `values` -> the bitset of its positions, the
+    entry at position r at bit len(values) - 1 - r.  The entries are coded
+    as bytes, up to 255 distinct ones per pass; a translate of the codes
+    that sends one code to "1" and the rest to "0" spells out that code's
+    bitset in binary, most significant bit first."""
+    distinct = list(dict.fromkeys(values))
+    out = {}
+    for start in range(0, len(distinct), 255):
+        chunk = {d: c for c, d in enumerate(distinct[start : start + 255])}
+        codes = bytes(map(chunk.get, values, repeat(255)))
+        for d, c in chunk.items():
+            out[d] = int(codes.translate(_ZEROS[:c] + b"1" + _ZEROS[c + 1 :]), 2)
+    return out
+
+
+# a bitset's binary digits of dead records -> keep flags, 1 for a survivor
+_KEEP = bytes.maketrans(b"01", b"\x01\x00")
+
+
 def _walk(
     items: Iterable[Item], character: Character
-) -> Iterator[tuple[int, Weight, int, list[bool], list[Weight]]]:
+) -> Iterator[tuple[int, Weight, int, bytes, list[Weight]]]:
     """(mult, gaps, fixed, keep, offsets) for each item (seq, mult) that
     some record of `character` keeps.  With s = seq + rho, gaps lists
     s_i - s_j over the active pairs and fixed is the product of s_i - s_j
     over the inactive ones; keep flags each record nu whose sequence s + nu
     has no repeated entry, and offsets lists the kept records' offsets in
     order.  A kept record's Vandermonde is fixed times the product of
-    gaps + offsets.  The gaps' bits are marked once per item, and a record
-    is dropped when its collision mask meets them."""
+    gaps + offsets.  The records that a gap hits are joined into one
+    bitset, whose binary digits give the flags."""
     r = rho(character.n)
     (left, right), (ileft, iright) = character.active, character.inactive
-    bits, masks, offsets = character.bits, character.masks, character.offsets
+    dead, digits, offsets = character.dead, character.digits, character.offsets
     for seq, mult in items:
         s = tuple(map(add, seq, r))
         gaps = tuple(map(sub, left(s), right(s)))
-        # each active pair holds its own bits, so the sum is their union
-        marks = sum(map(dict.get, bits, gaps, repeat(0)))
-        keep = [not mask & marks for mask in masks]
+        killed = reduce(or_, filter(None, map(dict.get, dead, gaps)), 0)
+        keep = format(killed, digits).encode().translate(_KEEP)
         live = list(compress(offsets, keep))
         if not live:
             continue

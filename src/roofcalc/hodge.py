@@ -12,7 +12,7 @@ fold of F* (`bundles.sym_powers`) gives Sym^0..top F*, each Omega^t is
 built once, and `bundles.wedge_characters` gives the torus characters of
 the wedge^s F* that resolve their restrictions to X.
 `_koszul_character` prepares those once per spec, as the layers s of one
-`bwb.Character` with one collision-mask layout, and the degree check, the
+`bwb.Character` with one collision layout, and the degree check, the
 Euler kernel and the chase all read that one character.
 
   1. Lefschetz route, when every summand of F is ample or dim X = 0 (a
@@ -100,10 +100,10 @@ from .weights import Value, Weight
 # A's block to a weight of lambda_{-1} F*, and A's twist is fixed by the size
 # of that vector, so A^{+m} contributes one vector in {0..m}^(rank A) and the
 # product bounds the character's records (one per weight of each layer).
-# Each record is prepared once into a collision mask with one bit for each
-# of up to n^2/2 position pairs (masks grow with the number of weights, not
-# with the size of the twist); per term the walk marks up to n^2/2 gaps
-# once, a record whose mask meets them costs one AND, and a surviving one a
+# Each of up to n^2/2 position pairs is prepared once into collision
+# bitsets with one bit per record (they grow with the number of weights, not
+# with the size of the twist); per term the walk looks up up to n^2/2 gaps
+# once and reads one keep flag per record, and a surviving record costs a
 # product of its active factors, up to n^2/2 of them (its offsets are
 # computed once, when it first survives).  The measure does not count the
 # conormal terms.  Q*(2) on P^18 (the pair at (1,19)) is at 9.5e7,

@@ -257,7 +257,7 @@ class TestEulerCharacteristic:
 
 
 def reference_walk(terms, n, layers):
-    """The walk before collision masks: every (term, layer, nu), filtered by
+    """The walk before collision bitsets: every (term, layer, nu), filtered by
     a set."""
     for w, mult in terms:
         for s, layer in enumerate(layers):
@@ -348,6 +348,15 @@ class TestMaskedWalk:
                 self.assert_same_walk(self.random_terms(rng, k, n), k, n, wedges)
                 shared += len(set().union(*wedges)) < sum(map(len, wedges))
         assert shared > 0
+
+    def test_more_than_255_values_at_one_pair(self):
+        # a pair's values are coded as bytes 255 at a time: 600 values at the
+        # cross pair (0, 1) take three passes
+        rng = random.Random(18)
+        character = {(x, 0, rng.randint(-2, 2)): rng.choice([-1, 1, 2]) for x in range(-300, 300)}
+        assert len(Character([character], 1, 3).dead[0]) > 2 * 255
+        terms = self.random_terms(rng, 1, 3) + [(DoubleWeight((4,), (0, -3)), 1)]
+        self.assert_same_walk(terms, 1, 3, [character])
 
     def test_same_block_columns_in_lockstep(self):
         # nu_j - nu_i is a nonzero constant c for a same-block pair (i, j):

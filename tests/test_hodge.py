@@ -279,12 +279,14 @@ class TestKoszulKernel:
 
     @pytest.mark.parametrize("k, n", [(1, 3), (2, 5)])
     def test_huge_twist(self, k, n):
-        # collision masks grow with the number of weights, not their entries
+        # collision bitsets grow with the number of weights, not their entries
         t = 10**9
         spec = ZeroLocusSpec(k, n, bundles.line(k, n, t))
         koszul = _koszul_character(spec)
-        width = len(koszul.pairs) * len(koszul.weights)
-        assert all(mask < 1 << width for mask in koszul.masks)
+        records = len(koszul.weights)
+        for table in koszul.dead:
+            assert len(table) <= records
+            assert all(0 < bitset < 1 << records for bitset in table.values())
         d = hodge_numbers(spec)
         # h^{0,dim} = h^0(K_X) = h^0(O(t - n)) on G(k,n), as O(-n) is acyclic
         assert d.h(0, d.dim) == bwb.gl_dimension((t - n,) * k + (0,) * (n - k))
@@ -562,7 +564,7 @@ def test_grassmannian_duality():
     """G(k,n) = G(n-k,n) swaps U* with Q and U with Q*: across the sweep,
     F and its image F' have the same grid and Euler columns, or raise the
     same error class.  The two sides reach the chase through different LR
-    shapes and collision-mask layouts."""
+    shapes and collision layouts."""
     results = sweep.outcomes()
     pairs = 0
     for key, result in results.items():
