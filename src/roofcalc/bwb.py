@@ -67,7 +67,7 @@ from collections.abc import Iterable, Iterator
 from functools import cache, reduce
 from itertools import combinations, compress, product, repeat, starmap
 from math import factorial, prod
-from operator import add, gt, itemgetter, lt, or_, sub
+from operator import add, eq, gt, itemgetter, lt, or_, sub
 
 from .weights import DoubleWeight, Value, Weight, check_dominant
 
@@ -108,12 +108,16 @@ def _weyl_quotient(num: int, denominator: int) -> int:
     return q
 
 
-def _getter(indices: list[int]):
-    """The entries at `indices` of a sequence, as a tuple, for any count."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices) if indices else lambda seq: ()
+def _getters(pairs: list[tuple[int, int]]):
+    """Two functions reading entries i and entries j of the pairs (i, j) off
+    a sequence, each as a tuple, for any number of pairs."""
+    if len(pairs) > 1:
+        left, right = zip(*pairs)
+        return itemgetter(*left), itemgetter(*right)
+    if pairs:
+        ((i, j),) = pairs
+        return (lambda seq: (seq[i],)), (lambda seq: (seq[j],))
+    return (lambda seq: ()), (lambda seq: ())
 
 
 class Character:
@@ -148,20 +152,21 @@ class Character:
         same = [
             (i, j) for block in (range(k), range(k, n)) for i, j in combinations(block, 2)
         ]
-        pairs, dead, inactive = [], [], []
-        for a, (i, j) in enumerate(cross + same):
-            nu_i, nu_j = map(itemgetter(i), self.weights), map(itemgetter(j), self.weights)
-            table = _positions(list(map(sub, nu_j, nu_i)))
-            # nu_j - nu_i = 0 for every weight at an inactive pair, and s is
-            # strictly decreasing within a block, so it never collides
-            if a >= len(cross) and table.keys() <= {0}:
-                inactive.append((i, j))
-            else:
-                pairs.append((i, j))
-                dead.append(table)
-        self.pairs, self.dead, self.cross = tuple(pairs), tuple(dead), len(cross)
-        self.active = tuple(_getter([p[e] for p in pairs]) for e in (0, 1))
-        self.inactive = tuple(_getter([p[e] for p in inactive]) for e in (0, 1))
+        weights, column = self.weights, [itemgetter(i) for i in range(n)]
+        first = _first_equal_columns(weights, column)
+        # nu_j - nu_i = 0 for every weight at an inactive pair, and s is
+        # strictly decreasing within a block, so it never collides
+        inactive = [(i, j) for i, j in same if first[i] == first[j]]
+        pairs = cross + [(i, j) for i, j in same if first[i] != first[j]]
+        # pairs whose columns are equal share one table
+        tables: dict[tuple[int, int], dict[int, int]] = {}
+        for i, j in pairs:
+            if (first[i], first[j]) not in tables:
+                diffs = list(map(sub, map(column[j], weights), map(column[i], weights)))
+                tables[first[i], first[j]] = _positions(diffs)
+        self.dead = tuple(tables[first[i], first[j]] for i, j in pairs)
+        self.pairs, self.cross = tuple(pairs), len(cross)
+        self.active, self.inactive = _getters(pairs), _getters(inactive)
         self.offsets: list[Weight | None] = [None] * len(self.weights)
         self.digits = f"0{len(self.weights)}b"  # a bitset's binary digits, one per record
         self.superfactorial = _superfactorial(n)
@@ -173,6 +178,24 @@ class Character:
             if self.offsets[r] is None:
                 nu = self.weights[r]
                 self.offsets[r] = tuple(map(sub, left(nu), right(nu)))
+
+
+def _first_equal_columns(weights: list[Weight], column: list) -> list[int]:
+    """For each position i, the first position whose entries equal position
+    i's on every weight.  Equal columns hash alike, so only columns of one
+    hash are compared, and no column tuple is kept."""
+    first: dict[int, list[int]] = {}
+    out = []
+    for i, entry in enumerate(column):
+        seen = first.setdefault(hash(tuple(map(entry, weights))), [])
+        for j in seen:
+            if all(map(eq, map(column[j], weights), map(entry, weights))):
+                out.append(j)
+                break
+        else:
+            seen.append(i)
+            out.append(i)
+    return out
 
 
 _ZEROS = b"0" * 256

@@ -350,12 +350,17 @@ class TestMaskedWalk:
         assert shared > 0
 
     def test_more_than_255_values_at_one_pair(self):
-        # a pair's values are coded as bytes 255 at a time: 600 values at the
-        # cross pair (0, 1) take three passes
+        # a pair's values are coded as bytes 255 at a time: the 600 values
+        # -x at the cross pair (0, 1) take three passes, and the gaps 200, 5
+        # and -250 there (s = lam + (2, 1, 0)) hit the first, second and third
         rng = random.Random(18)
         character = {(x, 0, rng.randint(-2, 2)): rng.choice([-1, 1, 2]) for x in range(-300, 300)}
         assert len(Character([character], 1, 3).dead[0]) > 2 * 255
-        terms = self.random_terms(rng, 1, 3) + [(DoubleWeight((4,), (0, -3)), 1)]
+        terms = self.random_terms(rng, 1, 3) + [
+            (DoubleWeight((199,), (0, 0)), 1),
+            (DoubleWeight((4,), (0, -3)), 1),
+            (DoubleWeight((0,), (251, 0)), 2),
+        ]
         self.assert_same_walk(terms, 1, 3, [character])
 
     def test_same_block_columns_in_lockstep(self):
