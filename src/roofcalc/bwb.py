@@ -32,8 +32,9 @@ term's gaps are looked up once.  Entries i < j of seq = s + nu, with
 s = lam + rho_G, collide exactly when s_i - s_j = nu_j - nu_i.  A
 `Character` is prepared once, where it is built: each active pair (i, j)
 maps each value of nu_j - nu_i over the records to the bitset of the
-records that take it, one bit per record.  The bitsets thus grow with the
-number of weights, never with the size of their entries.  The active pairs
+records that take it, one bit per record, and pairs between the same two
+columns share that map.  The bitsets thus grow with the number of weights,
+never with the size of their entries.  The active pairs
 are every cross-block pair and each same-block pair at which some weight
 has nu_i != nu_j; at the others, inactive, nu_j - nu_i = 0 for every
 weight, and s is strictly decreasing within each block, so they never

@@ -363,6 +363,15 @@ class TestMaskedWalk:
         ]
         self.assert_same_walk(terms, 1, 3, [character])
 
+    def test_columns_that_hash_alike(self):
+        # hash(-1) == hash(-2) in CPython, so the columns (-1, -1) and
+        # (-2, -2) of the upper block hash alike; they differ, so their pair
+        # stays active and moves the weights
+        character = {(-1, -2, 0): 1, (-1, -2, 1): -1}
+        assert (0, 1) in Character([character], 2, 3).pairs
+        terms = [(DoubleWeight((2, 0), (0,)), 1), (DoubleWeight((1, 1), (0,)), 2)]
+        self.assert_same_walk(terms, 2, 3, [character])
+
     def test_same_block_columns_in_lockstep(self):
         # nu_j - nu_i is a nonzero constant c for a same-block pair (i, j):
         # the pair can still collide, when s_i - s_j = c, so it stays active
