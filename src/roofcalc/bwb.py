@@ -34,11 +34,10 @@ s = lam + rho_G, collide exactly when s_i - s_j = nu_j - nu_i.  A
 maps each value of nu_j - nu_i over the records to the bitset of the
 records that take it, one bit per record, and pairs between the same two
 columns share that map.  The bitsets thus grow with the number of weights,
-never with the size of their entries.  The active pairs
-are every cross-block pair and each same-block pair at which some weight
-has nu_i != nu_j; at the others, inactive, nu_j - nu_i = 0 for every
-weight, and s is strictly decreasing within each block, so they never
-collide.
+never with the size of their entries.  The active pairs are every
+cross-block pair and each same-block pair at which some weight has
+nu_i != nu_j; at the others, inactive, nu_j - nu_i = 0 for every weight,
+and s is strictly decreasing within each block, so they never collide.
 
 Per term the walk computes the active gaps s_i - s_j once and joins the
 bitsets they hit into the set of records whose sequence has a repeat; the
