@@ -71,12 +71,13 @@ is computed first as the d-th finite difference of m -> chi(X, O(m)), m =
 locus of a globally generated F is empty iff that is 0, and then
 `EmptyZeroLocusError` is raised.  Ample F skips the check: c_r(F) > 0 when
 rank F <= dim G (Fulton-Lazarsfeld 1983).  Smoothness and generality of the
-section are recorded assumptions, not verified.
+section are recorded assumptions, not verified.  An exact diamond and its
+E-polynomial (`motive.EPoly`, the layer below) convert both ways, and the
+ambient diamond of G(k,n) is the diamond of E(G(k,n)).
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 
 from . import bundles
@@ -93,6 +94,7 @@ from .errors import (
     WorkLimitError,
 )
 from .lr import _blockwise
+from .motive import EPoly, _gaussian_binomial, epoly_grassmannian
 from .weights import Value, Weight
 
 # Limit on n^2 prod (m+1)^(rank A) over the summands m*A of F, a measure of
@@ -124,7 +126,8 @@ class HodgeDiamond:
     and `euler_columns[p]` is chi_p = chi(Omega^p).  The grid is the one the
     route and `_symmetrise` wrote, with Hodge symmetry, Serre duality and
     the Euler columns already in force, and it is the diamond's only
-    storage: the renderings and the E-polynomial read its rows."""
+    storage: the renderings and `epoly` read its rows, and `from_epoly`
+    writes the exact grid of an E-polynomial, such as E(G(k,n))."""
 
     def __init__(self, grid: Grid, chis: list[int], meta: dict | None = None):
         self.grid = grid
@@ -140,6 +143,30 @@ class HodgeDiamond:
 
     def fully_exact(self) -> bool:
         return all(lo == hi for row in self.grid for lo, hi in row)
+
+    def epoly(self) -> EPoly:
+        """E-polynomial of a smooth projective variety from its exact diamond."""
+        if not self.fully_exact():
+            raise AmbiguityError("diamond has inexact entries; no E-polynomial")
+        return EPoly.from_dict({
+            (p, q): (-1) ** (p + q) * lo
+            for p, row in enumerate(self.grid)
+            for q, (lo, _) in enumerate(row)
+        })
+
+    @staticmethod
+    def from_epoly(e: EPoly, meta: dict) -> "HodgeDiamond":
+        """Exact diamond with h^{p,q} = (-1)^{p+q} e_{p,q}, of the dimension of
+        the top exponent, and chi_p = sum_q (-1)^q h^{p,q}."""
+        d = max((max(pq) for pq, _ in e.coeffs), default=0)
+        grid = [[(0, 0)] * (d + 1) for _ in range(d + 1)]
+        for (p, q), c in e.coeffs:
+            h = (-1) ** (p + q) * c
+            if h < 0:
+                raise InconsistentDataError("E-polynomial", f"h^{{{p},{q}}} = {h} < 0")
+            grid[p][q] = (h, h)
+        chis = [sum((-1) ** q * lo for q, (lo, _) in enumerate(row)) for row in grid]
+        return HodgeDiamond(grid, chis, meta)
 
     def middle_row(self) -> list[int]:
         d = self.dim
@@ -209,32 +236,10 @@ class ZeroLocusSpec(Value):
         return self.ambient_dim - bundles.rank(self.bundle)
 
 
-@cache
-def _gaussian_binomial(k: int, n: int) -> tuple[int, ...]:
-    """Coefficients of [n choose k]_q = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i);
-    the coefficient of q^p counts the partitions of p in the k x (n-k) box."""
-    m = n - k
-    c = [1] + [0] * (k * m)
-    for i in range(1, k + 1):
-        # times (1 - q^(m+i)), then divided by (1 - q^i), both mod q^(km+1)
-        for j in range(k * m, m + i - 1, -1):
-            c[j] -= c[j - m - i]
-        for j in range(i, k * m + 1):
-            c[j] += c[j - i]
-    return tuple(c)
-
-
 def ambient_diamond(k: int, n: int) -> HodgeDiamond:
-    """Diamond of G(k,n): h^{p,p} counts partitions of p in the k x (n-k) box,
-    the coefficients of the Gaussian binomial [n choose k]_q."""
-    if not (1 <= k < n):
-        raise RankError(f"need 1 <= k < n, got ({k},{n})")
-    coeffs = _gaussian_binomial(k, n)
-    grid = [[(0, 0)] * len(coeffs) for _ in coeffs]
-    for p, c in enumerate(coeffs):
-        grid[p][p] = (c, c)
-    chis = [(-1) ** p * c for p, c in enumerate(coeffs)]
-    return HodgeDiamond(grid, chis, meta={"variety": f"G({k},{n})"})
+    """Diamond of G(k,n), the diamond of E(G(k,n)): h^{p,p} counts partitions
+    of p in the k x (n-k) box."""
+    return HodgeDiamond.from_epoly(epoly_grassmannian(k, n), {"variety": f"G({k},{n})"})
 
 
 def _conormal_rows(spec: ZeroLocusSpec, top: int):

@@ -1,14 +1,17 @@
-"""Hodge-Deligne E-polynomial arithmetic and Grothendieck-ring checks.
+"""Hodge-Deligne E-polynomial arithmetic and Grothendieck-ring checks, the
+E-polynomial layer under `hodge`.
 
 Classes of smooth projective varieties are represented by their
 E-polynomials E(u,v) = sum (-1)^{p+q} h^{p,q} u^p v^q, the shadow that the
 numeric identities actually consume; the affine line maps to the monomial uv.
+E(G(k,n)) and the Lefschetz route's ambient diagonal read one Gaussian binomial.
 """
 
 from __future__ import annotations
 
-from .errors import AmbiguityError, ExcludedCaseError, RankError
-from .hodge import HodgeDiamond, _gaussian_binomial
+from functools import cache
+
+from .errors import ExcludedCaseError, RankError
 from .weights import Value
 
 
@@ -65,6 +68,21 @@ def lefschetz_power(k: int) -> EPoly:
     return EPoly.from_dict({(k, k): 1})
 
 
+@cache
+def _gaussian_binomial(k: int, n: int) -> tuple[int, ...]:
+    """Coefficients of [n choose k]_q = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i);
+    the coefficient of q^p counts the partitions of p in the k x (n-k) box."""
+    m = n - k
+    c = [1] + [0] * (k * m)
+    for i in range(1, k + 1):
+        # times (1 - q^(m+i)), then divided by (1 - q^i), both mod q^(km+1)
+        for j in range(k * m, m + i - 1, -1):
+            c[j] -= c[j - m - i]
+        for j in range(i, k * m + 1):
+            c[j] += c[j - i]
+    return tuple(c)
+
+
 def epoly_grassmannian(k: int, n: int) -> EPoly:
     """E(G(k,n)): diagonal, (uv)^p with the coefficient of q^p in the
     Gaussian binomial [n choose k]_q."""
@@ -87,29 +105,16 @@ def epoly_flag(k: int, n: int) -> EPoly:
     return epoly_grassmannian(k + 1, n) * epoly_projective(k)
 
 
-def epoly_of_diamond(d: HodgeDiamond) -> EPoly:
-    """E-polynomial of a smooth projective variety from its exact diamond."""
-    if not d.fully_exact():
-        raise AmbiguityError("diamond has inexact entries; no E-polynomial")
-    return EPoly.from_dict({
-        (p, q): (-1) ** (p + q) * lo
-        for p, row in enumerate(d.grid)
-        for q, (lo, _) in enumerate(row)
-    })
-
-
-def verify_lemma_leq(
-    k: int, n: int, y1: HodgeDiamond, y2: HodgeDiamond
-) -> tuple[bool, EPoly]:
+def verify_lemma_leq(k: int, n: int, y1, y2) -> tuple[bool, EPoly]:
     """Check the stratified-projective-bundle identity
 
         (uv)^k E(Y2) - (uv)^{n-k-1} E(Y1)
-            + E(G(k+1,n)) E(P^{k-1}) - E(G(k,n)) E(P^{n-k-2}) = 0.
+            + E(G(k+1,n)) E(P^{k-1}) - E(G(k,n)) E(P^{n-k-2}) = 0
 
-    Returns (holds, residual)."""
+    for the exact `hodge.HodgeDiamond`s y1, y2.  Returns (holds, residual)."""
     residual = (
-        lefschetz_power(k) * epoly_of_diamond(y2)
-        - lefschetz_power(n - k - 1) * epoly_of_diamond(y1)
+        lefschetz_power(k) * y2.epoly()
+        - lefschetz_power(n - k - 1) * y1.epoly()
         + epoly_grassmannian(k + 1, n) * epoly_projective(k - 1)
         - epoly_grassmannian(k, n) * epoly_projective(n - k - 2)
     )

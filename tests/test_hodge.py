@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -5,7 +6,7 @@ from math import factorial, prod
 
 import pytest
 
-from roofcalc import bundles, bwb
+from roofcalc import bundles, bwb, cli, hodge
 from roofcalc.bwb import bott, tensor_cohomology
 from roofcalc.chase import LinearSystem
 from roofcalc.errors import (
@@ -398,6 +399,14 @@ class TestLefschetzRoute:
         spec = ZeroLocusSpec(2, 5, parse_bundle(text, 2, 5))
         assert hodge_numbers(spec).fully_exact()
 
+    def test_negative_middle_entry_raises(self, monkeypatch):
+        # a quadric surface in P^3 has chi_1 = -2; with its sign flipped the
+        # middle entry h^{1,1} would be -2
+        spec = ZeroLocusSpec(1, 4, bundles.line(1, 4, 2))
+        monkeypatch.setattr(hodge, "_euler_columns", lambda spec, koszul, top: [1, 2])
+        with pytest.raises(InconsistentDataError, match=r"h\^\{1,1\} = -2 < 0"):
+            _lefschetz_grid(spec, _koszul_character(spec))
+
     @pytest.mark.parametrize(
         "k,n,text,diagonal,middle",
         [
@@ -787,3 +796,63 @@ class TestCheckPairTheorem:
     def test_shift_is_colevel(self):
         rep = check_pair_theorem(2, 6)
         assert rep.shift == 6 - 2 * 2 - 1 == 1
+
+    # the (2,6) pair: d1 = 4, d2 = 6, s = 1; Y1's middle row is
+    # (15,672,2271,672,15), Y2's (0,15,672,2272,672,15,0)
+    @staticmethod
+    def perturb(monkeypatch, edits):
+        """Make hodge_numbers return the (2,6) pair's diamonds with the
+        entries edits[(y, p, q)] of Y1 (y = 1) and Y2 (y = 2) overwritten."""
+        real = hodge.hodge_numbers
+        specs = pair_specs(2, 6)
+
+        def perturbed(spec):
+            d = real(spec)
+            y = specs.index(spec) + 1
+            grid = [list(row) for row in d.grid]
+            for (which, p, q), iv in edits.items():
+                if which == y:
+                    grid[p][q] = iv
+            return HodgeDiamond(grid, d.euler_columns, d.meta)
+
+        monkeypatch.setattr(hodge, "hodge_numbers", perturbed)
+
+    @pytest.mark.parametrize(
+        "edits,failures",
+        [
+            ({(1, 0, 4): (16, 16)}, ["v-rows differ at p=0: 16 != 15"]),
+            ({(2, 2, 4): (671, 671)}, ["v-rows differ at p=1: 672 != 671"]),
+            (
+                {(2, 6, 0): (1, 1)},
+                ["v-cohomology of Y2 nonzero at p=6 outside the shifted band"],
+            ),
+            (
+                {(2, 0, 6): (1, 1)},
+                [
+                    "v-cohomology of Y2 nonzero at p=0 outside the shifted band",
+                    "co-level violated: h^{0,6}(Y2) != 0",
+                ],
+            ),
+            (
+                {(2, 1, 5): (0, 0)},
+                ["v-rows differ at p=0: 15 != 0", "h^{1,5}(Y2) = 0 at the co-level"],
+            ),
+            ({(1, 2, 2): (2271, 2272)}, ["h^{2,2} only known in [2271,2272]"]),
+        ],
+        ids=["middle+1", "middle-1", "outside-band", "below-colevel", "colevel-zero",
+             "inexact"],
+    )
+    def test_reports_each_failure(self, monkeypatch, edits, failures):
+        self.perturb(monkeypatch, edits)
+        rep = check_pair_theorem(2, 6)
+        assert not rep.passed
+        assert rep.failures == failures
+
+    def test_pair_exits_5_on_a_failure(self, monkeypatch, capsys):
+        self.perturb(monkeypatch, {(1, 0, 4): (16, 16)})
+        assert cli.main(["pair", "--k", "2", "--n", "6"]) == cli.EXIT_MISMATCH == 5
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["failures"] == ["v-rows differ at p=0: 16 != 15"]
+        assert not out["middleRowsMatch"] and not out["grothendieckIdentityHolds"]
+        # E(Y1) gains v^4, and the identity subtracts (uv)^3 E(Y1)
+        assert out["residual"] == "-1*u^3v^7"

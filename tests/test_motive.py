@@ -2,14 +2,18 @@ from math import comb
 
 import pytest
 
-from roofcalc.errors import AmbiguityError, ExcludedCaseError, RankError
+from roofcalc.errors import (
+    AmbiguityError,
+    ExcludedCaseError,
+    InconsistentDataError,
+    RankError,
+)
 from roofcalc.hodge import HodgeDiamond, ambient_diamond, hodge_numbers, pair_specs
 from roofcalc.motive import (
     EPoly,
     derive_b2,
     epoly_flag,
     epoly_grassmannian,
-    epoly_of_diamond,
     epoly_projective,
     verify_lemma_leq,
 )
@@ -45,12 +49,14 @@ class TestEPolynomials:
                 coeffs = d.diagonal()
                 assert coeffs == coeffs[::-1]
                 assert sum(coeffs) == comb(n, k)
-                assert epoly_grassmannian(k, n) == epoly_of_diamond(d), (k, n)
+                assert epoly_grassmannian(k, n) == d.epoly(), (k, n)
 
     @pytest.mark.parametrize("k,n", [(0, 3), (3, 3)])
     def test_grassmannian_out_of_range(self, k, n):
         with pytest.raises(RankError):
             epoly_grassmannian(k, n)
+        with pytest.raises(RankError):
+            ambient_diamond(k, n)
 
     def test_uv_swap_stability(self):
         p = (epoly_grassmannian(2, 6) * epoly_projective(3)).as_dict()
@@ -118,7 +124,21 @@ class TestEPolyArithmetic:
         assert (a - a).is_zero()
 
     def test_diamond_roundtrip(self):
-        from roofcalc.hodge import ambient_diamond
-
         d = ambient_diamond(2, 5)
-        assert epoly_of_diamond(d) == epoly_grassmannian(2, 5)
+        assert d.epoly() == epoly_grassmannian(2, 5)
+
+    @pytest.mark.parametrize("k,n", [(1, 5), (1, 6), (2, 5), (2, 6), (3, 7)])
+    def test_pair_diamonds_roundtrip(self, k, n):
+        # the pair diamonds have middle rows off the diagonal, so this reads
+        # every sign of the conversion, not only a Grassmannian's
+        for spec in pair_specs(k, n):
+            d = hodge_numbers(spec)
+            back = HodgeDiamond.from_epoly(d.epoly(), d.meta)
+            assert (back.grid, back.euler_columns, back.meta) == (
+                d.grid, d.euler_columns, d.meta,
+            )
+
+    def test_from_epoly_rejects_wrong_sign(self):
+        # h^{1,0} = (-1)^1 * 1 = -1
+        with pytest.raises(InconsistentDataError, match=r"h\^\{1,0\} = -1 < 0"):
+            HodgeDiamond.from_epoly(EPoly.from_dict({(1, 0): 1}), {})

@@ -157,3 +157,40 @@ def test_no_unused_imports():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert bound <= used, (path.name, sorted(bound - used))
+
+
+def _package_imports():
+    """{module: the package modules it imports by `from .x import` or
+    `from . import x`}, read from the source of src/roofcalc."""
+    paths = sorted((ROOT / "src" / "roofcalc").glob("*.py"))
+    modules = {path.stem for path in paths}
+    graph = {}
+    for path in paths:
+        graph[path.stem] = {
+            name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [a.name for a in node.names])
+            if name in modules
+        }
+    return graph
+
+
+def test_import_layers():
+    # motive is the E-polynomial layer under hodge, which builds diamonds
+    # from EPoly; nothing motive reaches may import hodge
+    graph = _package_imports()
+
+    def reach(mod):
+        seen, todo = set(), list(graph[mod])
+        while todo:
+            dep = todo.pop()
+            if dep not in seen:
+                seen.add(dep)
+                todo.extend(graph[dep])
+        return seen
+
+    assert "motive" in graph["hodge"]
+    for mod in graph:
+        assert mod not in reach(mod), f"import cycle through {mod}"
+    assert "hodge" not in reach("motive")
