@@ -2,12 +2,13 @@
 
 An expression is a non-negative integer combination of irreducible summands
 labelled by double weights.  Line bundles are folded into the upper block
-(det of the dual subbundle is O(1)).  Every expression is built by `_expr`,
-the one canonical form: each lower block is shifted to end in 0 (the two
-conventions S_d Q* = S_{d-c}Q* (x) O(-c) then never give two keys for one
-bundle), equal terms are merged and the terms sorted in descending order.
-The operations below hand `_expr` plain ((upper, lower), multiplicity)
-items; only `_expr` makes their `DoubleWeight`s.
+(det of the dual subbundle is O(1)).  Every expression is in one canonical
+form: each lower block is shifted to end in 0 (the two conventions
+S_d Q* = S_{d-c}Q* (x) O(-c) then never give two keys for one bundle), equal
+terms are merged and the terms sorted in descending order.  The operations
+below hand `_expr` plain ((upper, lower), multiplicity) items; only `_expr`
+and `dual`, which keeps a canonical form canonical in one pass, make their
+`DoubleWeight`s.
 
 Sym and wedge powers are only defined for twists of the five atoms
 U, U*, Q, Q*, O(t) and direct sums of those; anything else raises
@@ -69,7 +70,7 @@ def _expr(
     for key, m in items:
         c = key[1][-1]
         if c:
-            key = tuple(tuple(e - c for e in block) for block in key)
+            key = (tuple([e - c for e in key[0]]), tuple([e - c for e in key[1]]))
         merged[key] = merged.get(key, 0) + m
     ordered = sorted(merged.items(), reverse=True)
     terms = tuple((DoubleWeight._trusted(*w), m) for w, m in ordered if m)
@@ -130,7 +131,7 @@ def schur(k: int, n: int, block: str, lam: Weight) -> BundleExpr:
 
 def direct_sum(*exprs: BundleExpr) -> BundleExpr:
     if not exprs:
-        raise ValueError("empty direct sum")
+        raise RankError("empty direct sum")
     k, n = exprs[0].ambient
     if any(e.ambient != (k, n) for e in exprs):
         raise AmbientMismatchError("direct sum across different ambients")
@@ -154,9 +155,18 @@ def twist(a: BundleExpr, t: int) -> BundleExpr:
 
 
 def dual(a: BundleExpr) -> BundleExpr:
-    """Termwise dual: negate and reverse each block."""
-    items = (((negate_reverse(w.upper), negate_reverse(w.lower)), m) for w, m in a.terms)
-    return _expr(a.k, a.n, items)
+    """Termwise dual: negate and reverse each block, in canonical form in one
+    pass.  A canonical lower block ends in 0, so the dual of (upper, lower)
+    shifted to end in 0 is lower[0] - e over each reversed block; the dual is
+    injective, so the terms stay distinct and only need sorting."""
+    items = []
+    for w, m in a.terms:
+        c = w.lower[0]
+        up = tuple([c - e for e in reversed(w.upper)])
+        items.append(((up, tuple([c - e for e in reversed(w.lower)])), m))
+    items.sort(reverse=True)
+    terms = tuple((DoubleWeight._trusted(*key), m) for key, m in items)
+    return BundleExpr(a.k, a.n, terms)
 
 
 # -- atoms and their Sym/wedge powers ---------------------------------------

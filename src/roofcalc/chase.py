@@ -58,9 +58,7 @@ class Form:
     def var(v: int) -> "Form":
         return Form({v: 1}, 0)
 
-    def __add__(self, other: "Form | int") -> "Form":
-        if isinstance(other, int):
-            return Form(self.coeffs, self.const + other)
+    def __add__(self, other: "Form") -> "Form":
         out = dict(self.coeffs)
         for v, c in other.coeffs.items():
             out[v] = out.get(v, 0) + c

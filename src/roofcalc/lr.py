@@ -32,10 +32,10 @@ its product is a shift, with no rule at all (every rank-1 block is such a
 factor).  Each other factor is first shifted to end in 0, by the same
 identity, so a twist of a Pieri factor takes its strip rule too.  The one
 cache sits on `_lr_terms`, the unchecked core behind `lr_product` and
-`_blockwise`, so a repeated product costs a lookup with no shifting.  `_blockwise` is the one
-loop of the product on G(k,n), blocks multiplied separately: it feeds
-`lr_double_product`, `bundles.tensor`, which puts its items in canonical
-form, and the window check, which reads them raw.
+`_blockwise`, so a repeated product costs a lookup with no shifting.
+`_blockwise` is the one loop of the product on G(k,n), blocks multiplied
+separately; `lr_double_product`, `bundles.tensor` and the window check's
+Sym degrees read its items.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class SchurSum(Value):
 
     def __iter__(self):
         return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 def _lr_partitions(inner: Weight, content: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
@@ -169,14 +166,14 @@ def _lr_terms(lam: Weight, mu: Weight, rank: int) -> tuple[tuple[Weight, int], .
     rule."""
     if lam[0] == lam[-1]:
         c = lam[0]
-        return ((tuple(e + c for e in mu), 1),)
+        return ((tuple([e + c for e in mu]), 1),)
     if mu[0] == mu[-1]:
         c = mu[0]
-        return ((tuple(e + c for e in lam), 1),)
+        return ((tuple([e + c for e in lam]), 1),)
     ca = -lam[-1]
     cb = -mu[-1]
-    a = tuple(e + ca for e in lam)
-    b = tuple(e + cb for e in mu)
+    a = tuple([e + ca for e in lam])
+    b = tuple([e + cb for e in mu])
     shift = ca + cb
     strips = _pieri_terms(a, b)
     if strips is None:
@@ -188,7 +185,7 @@ def _lr_terms(lam: Weight, mu: Weight, rank: int) -> tuple[tuple[Weight, int], .
         if (sum(b), b) > (sum(a), a):
             a, b = b, a
         terms = _lr_partitions(a, b, rank)
-    return tuple((tuple(e - shift for e in nu), m) for nu, m in terms)
+    return tuple((tuple([e - shift for e in nu]), m) for nu, m in terms)
 
 
 def lr_product(lam: Weight, mu: Weight, rank: int) -> SchurSum:

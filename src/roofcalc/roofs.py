@@ -17,9 +17,9 @@ C-type rank-2 contractions.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 
-from .errors import MalformedContractionError, RankError
+from .errors import MalformedContractionError, RankError, RoofcalcError
 from .weights import Value
 
 
@@ -171,7 +171,9 @@ def _walk(bonds, u: int, erased: int | None = None) -> int | None:
     steps onto `erased`, so the fibre is read in place: the chain ends at a
     node whose only remaining bond is the one just walked."""
     prev = None
-    for r in range(1, len(bonds) + 1):
+    # this ends: a walk meets no node twice, since the first node it met
+    # again would have had a second bond ahead, and a branch returns first
+    for r in count(1):
         ahead = [bond for bond in bonds[u] if bond[0] != prev and bond[0] != erased]
         if not ahead:
             return r
@@ -183,7 +185,6 @@ def _walk(bonds, u: int, erased: int | None = None) -> int | None:
         if mult != 1:
             return None
         prev, u = u, v
-    return None  # the walk went round a cycle, which no Dynkin diagram has
 
 
 class RoofRecord(Value):
@@ -302,13 +303,7 @@ def _label_simple(family: str, rank: int, marks: tuple[int, int]) -> dict:
             "base1": "G2/P1",
             "base2": "G2/P2",
         }
-    return {
-        "family": "UNKNOWN",
-        "type_label": f"{family}{rank}?{marks}",
-        "roof": "?",
-        "base1": "?",
-        "base2": "?",
-    }
+    raise RoofcalcError(f"no roof family matches the marking {marks} of {family}{rank}")
 
 
 def classify(max_rank: int) -> list[RoofRecord]:

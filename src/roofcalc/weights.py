@@ -137,9 +137,6 @@ class BoxSet(Value):
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, w: Weight) -> bool:
-        return tuple(w) in self.members
-
 
 def enumerate_box(a: int, b: int) -> BoxSet:
     """Non-increasing weights of length a with entries in [0, b].

@@ -24,19 +24,15 @@ whether every pair reached that point by m = m_max.
 
 One loop (`_check_pairs`) serves both sides: it takes the labelled members
 and the atom A(2), and the two public checks differ only in those inputs.
-It builds no `BundleExpr` past the atom's Sym powers.  The pair product
-dual(E) (x) E' is expanded once per unordered pair by `lr._blockwise`; the
-transposed pair's product dual(E') (x) E is its dual, kept by the index pair
-until read and put in canonical form in one pass (the dual is injective, so
-nothing needs de-duplicating).  A summand's margin upper[-1] - lower[0] is
-negative exactly when it is not fully ordered.  Every summand of a block product has at least
-the sum of its factors' margins, and the summand whose blocks are the sums
-of the factors' blocks has exactly that sum, so a degree m >= 1 multiplies
-only the pair terms whose margin and Sym^m(A(2))'s sum below 0, and a degree
-with none is fully ordered with no product at all.  It walks those block
-products directly: fully ordered items are dropped at once, and only the
-rest are put in canonical form, de-duplicated and sorted, in the order a
-`BundleExpr` would list them.  Sym^m(A(2)) is built once per degree m.
+Each pair product dual(E) (x) E' is one `bundles.tensor`, once per unordered
+pair; the transposed pair's product dual(E') (x) E is its `bundles.dual`.
+A summand's margin upper[-1] - lower[0] is negative exactly when it is not
+fully ordered.  Every summand of a block product has at least the sum of its
+factors' margins, and the summand whose blocks are the sums of the factors'
+blocks has exactly that sum, so a degree m >= 1 multiplies only the pair
+terms whose margin and Sym^m(A(2))'s sum below 0, and a degree with none is
+fully ordered with no product at all.  That product drops its fully ordered
+`lr._blockwise` items before `bundles._expr` puts the rest in canonical form.
 """
 
 from __future__ import annotations
@@ -48,9 +44,7 @@ from .bundles import BundleExpr
 from .bwb import bott
 from .errors import RankError
 from .lr import _blockwise
-from .weights import (
-    DoubleWeight, Value, Weight, bar_move, enumerate_box, negate_reverse,
-)
+from .weights import DoubleWeight, Value, Weight, bar_move, enumerate_box
 
 
 class Collection(Value):
@@ -118,35 +112,6 @@ def bar_moved_collection(c: Collection) -> Collection:
     return Collection(c.k + 1, c.n, members)
 
 
-def _distinct(keys) -> list[DoubleWeight]:
-    """The distinct canonical forms of (upper, lower) blocks, in the
-    descending order of `bundles._expr`'s terms: both blocks shift by the
-    lower block's last entry, so that it ends in 0."""
-    seen = set()
-    for up, lo in keys:
-        c = lo[-1]
-        if c:
-            up = tuple(e - c for e in up)
-            lo = tuple(e - c for e in lo)
-        seen.add((up, lo))
-    return [DoubleWeight._trusted(up, lo) for up, lo in sorted(seen, reverse=True)]
-
-
-def _dual_distinct(terms: list[DoubleWeight]) -> list[DoubleWeight]:
-    """The canonical forms of the duals of distinct canonical terms, in
-    `_distinct`'s order.  A canonical lower block ends in 0, so the dual of
-    (upper, lower) shifted to end in 0 is lower[0] - e over each reversed
-    block; the dual is injective, so the terms stay distinct."""
-    keys = []
-    for v in terms:
-        c = v.lower[0]
-        keys.append(
-            (tuple([c - e for e in reversed(v.upper)]), tuple([c - e for e in reversed(v.lower)]))
-        )
-    keys.sort(reverse=True)
-    return [DoubleWeight._trusted(up, lo) for up, lo in keys]
-
-
 def _check_pairs(
     report: VanishingReport,
     members: list[tuple[Weight, DoubleWeight]],
@@ -163,23 +128,21 @@ def _check_pairs(
     # the early stop needs a globally generated atom
     assert bundles.is_globally_generated(atom), atom
     k, n = atom.ambient
-    q = n - k
     sym = cache(partial(bundles.sym_power, atom))
+    exprs = [(label, bundles.irreducible(k, n, w.upper, w.lower)) for label, w in members]
     # the product of pair (i, j), i < j, kept until pair (j, i) reads its dual
-    transposed: dict[tuple[int, int], list[DoubleWeight]] = {}
-    for i, (label, w) in enumerate(members):
-        dual_w = DoubleWeight._trusted(negate_reverse(w.upper), negate_reverse(w.lower))
-        for j, (label_prime, w_prime) in enumerate(members):
+    transposed: dict[tuple[int, int], BundleExpr] = {}
+    for i, (label, e) in enumerate(exprs):
+        dual_e = bundles.dual(e)
+        for j, (label_prime, e_prime) in enumerate(exprs):
             report.checked_pairs += 1
             if j < i:
                 # dual(w) (x) w' is the dual of dual(w') (x) w
-                pair_part = _dual_distinct(transposed.pop((j, i)))
+                product = bundles.dual(transposed.pop((j, i)))
             else:
-                pair_part = _distinct(
-                    key for key, _ in _blockwise(((dual_w, 1),), ((w_prime, 1),), k, q)
-                )
+                product = bundles.tensor(dual_e, e_prime)
                 if j > i:
-                    transposed[i, j] = pair_part
+                    transposed[i, j] = product
             # only terms whose margin and Sym^m's sum below 0 give summands
             # that are not fully ordered (see the module docstring)
             sym_margin = 0  # Sym^0 is O, so degree 0 is the pair product itself
@@ -187,19 +150,19 @@ def _check_pairs(
                 if m:
                     [(s, _)] = sym(m).terms  # Sym^m of an atom is irreducible
                     sym_margin = s.upper[-1] - s.lower[0]
-                live = [v for v in pair_part if v.upper[-1] - v.lower[0] + sym_margin < 0]
+                live = [
+                    (v, c) for v, c in product.terms
+                    if v.upper[-1] - v.lower[0] + sym_margin < 0
+                ]
                 if not live:
                     break
                 if m:
                     # a fully ordered item stays so under the canonical shift
-                    live = _distinct(
-                        (up, lo)
-                        for (up, lo), _ in _blockwise(
-                            [(v, 1) for v in live], ((s, 1),), k, q
-                        )
-                        if up[-1] < lo[0]
-                    )
-                for v in live:
+                    items = _blockwise(live, sym(m).terms, k, n - k)
+                    live = bundles._expr(
+                        k, n, (it for it in items if it[0][0][-1] < it[0][1][0])
+                    ).terms
+                for v, _ in live:
                     res = bott(v)
                     if not res.acyclic and res.degree > 0:
                         report.failures.append(

@@ -5,8 +5,9 @@ import pytest
 
 from roofcalc import bundles
 from roofcalc.bwb import Character, tensor_cohomology
-from roofcalc.errors import AmbientMismatchError, PlethysmRequiredError
-from roofcalc.weights import DoubleWeight, is_dominant
+from roofcalc.errors import AmbientMismatchError, PlethysmRequiredError, RankError
+from roofcalc.weights import DoubleWeight, enumerate_box, is_dominant, negate_reverse
+from roofcalc.windows import bar_moved_collection, kapranov_collection
 
 from roofcalc.parser import parse_bundle
 
@@ -142,6 +143,50 @@ class TestDual:
             bundles.direct_sum(bundles.line(2, 5, 2), bundles.quotient(2, 5)),
         ]:
             assert bundles.dual(bundles.dual(e)) == e
+
+    @staticmethod
+    def reference(e):
+        """Negate and reverse each block, then put the items in canonical
+        form, merging equal terms."""
+        items = (((negate_reverse(w.upper), negate_reverse(w.lower)), m) for w, m in e.terms)
+        return bundles._expr(e.k, e.n, items)
+
+    @staticmethod
+    def pair_products():
+        """dual(E) (x) E' over both Kapranov sides for n <= 7: the products
+        the window check dualises."""
+        sides = [
+            (1, n, [DoubleWeight((0,), lam) for lam in enumerate_box(n - 1, 1)])
+            for n in range(3, 8)
+        ] + [
+            (2, n, list(bar_moved_collection(kapranov_collection(1, n))))
+            for n in range(4, 8)
+        ]
+        for k, n, members in sides:
+            exprs = [bundles.irreducible(k, n, w.upper, w.lower) for w in members]
+            for e in exprs:
+                dual_e = TestDual.reference(e)
+                for e_prime in exprs:
+                    yield bundles.tensor(dual_e, e_prime)
+
+    def test_matches_negate_reverse_reference(self):
+        parsed = [
+            parse_bundle(text, k, n)
+            for text, k, n in [
+                ("UD+UD+Q*O(1)", 2, 5), ("Wedge^2(UD+UD+QD)", 3, 7), ("Q+Q+Q*O(-2)+O(3)", 2, 6),
+            ]
+        ]
+        assert all(max(m for _, m in e.terms) > 1 for e in parsed)
+        products = list(self.pair_products())
+        assert len(products) == sum(n * n for n in range(3, 8)) + sum(n * n for n in range(4, 8))
+        for e in products + parsed:
+            got = bundles.dual(e)
+            assert got == self.reference(e), e
+            assert bundles.dual(got) == e, e
+
+    def test_empty_direct_sum_is_a_rank_error(self):
+        with pytest.raises(RankError):
+            bundles.direct_sum()
 
 
 class TestSymWedge:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from roofcalc.errors import MalformedContractionError, RankError
+from roofcalc.errors import MalformedContractionError, RankError, RoofcalcError
 from roofcalc import roofs
 from roofcalc.roofs import (
     classify,
@@ -262,6 +262,12 @@ class TestClassify:
     def test_bad_rank(self):
         with pytest.raises(RankError):
             classify(1)
+
+    def test_unlabelled_marking_raises(self):
+        # classify labels only markings whose two fibres are projective
+        # spaces; one outside every family pattern must not print as "?"
+        with pytest.raises(RoofcalcError, match=r"\(1, 6\) of E6"):
+            roofs._label_simple("E", 6, (1, 6))
 
     @pytest.mark.parametrize("max_rank", range(2, 13))
     def test_keys_match_expected_patterns(self, max_rank):

@@ -122,10 +122,7 @@ def _raises(node, where):
 
 def test_every_raise_is_a_package_error():
     # cli.main turns a RoofcalcError into its exit code and one stderr line;
-    # any other class escapes as a traceback.  The one exception is the
-    # guard of a direct_sum() call with no summands, which no command line
-    # reaches.
-    allowed = {("bundles", "direct_sum", "ValueError")}
+    # any other class escapes as a traceback
     seen, outside = 0, set()
     for path in sorted((ROOT / "src" / "roofcalc").glob("*.py")):
         name = "roofcalc" if path.stem == "__init__" else f"roofcalc.{path.stem}"
@@ -138,7 +135,7 @@ def test_every_raise_is_a_package_error():
             if not issubclass(cls, errors.RoofcalcError):
                 outside.add((path.stem, where, cls.__name__))
     assert seen > 50
-    assert outside == allowed
+    assert outside == set()
 
 
 def test_no_unused_imports():

@@ -1,6 +1,6 @@
 import sys
 
-from roofcalc import hodge, verify
+from roofcalc import hodge, verify, windows
 
 
 def test_paper_suite_computes_each_diamond_once(monkeypatch):
@@ -39,3 +39,57 @@ def test_b2_check_reports_a_wrong_value(monkeypatch):
     sweep, excluded = verify.check_b2()
     assert (sweep.passed, sweep.detail) == (False, "b2(2,6)=2")
     assert excluded.passed
+
+
+def test_hodge_theorem_check_reports_a_failing_pair(monkeypatch):
+    real = verify.check_pair_theorem
+
+    def perturbed(k, n):
+        rep = real(k, n)
+        if (k, n) == (2, 5):
+            rep.failures += [f"v-rows differ at p={p}: 51 != 52" for p in range(4)]
+        return rep
+
+    monkeypatch.setattr(verify, "check_pair_theorem", perturbed)
+    verify._pair.cache_clear()
+    try:
+        results = verify.check_hodge_theorem()
+    finally:
+        verify._pair.cache_clear()
+    # the detail names the first three failures
+    assert [(r.name, r.detail) for r in results if not r.passed] == [
+        (
+            "middle v-rows match for (2,5)",
+            "; ".join(f"v-rows differ at p={p}: 51 != 52" for p in range(3)),
+        )
+    ]
+
+
+def test_roofs_check_reports_a_missing_record(monkeypatch):
+    real = verify.classify
+    monkeypatch.setattr(
+        verify, "classify", lambda max_rank: [r for r in real(max_rank) if r.family != "B^s"]
+    )
+    table, exceptional = verify.check_roofs()
+    assert (table.passed, table.detail) == (
+        False, "missing [('B3', (1, 3), 'B^s', 'OF(1,3,7)', 3, 2)], extra []",
+    )
+    assert exceptional.passed
+
+
+def test_windows_check_reports_a_failing_side(monkeypatch):
+    real = verify.check_tilting_plus
+
+    def perturbed(n, m_max):
+        rep = real(n, m_max)
+        if n == 6:
+            rep.failures.append(
+                windows.VanishingFailure((1, 0), (1, 1), 2, 1, (0, 0, 1, 0, 0, 0))
+            )
+        return rep
+
+    monkeypatch.setattr(verify, "check_tilting_plus", perturbed)
+    results = verify.check_windows()
+    assert [(r.name, r.detail) for r in results if not r.passed] == [
+        ("no higher self-extensions upstairs, n=6", "1 failures")
+    ]
