@@ -14,12 +14,11 @@ from .hodge import (
     hodge_numbers,
     v_cohomology,
 )
-from .lr import SchurSum, lr_double_product, lr_product
+from .lr import lr_double_product, lr_product
 from .motive import EPoly, derive_b2, verify_lemma_leq
 from .roofs import MarkedDynkin, RoofRecord, classify
-from .weights import BoxSet, DoubleWeight, bar_move, enumerate_box
+from .weights import DoubleWeight, bar_move, enumerate_box
 from .windows import (
-    Collection,
     VanishingReport,
     bar_moved_collection,
     check_tilting_minus,
@@ -29,14 +28,11 @@ from .windows import (
 
 __all__ = [
     "BottResult",
-    "BoxSet",
-    "Collection",
     "DoubleWeight",
     "EPoly",
     "HodgeDiamond",
     "MarkedDynkin",
     "RoofRecord",
-    "SchurSum",
     "VanishingReport",
     "ZeroLocusSpec",
     "ambient_diamond",

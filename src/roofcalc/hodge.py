@@ -94,7 +94,7 @@ from .errors import (
     WorkLimitError,
 )
 from .lr import _blockwise
-from .motive import EPoly, _gaussian_binomial, epoly_grassmannian
+from .motive import EPoly, _gaussian_binomial, epoly_grassmannian, verify_lemma_leq
 from .weights import Value, Weight
 
 # Limit on n^2 prod (m+1)^(rank A) over the summands m*A of F, a measure of
@@ -453,17 +453,18 @@ def pair_specs(k: int, n: int) -> tuple[ZeroLocusSpec, ZeroLocusSpec]:
 
 
 class PairReport:
-    __slots__ = ("diamond1", "diamond2", "v1", "v2", "shift", "failures")
+    __slots__ = ("diamond1", "diamond2", "v1", "v2", "shift", "failures", "residual")
 
     def __init__(
         self, diamond1: HodgeDiamond, diamond2: HodgeDiamond,
         v1: list[int] | None = None, v2: list[int] | None = None,
-        shift: int = 0, failures: list[str] | None = None,
+        shift: int = 0, failures: list[str] | None = None, residual: EPoly | None = None,
     ):
         self.diamond1, self.diamond2, self.shift = diamond1, diamond2, shift
         self.v1 = [] if v1 is None else v1
         self.v2 = [] if v2 is None else v2
         self.failures = [] if failures is None else failures
+        self.residual = residual  # of the Grothendieck identity; None if a diamond is inexact
 
     @property
     def passed(self) -> bool:
@@ -472,13 +473,16 @@ class PairReport:
 
 def check_pair_theorem(k: int, n: int) -> PairReport:
     """Verify numerically that the two middle v-rows agree after the index
-    shift and that the co-level bound holds.  Q*(2) and U(2) are ample, so
-    both diamonds take the Lefschetz route, which writes nothing off the
-    diagonal and the middle row.  A verifier: failures are collected, not
-    proved impossible."""
+    shift and that the co-level bound holds, and take the residual of the
+    Grothendieck identity (`motive.verify_lemma_leq`) when both diamonds are
+    exact.  Q*(2) and U(2) are ample, so both diamonds take the Lefschetz
+    route, which writes nothing off the diagonal and the middle row.  A
+    verifier: failures are collected, not proved impossible."""
     spec1, spec2 = pair_specs(k, n)
     y1, y2 = hodge_numbers(spec1), hodge_numbers(spec2)
     report = PairReport(diamond1=y1, diamond2=y2)
+    if y1.fully_exact() and y2.fully_exact():
+        report.residual = verify_lemma_leq(k, n, y1, y2)[1]
     fail = report.failures.append
     d1, d2 = y1.dim, y2.dim
 

@@ -45,23 +45,7 @@ from itertools import accumulate, repeat
 from operator import sub
 
 from .errors import AmbientMismatchError, RankError
-from .weights import DoubleWeight, Value, Weight, check_dominant, negate_reverse
-
-
-class SchurSum(Value):
-    """Multiset of GL(rank) Schur labels with positive multiplicities."""
-
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank: int, terms: tuple[tuple[Weight, int], ...]):
-        self.rank = rank
-        self.terms = terms  # lex-descending by weight, no dupes
-
-    def as_dict(self) -> dict[Weight, int]:
-        return dict(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
+from .weights import DoubleWeight, Weight, check_dominant, negate_reverse
 
 
 def _lr_partitions(inner: Weight, content: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
@@ -188,8 +172,9 @@ def _lr_terms(lam: Weight, mu: Weight, rank: int) -> tuple[tuple[Weight, int], .
     return tuple((tuple([e - shift for e in nu]), m) for nu, m in terms)
 
 
-def lr_product(lam: Weight, mu: Weight, rank: int) -> SchurSum:
-    """Tensor product multiplicities of two GL(rank) Schur functors.
+def lr_product(lam: Weight, mu: Weight, rank: int) -> tuple[tuple[Weight, int], ...]:
+    """Tensor product multiplicities of two GL(rank) Schur functors, as
+    (weight, multiplicity) pairs, lex-descending by weight, no weight twice.
 
     Both inputs must be non-increasing of length `rank`.
     """
@@ -199,7 +184,7 @@ def lr_product(lam: Weight, mu: Weight, rank: int) -> SchurSum:
         raise RankError(
             f"rank mismatch: len({lam})={len(lam)}, len({mu})={len(mu)}, rank={rank}"
         )
-    return SchurSum(rank=rank, terms=_lr_terms(lam, mu, rank))
+    return _lr_terms(lam, mu, rank)
 
 
 def _blockwise(a_terms, b_terms, k: int, q: int):

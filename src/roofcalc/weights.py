@@ -1,4 +1,4 @@
-"""GL(r) weights, double weights on G(k,n), box sets and bar moving.
+"""GL(r) weights, double weights on G(k,n), weights in a box, bar moving.
 
 A weight is a dense tuple of integers of fixed length (trailing zeros kept
 explicit).  Weights labelling Schur functors must be non-increasing; negative
@@ -12,8 +12,9 @@ are dominant by construction; they come from the private
 `DoubleWeight._trusted` unchecked.
 
 The package's value classes derive from `Value`: `__slots__` classes, equal
-when class and fields are, hashed as the tuple of their fields, and immutable
-by convention (no field is assigned after `__init__`).
+when class and fields are, hashed as the tuple of their fields (no subclass
+redefines either), and immutable by convention (no field is assigned after
+`__init__`).
 """
 
 from __future__ import annotations
@@ -87,14 +88,6 @@ class DoubleWeight(Value):
         w.lower = lower
         return w
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.upper == other.upper and self.lower == other.lower
-
-    def __hash__(self) -> int:
-        return hash((self.upper, self.lower))
-
     @property
     def k(self) -> int:
         return len(self.upper)
@@ -123,22 +116,7 @@ class DoubleWeight(Value):
         return f"({up}|{lo})"
 
 
-class BoxSet(Value):
-    """All weights of length `rows` with entries in [0, cap], cap at the top."""
-
-    __slots__ = ("rows", "cap", "members")
-
-    def __init__(self, rows: int, cap: int, members: tuple[Weight, ...]):
-        self.rows, self.cap, self.members = rows, cap, members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def enumerate_box(a: int, b: int) -> BoxSet:
+def enumerate_box(a: int, b: int) -> tuple[Weight, ...]:
     """Non-increasing weights of length a with entries in [0, b].
 
     Sorted lexicographically descending; the count is C(a+b, b).
@@ -147,8 +125,7 @@ def enumerate_box(a: int, b: int) -> BoxSet:
         raise RankError(f"box needs at least one row, got a={a}")
     if b < 0:
         raise RankError(f"box cap must be >= 0, got b={b}")
-    members = tuple(combinations_with_replacement(range(b, -1, -1), a))
-    return BoxSet(rows=a, cap=b, members=members)
+    return tuple(combinations_with_replacement(range(b, -1, -1), a))
 
 
 def bar_move(w: DoubleWeight) -> DoubleWeight:

@@ -47,21 +47,6 @@ from .lr import _blockwise
 from .weights import DoubleWeight, Value, Weight, bar_move, enumerate_box
 
 
-class Collection(Value):
-    """Ordered list of distinct double weights on one G(k,n)."""
-
-    __slots__ = ("k", "n", "members")
-
-    def __init__(self, k: int, n: int, members: tuple[DoubleWeight, ...]):
-        self.k, self.n, self.members = k, n, members
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 class VanishingFailure(Value):
     __slots__ = ("lam", "lam_prime", "m", "degree", "weight")
 
@@ -95,21 +80,19 @@ class VanishingReport:
         return not self.failures
 
 
-def kapranov_collection(k: int, n: int) -> Collection:
+def kapranov_collection(k: int, n: int) -> tuple[DoubleWeight, ...]:
     """Summands of the twisted tilting generator on G(k,n): the bundles
     S_lam Q*(k) for lam in Box(n-k, k), in canonical descending order."""
     if not (1 <= k < n):
         raise RankError(f"need 1 <= k < n, got ({k},{n})")
-    members = tuple(
+    return tuple(
         DoubleWeight((k,) * k, lam) for lam in enumerate_box(n - k, k)
     )
-    return Collection(k, n, members)
 
 
-def bar_moved_collection(c: Collection) -> Collection:
-    """Memberwise bar move; lands on G(k+1, n)."""
-    members = tuple(bar_move(w) for w in c)
-    return Collection(c.k + 1, c.n, members)
+def bar_moved_collection(members: tuple[DoubleWeight, ...]) -> tuple[DoubleWeight, ...]:
+    """Memberwise bar move of double weights on G(k,n); lands on G(k+1, n)."""
+    return tuple(bar_move(w) for w in members)
 
 
 def _check_pairs(

@@ -182,7 +182,7 @@ def test_criterion_9_property_suites():
                     continue
                 a = tuple(lam) + (0,) * (rank - len(lam))
                 b = tuple(mu) + (0,) * (rank - len(mu))
-                got = lr_product(a, b, rank).as_dict()
+                got = dict(lr_product(a, b, rank))
                 want = {
                     tuple(nu) + (0,) * (rank - len(nu)): c
                     for nu, c in schur_product_oracle(lam, mu, rank).items()

@@ -6,7 +6,7 @@ from math import factorial, prod
 
 import pytest
 
-from roofcalc import bundles, bwb, cli, hodge
+from roofcalc import bundles, bwb, cli, hodge, verify
 from roofcalc.bwb import bott, tensor_cohomology
 from roofcalc.chase import LinearSystem
 from roofcalc.errors import (
@@ -802,12 +802,15 @@ class TestCheckPairTheorem:
     @staticmethod
     def perturb(monkeypatch, edits):
         """Make hodge_numbers return the (2,6) pair's diamonds with the
-        entries edits[(y, p, q)] of Y1 (y = 1) and Y2 (y = 2) overwritten."""
+        entries edits[(y, p, q)] of Y1 (y = 1) and Y2 (y = 2) overwritten;
+        every other diamond is left as it is."""
         real = hodge.hodge_numbers
         specs = pair_specs(2, 6)
 
         def perturbed(spec):
             d = real(spec)
+            if spec not in specs:
+                return d
             y = specs.index(spec) + 1
             grid = [list(row) for row in d.grid]
             for (which, p, q), iv in edits.items():
@@ -856,3 +859,25 @@ class TestCheckPairTheorem:
         assert not out["middleRowsMatch"] and not out["grothendieckIdentityHolds"]
         # E(Y1) gains v^4, and the identity subtracts (uv)^3 E(Y1)
         assert out["residual"] == "-1*u^3v^7"
+
+    def test_pair_reports_an_inexact_diamond(self, monkeypatch, capsys):
+        # an inexact diamond has no E-polynomial, so the identity has no
+        # residual; the report still prints, with the entry that is open
+        self.perturb(monkeypatch, {(1, 2, 2): (2271, 2272)})
+        assert check_pair_theorem(2, 6).residual is None
+        assert cli.main(["pair", "--k", "2", "--n", "6"]) == cli.EXIT_MISMATCH
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["failures"] == ["h^{2,2} only known in [2271,2272]"]
+        assert out["grothendieckIdentityHolds"] is False and out["residual"] is None
+
+    def test_suite_reports_an_inexact_diamond(self, monkeypatch):
+        self.perturb(monkeypatch, {(1, 2, 2): (2271, 2272)})
+        verify._pair.cache_clear()
+        try:
+            results = verify.check_grothendieck_identity()
+        finally:
+            verify._pair.cache_clear()
+        assert [(r.name, r.passed, r.detail) for r in results if not r.passed] == [
+            ("Grothendieck-ring residual vanishes for (2,6)", False,
+             "no residual: a diamond is inexact"),
+        ]

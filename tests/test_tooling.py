@@ -156,6 +156,24 @@ def test_no_unused_imports():
         assert bound <= used, (path.name, sorted(bound - used))
 
 
+def test_only_value_defines_equality():
+    # the value classes compare and hash through weights.Value; a class with
+    # its own __eq__ or __hash__ would be a second copy that can drift from it
+    defined = []
+    for path in sorted((ROOT / "src" / "roofcalc").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                names = [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+                names += [node.name] if isinstance(node, ast.FunctionDef) else []
+                defined += [
+                    f"{path.stem}.{cls.name}.{name}"
+                    for name in names if name in ("__eq__", "__hash__")
+                ]
+    assert defined == ["weights.Value.__eq__", "weights.Value.__hash__"]
+
+
 def _package_imports():
     """{module: the package modules it imports by `from .x import` or
     `from . import x`}, read from the source of src/roofcalc."""

@@ -11,13 +11,12 @@ from roofcalc.bundles import BundleExpr
 from roofcalc.bwb import BottResult
 from roofcalc.errors import DominanceError, PlethysmRequiredError, RankError
 from roofcalc.hodge import PairReport, ZeroLocusSpec
-from roofcalc.lr import SchurSum
 from roofcalc.motive import EPoly
 from roofcalc.parser import parse_bundle
 from roofcalc.roofs import MarkedDynkin, RoofRecord
 from roofcalc.verify import CheckResult
-from roofcalc.weights import BoxSet, DoubleWeight
-from roofcalc.windows import Collection, VanishingFailure, VanishingReport
+from roofcalc.weights import DoubleWeight
+from roofcalc.windows import VanishingFailure, VanishingReport
 
 W = DoubleWeight((1, 0), (0, 0, 0))
 O2, O3 = parse_bundle("O(2)", 1, 6), parse_bundle("O(3)", 1, 6)
@@ -27,7 +26,14 @@ O2, O3 = parse_bundle("O(2)", 1, 6), parse_bundle("O(3)", 1, 6)
 # goes at the end and a deleted row's place is taken by the last one
 CASES = [
     (DoubleWeight, ("upper", "lower"), ((2, 1), (1, 0)), 1, (1, 1)),
-    (BoxSet, ("rows", "cap", "members"), (1, 1, ((1,), (0,))), 1, 2),
+    (
+        RoofRecord,
+        ("group", "family", "type_label", "roof", "marks", "base1", "base2",
+         "fiber_dim1", "fiber_dim2"),
+        ("A3", "A", "A3", "P(T_P3)", (1, 3), "P3", "P3", 2, 2),
+        8,
+        3,
+    ),
     (
         BottResult,
         ("acyclic", "degree", "weight", "dimension"),
@@ -35,7 +41,13 @@ CASES = [
         1,
         2,
     ),
-    (SchurSum, ("rank", "terms"), (2, (((1, 0), 1),)), 0, 3),
+    (
+        MarkedDynkin,
+        ("label", "nodes", "edges", "marked"),
+        ("A2", (1, 2), ((1, 2, 1, None),), frozenset({1})),
+        3,
+        frozenset({2}),
+    ),
     (BundleExpr, ("k", "n", "terms"), (2, 5, ((W, 1),)), 2, ((W, 2),)),
     (ZeroLocusSpec, ("k", "n", "bundle"), (1, 6, O2), 2, O3),
     (
@@ -46,22 +58,6 @@ CASES = [
         2,
     ),
     (EPoly, ("coeffs",), ((((0, 0), 1), ((1, 1), 1)),), 0, (((0, 0), 1),)),
-    (
-        MarkedDynkin,
-        ("label", "nodes", "edges", "marked"),
-        ("A2", (1, 2), ((1, 2, 1, None),), frozenset({1})),
-        3,
-        frozenset({2}),
-    ),
-    (
-        RoofRecord,
-        ("group", "family", "type_label", "roof", "marks", "base1", "base2",
-         "fiber_dim1", "fiber_dim2"),
-        ("A3", "A", "A3", "P(T_P3)", (1, 3), "P3", "P3", 2, 2),
-        8,
-        3,
-    ),
-    (Collection, ("k", "n", "members"), (1, 4, (W,)), 0, 2),
 ]
 
 
@@ -85,8 +81,8 @@ def test_value_semantics(cls, names, args, i, other):
 
 
 def test_classes_with_the_same_fields_differ():
-    c, e = Collection(2, 5, ((W, 1),)), BundleExpr(2, 5, ((W, 1),))
-    assert c != e and e != c and hash(c) == hash(e)
+    b, d = BottResult(False, 1, (1, 0), 3), MarkedDynkin(False, 1, (1, 0), 3)
+    assert b != d and d != b and hash(b) == hash(d)
 
 
 def test_defaults():
