@@ -343,17 +343,29 @@ def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for e in lam if e > j) for j in range(lam[0]))
 
 
-def cotangent_power(k: int, n: int, t: int) -> BundleExpr:
-    """wedge^t of the cotangent bundle of G(k,n), by the Cauchy formula.
+def cotangent_powers(k: int, n: int, top: int) -> list[BundleExpr]:
+    """wedge^0 .. wedge^top of the cotangent bundle of G(k,n), by the Cauchy
+    formula, from one pass over the k x (n-k) box.
 
     Omega^1 = U (x) Q*, so Omega^t is the sum of S_mu U (x) S_mu' Q* over
-    partitions mu of t inside the k x (n-k) box.
+    partitions mu of t inside the box; above t = k(n-k) it is zero.
     """
     zero(k, n)  # checks 1 <= k < n before the box is enumerated
-    pad = (0,) * (n - k)
-    box = [mu for mu in enumerate_box(k, n - k) if sum(mu) == t]
-    items = [((negate_reverse(mu), (_conjugate(mu) + pad)[: n - k]), 1) for mu in box]
-    return _expr(k, n, items)
+    pad, dim = (0,) * (n - k), k * (n - k)
+    rows: list[list] = [[] for _ in range(min(top, dim) + 1)]
+    for mu in enumerate_box(k, n - k):
+        t = sum(mu)
+        if t < len(rows):
+            rows[t].append(((negate_reverse(mu), (_conjugate(mu) + pad)[: n - k]), 1))
+    return [_expr(k, n, row) for row in rows] + [zero(k, n)] * (top - dim)
+
+
+def cotangent_power(k: int, n: int, t: int) -> BundleExpr:
+    """wedge^t of the cotangent bundle of G(k,n) (`cotangent_powers`); zero
+    for t < 0 and t > k(n-k)."""
+    if not 0 <= t <= k * (n - k):
+        return zero(k, n)
+    return cotangent_powers(k, n, t)[t]
 
 
 def rank(a: BundleExpr) -> int:

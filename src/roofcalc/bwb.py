@@ -36,18 +36,25 @@ records that take it, one bit per record, and pairs between the same two
 columns share that map.  The bitsets thus grow with the number of weights,
 never with the size of their entries.  The active pairs are every
 cross-block pair and each same-block pair at which some weight has
-nu_i != nu_j; at the others, inactive, nu_j - nu_i = 0 for every weight,
-and s is strictly decreasing within each block, so they never collide.
+nu_i != nu_j.  The other same-block pairs join two positions of one class,
+the positions of a block whose columns are equal on every weight; there
+nu_j - nu_i = 0, and s is strictly decreasing within each block, so they
+never collide.  The set-up lists the classes and the active pairs only,
+so it grows with the active pairs, not with n^2.
 
 Per term the walk computes the active gaps s_i - s_j once and joins the
 bitsets they hit into the set of records whose sequence has a repeat; the
 binary digits of that bitset flag the records kept.  The Vandermonde
-prod_{i<j} (seq_i - seq_j) of a kept nu is the product of the inactive
-gaps, which no weight moves and which the walk takes once per term with a
-survivor, times the product of gap + offset over the active pairs,
-offset = nu_i - nu_j.  A record's offsets are computed the first time it
-survives and then kept, so a large character that few terms reach never
-holds them all.  Each survivor costs one product.
+prod_{i<j} (seq_i - seq_j) of a kept nu is the fixed factor, the product of
+the gaps that no weight moves, times the product of gap + offset over the
+active pairs, offset = nu_i - nu_j.  The fixed factor is the product, over
+the classes of equal columns of one block, of the Vandermonde of s at the
+class's positions; s is strictly decreasing there, so `_run_vandermonde`
+builds it from runs of consecutive integers, and the `Character` keeps it
+by s at all class positions, so the walk takes it once per distinct key.
+A record's offsets are computed the first time it survives and then kept,
+so a large character that few terms reach never holds them all.  Each
+survivor costs one product.
 
 The Vandermonde carries the Klimyk sign times (-1)^degree, degree being the
 cross-block inversions of seq, that is, the negative cross factors (the
@@ -63,12 +70,13 @@ totals are keyed by the antidiagonal m = degree - s.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, reduce
 from itertools import combinations, compress, product, repeat, starmap
-from math import factorial, prod
+from math import factorial, perm, prod
 from operator import add, eq, gt, itemgetter, lt, or_, sub
 
+from .errors import InconsistentDataError
 from .weights import DoubleWeight, Value, Weight, check_dominant
 
 # (upper + lower, multiplicity): one summand of a bundle, in any uniform shift
@@ -104,20 +112,48 @@ def _weyl_quotient(num: int, denominator: int) -> int:
     if not num:
         return 0
     q, r = divmod(num, denominator)
-    assert r == 0 and q >= 0, (num, denominator)
+    if r or q < 0:
+        raise InconsistentDataError(
+            "Weyl quotient", f"{num} is not a non-negative multiple of {denominator}"
+        )
     return q
+
+
+def _getter(positions: Sequence[int]) -> Callable[[Weight], tuple[int, ...]]:
+    """A function reading the entries at `positions` off a sequence, as a
+    tuple, for any number of positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
 
 
 def _getters(pairs: list[tuple[int, int]]):
     """Two functions reading entries i and entries j of the pairs (i, j) off
     a sequence, each as a tuple, for any number of pairs."""
-    if len(pairs) > 1:
-        left, right = zip(*pairs)
-        return itemgetter(*left), itemgetter(*right)
-    if pairs:
-        ((i, j),) = pairs
-        return (lambda seq: (seq[i],)), (lambda seq: (seq[j],))
-    return (lambda seq: ()), (lambda seq: ())
+    left, right = zip(*pairs) if pairs else ((), ())
+    return _getter(left), _getter(right)
+
+
+def _run_vandermonde(x: Weight) -> int:
+    """prod_{i<j} (x_i - x_j) for strictly decreasing x, run by run: a run of
+    L consecutive integers a, a - 1, ... gives 0! 1! ... (L-1)! within
+    itself and perm(a - b, L) = (a - b)(a - b - 1) ... (a - b - L + 1)
+    with each later entry b.  So each run costs one product over the
+    entries after it, however long the run is."""
+    out, start, n = 1, 0, len(x)
+    while start < n:
+        a, end = x[start], start + 1
+        while end < n and x[end] == a - (end - start):
+            end += 1
+        length = end - start
+        out *= _superfactorial(length)
+        if end < n:
+            out *= prod(map(perm, map(sub, repeat(a), x[end:]), repeat(length)))
+        start = end
+    return out
 
 
 class Character:
@@ -130,34 +166,43 @@ class Character:
     lists the active pairs (i, j), the k(n-k) cross-block pairs first, and
     `dead[a]` maps each value of nu_j - nu_i over the records at the a-th
     of them to the bitset of the records that take it, record r at bit
-    R - 1 - r of R (see the module docstring).  `active` and `inactive`
-    read the left and right entries of the active and of the inactive pairs
-    off a sequence.  `offsets[r]` holds record r's nu_i - nu_j over the
-    active pairs once r has survived a term, and None before.
+    R - 1 - r of R (see the module docstring).  `active` reads the left and
+    right entries of the active pairs off a sequence, and `classes` the
+    entries at the positions of every class of two or more equal columns,
+    class after class, each `spans` long.  `fixed` maps those entries of
+    s = seq + rho (`rho`) to the product of the class Vandermondes, once
+    a term with them has a survivor.  `offsets[r]` holds record r's
+    nu_i - nu_j over the active pairs once r has survived a term, and None
+    before.
     """
 
     __slots__ = (
-        "n", "pairs", "dead", "cross", "active", "inactive", "weights", "layers",
-        "coefficients", "offsets", "digits", "superfactorial",
+        "n", "rho", "pairs", "dead", "cross", "active", "classes", "spans", "fixed",
+        "weights", "layers", "coefficients", "offsets", "digits", "superfactorial",
     )
 
     def __init__(self, layers: list[dict[Weight, int]], k: int, n: int):
-        self.n = n
+        self.n, self.rho = n, rho(n)
         self.weights = [nu for layer in layers for nu in layer]
         self.layers = [s for s, layer in enumerate(layers) for _ in layer]
         self.coefficients = [
             -c if s & 1 else c for s, layer in enumerate(layers) for c in layer.values()
         ]
         cross = [(i, j) for i in range(k) for j in range(k, n)]
-        same = [
-            (i, j) for block in (range(k), range(k, n)) for i, j in combinations(block, 2)
-        ]
         weights, column = self.weights, [itemgetter(i) for i in range(n)]
         first = _first_equal_columns(weights, column)
-        # nu_j - nu_i = 0 for every weight at an inactive pair, and s is
-        # strictly decreasing within a block, so it never collides
-        inactive = [(i, j) for i, j in same if first[i] == first[j]]
-        pairs = cross + [(i, j) for i, j in same if first[i] != first[j]]
+        # a block's positions grouped by equal columns; a pair inside a group
+        # never collides, since nu_j - nu_i = 0 and s strictly decreases
+        same, classes = [], []
+        for block in (range(k), range(k, n)):
+            groups: dict[int, list[int]] = {}
+            for i in block:
+                groups.setdefault(first[i], []).append(i)
+            classes += [g for g in groups.values() if len(g) > 1]
+            for a, b in combinations(groups.values(), 2):
+                same += [(i, j) if i < j else (j, i) for i in a for j in b]
+        same.sort()
+        pairs = cross + same
         # pairs whose columns are equal share one table
         tables: dict[tuple[int, int], dict[int, int]] = {}
         for i, j in pairs:
@@ -166,7 +211,10 @@ class Character:
                 tables[first[i], first[j]] = _positions(diffs)
         self.dead = tuple(tables[first[i], first[j]] for i, j in pairs)
         self.pairs, self.cross = tuple(pairs), len(cross)
-        self.active, self.inactive = _getters(pairs), _getters(inactive)
+        self.active = _getters(pairs)
+        self.classes = _getter([i for g in classes for i in g])
+        self.spans = [len(g) for g in classes]
+        self.fixed: dict[tuple[int, ...], int] = {}
         self.offsets: list[Weight | None] = [None] * len(self.weights)
         self.digits = f"0{len(self.weights)}b"  # a bitset's binary digits, one per record
         self.superfactorial = _superfactorial(n)
@@ -178,6 +226,16 @@ class Character:
             if self.offsets[r] is None:
                 nu = self.weights[r]
                 self.offsets[r] = tuple(map(sub, left(nu), right(nu)))
+
+    def _fixed(self, key: tuple[int, ...]) -> int:
+        """The product of the class Vandermondes of s, whose entries at the
+        class positions are `key`, kept under `key`."""
+        out, start = 1, 0
+        for length in self.spans:
+            out *= _run_vandermonde(key[start : start + length])
+            start += length
+        self.fixed[key] = out
+        return out
 
 
 def _first_equal_columns(weights: list[Weight], column: list) -> list[int]:
@@ -227,14 +285,15 @@ def _walk(
     """(mult, gaps, fixed, keep, offsets) for each item (seq, mult) that
     some record of `character` keeps.  With s = seq + rho, gaps lists
     s_i - s_j over the active pairs and fixed is the product of s_i - s_j
-    over the inactive ones; keep flags each record nu whose sequence s + nu
-    has no repeated entry, and offsets lists the kept records' offsets in
-    order.  A kept record's Vandermonde is fixed times the product of
-    gaps + offsets.  The records that a gap hits are joined into one
-    bitset, whose binary digits give the flags."""
-    r = rho(character.n)
-    (left, right), (ileft, iright) = character.active, character.inactive
+    over the pairs inside a class, read from the character's memo; keep
+    flags each record nu whose sequence s + nu has no repeated entry, and
+    offsets lists the kept records' offsets in order.  A kept record's
+    Vandermonde is fixed times the product of gaps + offsets.  The records
+    that a gap hits are joined into one bitset, whose binary digits give
+    the flags."""
+    r, (left, right), classes = character.rho, character.active, character.classes
     dead, digits, offsets = character.dead, character.digits, character.offsets
+    memo = character.fixed
     for seq, mult in items:
         s = tuple(map(add, seq, r))
         gaps = tuple(map(sub, left(s), right(s)))
@@ -246,7 +305,11 @@ def _walk(
         if None in live:
             character._fill(keep)
             live = list(compress(offsets, keep))
-        yield mult, gaps, prod(map(sub, ileft(s), iright(s))), keep, live
+        key = classes(s)
+        fixed = memo.get(key)
+        if fixed is None:
+            fixed = character._fixed(key)
+        yield mult, gaps, fixed, keep, live
 
 
 def _degree(seq: Weight, k: int) -> int:

@@ -8,9 +8,10 @@ Sym^{j-t} F* (x) Omega^t_G of wedge^j of the conormal sequence, each as
 the merged (upper + lower, multiplicity) items of its block products
 (`lr._blockwise`), never put in canonical `BundleExpr` form, since chi and
 the Bott degree do not change when both blocks shift alike; one binomial
-fold of F* (`bundles.sym_powers`) gives Sym^0..top F*, each Omega^t is
-built once, and `bundles.wedge_characters` gives the torus characters of
-the wedge^s F* that resolve their restrictions to X.
+fold of F* (`bundles.sym_powers`) gives Sym^0..top F*, one pass over the
+k x (n-k) box (`bundles.cotangent_powers`) gives Omega^0..top, and
+`bundles.wedge_characters` gives the torus characters of the wedge^s F*
+that resolve their restrictions to X.
 `_koszul_character` prepares those once per spec, as the layers s of one
 `bwb.Character` with one collision layout, and the degree check, the
 Euler kernel and the chase all read that one character.
@@ -247,13 +248,12 @@ def _conormal_rows(spec: ZeroLocusSpec, top: int):
     row j lists Sym^{j-t} F* (x) Omega^t_G for t = 0..j, before restriction
     to X, each as merged (upper + lower, multiplicity) items straight from
     `lr._blockwise`, in no canonical shift: chi and the Bott degree do not
-    change when both blocks shift alike.  One fold of F* gives Sym^0..top F*;
-    each Omega^t is built once, when its row comes up."""
+    change when both blocks shift alike.  One fold of F* gives Sym^0..top F*,
+    and one pass over the box gives Omega^0..top."""
     k, n = spec.k, spec.n
     syms = bundles.sym_powers(bundles.dual(spec.bundle), top)
-    omegas: list[BundleExpr] = []
+    omegas = bundles.cotangent_powers(k, n, top)
     for j in range(top + 1):
-        omegas.append(bundles.cotangent_power(k, n, j))
         row = []
         for t in range(j + 1):
             merged: dict[Weight, int] = {}

@@ -14,7 +14,7 @@ positive-degree survivor.
 
 The expansion of one pair stops at the first degree m where every
 summand is fully ordered.  This rests on the atom A(2) being globally
-generated, which Q*(2) and U(2) are and which `_check_pairs` asserts: an
+generated, which Q*(2) and U(2) are and which `_check_pairs` checks: an
 irreducible bundle is globally generated exactly when it is fully ordered,
 global generation survives (x) and direct summands, and Sym^(m+1) is a
 direct summand of Sym^m (x) A(2).  So once degree m is fully ordered, every
@@ -42,7 +42,7 @@ from functools import cache, partial
 from . import bundles
 from .bundles import BundleExpr
 from .bwb import bott
-from .errors import RankError
+from .errors import NotGloballyGeneratedError, RankError
 from .lr import _blockwise
 from .weights import DoubleWeight, Value, Weight, bar_move, enumerate_box
 
@@ -108,8 +108,11 @@ def _check_pairs(
     (see the module docstring); `tail_certified` is cleared for a pair that
     does not reach one by m_max.  Sym^m(atom) is built once, for the
     degrees some pair reaches."""
-    # the early stop needs a globally generated atom
-    assert bundles.is_globally_generated(atom), atom
+    if not bundles.is_globally_generated(atom):
+        # the early stop needs a globally generated atom
+        raise NotGloballyGeneratedError(
+            f"window check needs a globally generated atom, got {atom}"
+        )
     k, n = atom.ambient
     sym = cache(partial(bundles.sym_power, atom))
     exprs = [(label, bundles.irreducible(k, n, w.upper, w.lower)) for label, w in members]

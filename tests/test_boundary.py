@@ -8,11 +8,14 @@ from math import prod
 
 import pytest
 
-from roofcalc import bundles, bwb, lr, weights
+from roofcalc import bundles, bwb, lr, motive, roofs, weights, windows
 from roofcalc.errors import (
+    AmbientMismatchError,
     DominanceError,
+    MalformedContractionError,
     PlethysmRequiredError,
     RankError,
+    RoofcalcError,
     WorkLimitError,
 )
 from roofcalc.hodge import ZeroLocusSpec, _koszul_character, pair_specs
@@ -97,6 +100,72 @@ class TestBoundaryContract:
     )
     def test_cli_messages(self, capsys, argv, message):
         assert run_cli_error(capsys, *argv) == (3, f"precondition violated: {message}")
+
+
+class TestPublicConstructorErrors:
+    """Each precondition of a public constructor raises its own class with
+    its own message."""
+
+    @pytest.mark.parametrize(
+        "call, cls, message",
+        [
+            (
+                lambda: bundles.irreducible(2, 6, (1, 0), (0, 0, 0)),
+                AmbientMismatchError, "(1,0|0,0,0) does not live on G(2,6)",
+            ),
+            (
+                lambda: bundles.direct_sum(bundles.line(2, 5, 1), bundles.line(2, 6, 1)),
+                AmbientMismatchError, "direct sum across different ambients",
+            ),
+            (
+                lambda: bundles.sym_powers(bundles.line(2, 5, 1), -1),
+                RankError, "power must be >= 0, got -1",
+            ),
+            (
+                lambda: motive.epoly_projective(-2),
+                RankError, "projective space needs m >= -1, got -2",
+            ),
+            (
+                lambda: motive.epoly_flag(2, 3),
+                RankError, "flag F(k,k+1,n) needs 1 <= k < k+1 < n, got (2,3)",
+            ),
+            (
+                lambda: roofs.simple_diagram("A", 3).with_marks({5}),
+                RankError, "marks {5} not among nodes of A3",
+            ),
+            (lambda: roofs.simple_diagram("A", 0), RankError, "A needs rank >= 1"),
+            (lambda: roofs.simple_diagram("G", 3), RankError, "G needs rank 2"),
+            (lambda: roofs.simple_diagram("X", 3), RankError, "unknown family 'X'"),
+            (lambda: roofs.product_aa(0, 2), RankError, "product factors need rank >= 1"),
+            (
+                lambda: roofs.erase_and_component(roofs.simple_diagram("A", 3), {1}, set()),
+                MalformedContractionError, "need at least one kept node",
+            ),
+            (lambda: weights.check_dominant(()), RankError, "weight must have length >= 1"),
+            (
+                lambda: weights.enumerate_box(2, -1),
+                RankError, "box cap must be >= 0, got b=-1",
+            ),
+            (
+                lambda: windows.kapranov_collection(3, 3),
+                RankError, "need 1 <= k < n, got (3,3)",
+            ),
+            (
+                lambda: windows.check_tilting_plus(5, -1),
+                RankError, "m_max must be >= 0, got -1",
+            ),
+        ],
+    )
+    def test_class_and_message(self, call, cls, message):
+        with pytest.raises(RoofcalcError) as caught:
+            call()
+        assert (type(caught.value), str(caught.value)) == (cls, message)
+
+    def test_schur_label_needs_a_block(self, capsys):
+        code, line = run_cli_error(capsys, "hodge", "--k", "2", "--n", "5", "--bundle", "S[1]X")
+        assert (code, line) == (
+            2, "parse error: expected U, UD, Q or QD after the Schur label (at offset 4)"
+        )
 
 
 class TestAtomsOnlyZeroLocus:

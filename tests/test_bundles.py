@@ -360,6 +360,11 @@ class TestCotangentPower:
     def test_out_of_range_is_zero(self):
         assert bundles.cotangent_power(2, 5, 7).is_zero()
         assert bundles.cotangent_power(2, 5, -1).is_zero()
+        # nothing is built per degree past the top one
+        assert bundles.cotangent_power(2, 5, 10**12).is_zero()
+        powers = bundles.cotangent_powers(2, 5, 8)
+        assert len(powers) == 9 and powers[6] == bundles.line(2, 5, -5)
+        assert powers[7].is_zero() and powers[8].is_zero()
 
     @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (2, 5), (1, 6), (2, 6), (3, 6), (2, 7), (3, 7), (2, 8), (4, 8)])
     def test_euler_characteristic_of_grassmannian(self, k, n):

@@ -1,22 +1,25 @@
 import random
 from collections import Counter
-from itertools import combinations, compress
+from itertools import combinations, combinations_with_replacement, compress
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from roofcalc import bundles
 from roofcalc.bwb import (
     Character,
+    _run_vandermonde,
     _vandermonde,
     _walk,
+    _weyl_quotient,
     bott,
     euler_characteristic,
     gl_dimension,
     rho,
     tensor_cohomology,
 )
-from roofcalc.errors import DominanceError
+from roofcalc.errors import DominanceError, InconsistentDataError
 from roofcalc.weights import DoubleWeight
 
 from oracles import count_ssyt, expr_items, partitions_up_to
@@ -396,3 +399,62 @@ class TestMaskedWalk:
                     s = [a + r for a, r in zip(w.concat(), rho(n))]
                     caught += s[i] - s[j] == step
         assert caught > 0
+
+
+class TestClassFactor:
+    """The walk's fixed factor: over each class of equal columns of one block,
+    the Vandermonde of s at the class positions, built from runs of
+    consecutive integers and kept by the character per key."""
+
+    @given(
+        st.integers(-40, 40),
+        st.lists(st.tuples(st.integers(1, 12), st.integers(0, 5)), min_size=1, max_size=6),
+    )
+    def test_runs_match_the_vandermonde(self, top, runs):
+        # strictly decreasing x as runs of the drawn lengths, each followed
+        # by a drop of 1 + gap (gap 0 joins two runs into one)
+        x = []
+        for length, gap in runs:
+            x += range(top, top - length, -1)
+            top -= length + gap
+        assert _run_vandermonde(tuple(x)) == _vandermonde(tuple(x))
+
+    def test_classes_of_columns_that_are_not_adjacent(self):
+        # G(2,7): columns 0, 1 of the upper block and 2, 4, 6 of the lower
+        # block are 0 on every weight, columns 3 and 5 are not; so the
+        # classes are {0, 1} and {2, 4, 6}, though column 2 equals column 0
+        character = {
+            (0, 0, 0, 1, 0, 2, 0): 1,
+            (0, 0, 0, -1, 0, 0, 0): -1,
+            (0, 0, 0, 0, 0, 1, 0): 2,
+        }
+        prepared = Character([character], 2, 7)
+        assert prepared.spans == [2, 3]
+        assert prepared.classes(tuple(range(7))) == (0, 1, 2, 4, 6)
+        # every item with entries in [0, 3]: two items differ at each class
+        # position alone, so a key that misses a position gives one of them
+        # the other's factor, which `walk_sequences` checks
+        terms = [
+            (DoubleWeight(upper, lower), 1)
+            for upper in combinations_with_replacement(range(3, -1, -1), 2)
+            for lower in combinations_with_replacement(range(3, -1, -1), 5)
+        ]
+        got = Counter(walk_sequences(terms, prepared))
+        assert got == Counter(reference_walk(terms, 7, [character]))
+        # the factor is kept once per key, and only for terms with a survivor
+        keys = {
+            prepared.classes(tuple(a + r for a, r in zip(w.concat(), rho(7))))
+            for w, _ in terms
+            if any(True for _ in _walk([(w.concat(), 1)], prepared))
+        }
+        assert set(prepared.fixed) == keys
+        assert len(keys) > 50
+
+    def test_weyl_quotient_must_be_exact(self):
+        assert _weyl_quotient(24, 12) == 2
+        assert _weyl_quotient(0, 12) == 0
+        for num in (25, -24):
+            with pytest.raises(InconsistentDataError) as caught:
+                _weyl_quotient(num, 12)
+            assert caught.value.stage == "Weyl quotient"
+            assert str(caught.value) == f"{num} is not a non-negative multiple of 12"

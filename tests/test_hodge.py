@@ -310,15 +310,38 @@ class TestConormalRows:
     def test_each_power_built_once(self, monkeypatch, k, n, text, top):
         spec = ZeroLocusSpec(k, n, parse_bundle(text, k, n))
         calls = Counter()
-        for name in ("sym_powers", "cotangent_power"):
+        for name in ("sym_powers", "cotangent_powers"):
             def counted(*args, _fn=getattr(bundles, name), _name=name):
                 calls[_name] += 1
+                assert args[-1] <= top
                 return _fn(*args)
 
             monkeypatch.setattr(bundles, name, counted)
         hodge_numbers(spec)
         assert calls["sym_powers"] == 1
-        assert 0 < calls["cotangent_power"] <= top + 1
+        assert calls["cotangent_powers"] == 1
+
+    def test_class_factor_built_once_per_key(self, monkeypatch):
+        # the cubic in P^23: the 23 lower columns of the Koszul character
+        # are equal, one class, whose Vandermonde the walk needs for each of
+        # its 31 items with a survivor; the 12 distinct entry tuples there
+        # each build it once
+        calls = Counter()
+        walk, runs = bwb._walk, bwb._run_vandermonde
+
+        def counted_walk(items, character):
+            for out in walk(items, character):
+                calls["items"] += 1
+                yield out
+
+        def counted_runs(x):
+            calls["factors"] += 1
+            return runs(x)
+
+        monkeypatch.setattr(bwb, "_walk", counted_walk)
+        monkeypatch.setattr(bwb, "_run_vandermonde", counted_runs)
+        hodge_numbers(ZeroLocusSpec(1, 24, parse_bundle("O(3)", 1, 24)))
+        assert calls == {"items": 31, "factors": 12}
 
     def test_rows_are_raw_block_products(self, monkeypatch):
         # each conormal term comes straight from the block products, never

@@ -138,6 +138,18 @@ def test_every_raise_is_a_package_error():
     assert outside == set()
 
 
+def test_no_assert_statements():
+    # an assert vanishes under `python -O`, so a check that guards a result
+    # raises a package error instead
+    found = [
+        (path.name, node.lineno)
+        for path in sorted((ROOT / "src" / "roofcalc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_no_unused_imports():
     # a deletion tends to leave the imports of what it deleted behind;
     # __init__ imports only to re-export, so it is not scanned

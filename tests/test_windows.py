@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from functools import partial
 
@@ -5,7 +6,7 @@ import pytest
 
 from roofcalc import bundles, windows
 from roofcalc.bwb import bott
-from roofcalc.errors import RankError
+from roofcalc.errors import NotGloballyGeneratedError, RankError
 from roofcalc.weights import DoubleWeight, bar_move, enumerate_box, negate_reverse
 from roofcalc.windows import (
     VanishingFailure,
@@ -224,6 +225,17 @@ class TestTiltingChecks:
             check_tilting_plus(3, 8)
         with pytest.raises(RankError):
             check_tilting_minus(5, -1)
+
+    def test_atom_must_be_globally_generated(self):
+        # the early stop rests on a globally generated atom; Q* on P^3 is not
+        report = windows.VanishingReport(side="minus", n=4, m_max=2)
+        members = [((0,), DoubleWeight((0,), (0, 0, 0)))]
+        with pytest.raises(
+            NotGloballyGeneratedError,
+            match=re.escape("window check needs a globally generated atom, got (0|1,0,0)"),
+        ):
+            windows._check_pairs(report, members, bundles.quotient_dual(1, 4))
+        assert report.checked_pairs == 0
 
 
 class TestSharedExpansion:
